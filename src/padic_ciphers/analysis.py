@@ -224,8 +224,7 @@ def _subject(subject):
     if isinstance(subject, ValueTable):
         return subject.ctx, subject.values.__getitem__
     if isinstance(subject, _KEY_TYPES):
-        ctx = subject.ctx
-        return ctx, lambda v: encrypt(subject, PadicInt(ctx, v)).value
+        return subject.ctx, subject.enc_int
     raise DomainError(f"cannot test a {type(subject).__name__}; pass a key or a table")
 
 

@@ -24,13 +24,19 @@ set N, a unit A commutes with G (A*G(x,y) = G(Ax,Ay)) exactly when A^d = 1
 for d = gcd{n - 1 : n in N}.  For odd p the solutions in Z_p are the
 Teichmuller lifts of the mod-p solutions, so there are at most p-1 usable
 multipliers: small primes make thin fhe key spaces.
+
+Each key class carries its own integer kernels, ``enc_int`` and ``dec_int``,
+on residues mod p^K; ``encrypt``/``decrypt`` wrap them in a ``PadicInt``.
+What a kernel precomputes from the key (inverse multipliers and exponents,
+the packed columns of the xor matrix and of its inverse over F_p) is built
+on the key's first use, not when the key is made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from random import Random
 
 from .core import (
@@ -39,16 +45,12 @@ from .core import (
     PadicContext,
     PadicError,
     PadicInt,
-    and_p,
     from_text,
     invert_unit,
     is_unit,
     pow_nat,
-    pow_unit,
     teichmuller,
     to_text,
-    unit_decompose,
-    xor_p,
 )
 from .lipschitz import DEFAULT_TABLE_LIMIT, ValueTable
 
@@ -207,9 +209,7 @@ def admissible_multipliers(
     d = exponent_gcd(op, ctx.p)
     if d is None:
         return ALL_UNITS
-    return frozenset(
-        teichmuller(ctx, j) for j in range(1, ctx.p) if pow(j, d, ctx.p) == 1
-    )
+    return roots_of_unity(ctx, d)
 
 
 def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
@@ -224,10 +224,31 @@ def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
 
 
 # -- key families ----------------------------------------------------------------
+#
+# Kernel data is built on a key's first use (a cached_property), so a key that
+# never encrypts costs nothing extra.  No kernel fills a table over all p digit
+# values in advance: that would cost O(p) work per key at a large prime.
+
+
+class _UnitMultiplier:
+    """Kernels of y = A*x mod p^K, shared by the additive and fhe families."""
+
+    def enc_int(self, v: int) -> int:
+        A, _, m = self._multipliers
+        return A * v % m
+
+    def dec_int(self, v: int) -> int:
+        _, A_inv, m = self._multipliers
+        return A_inv * v % m
+
+    @cached_property
+    def _multipliers(self) -> tuple[int, int, int]:
+        m = self.A.ctx.modulus
+        return self.A.value, pow(self.A.value, -1, m), m
 
 
 @dataclass(frozen=True)
-class AdditiveKey:
+class AdditiveKey(_UnitMultiplier):
     family = "additive"
     A: PadicInt
 
@@ -266,6 +287,139 @@ class MultiplicativeKey:
     def ctx(self) -> PadicContext:
         return self.A.ctx
 
+    def enc_int(self, v: int) -> int:
+        return self._kernel.enc(v)
+
+    def dec_int(self, v: int) -> int:
+        return self._kernel.dec(v)
+
+    @cached_property
+    def _kernel(self) -> "_MultiplicativeKernel":
+        return _MultiplicativeKernel(self)
+
+
+class _MultiplicativeKernel:
+    """The multiplicative family's kernels on plain integers.
+
+    A nonzero x = p^k u, with t = u mod p, maps to p^k A^k w(t)^s <u>^a where
+    <u> = u / w(t).  Only the unit factor mod M = p^(K-k) survives the shift by
+    p^k, and the principal units mod M form a group of order p^(K-k-1), so the
+    exponent a acts through e = a mod p^(K-k-1).  Since <u>^e = u^e w(t)^-e,
+    w is multiplicative and w^(p-1) = 1, one Teichmuller lift per call is left:
+
+        enc(x) = p^k * (A^k * w(t^((s-e) mod (p-1))) * u^e  mod M)
+
+    Decryption divides y = p^k y' by p^k A^k to get w1 = w(t)^s <u>^a, whose
+    first digit is t^s.  With e' = a^-1 mod p^(K-k-1), w1^e' = w(t)^(s e') <u>:
+
+        dec(y) = p^k * (w1^e' * w(t1^((1 - s e') s^-1 mod (p-1)))  mod M),
+                 t1 = w1 mod p
+    """
+
+    def __init__(self, key: MultiplicativeKey) -> None:
+        ctx = key.ctx
+        p, K, m = ctx.p, ctx.precision, ctx.modulus
+        A, s, a = key.A.value, key.s, key.a.value
+        a_inv = pow(a, -1, p ** (K - 1)) if K > 1 else 0
+        s_inv = pow(s, -1, p - 1)
+        A_inv = pow(A, -1, m)
+        self.p, self.modulus, self.top = p, m, p ** (K - 1)
+        self.levels = {}  # p^k -> (k, p^(K-k)), k < K
+        self.enc_steps = []  # level k -> (A^k, e, (s - e) mod (p-1))
+        self.dec_steps = []  # level k -> (A^-k, e', (1 - s e') s^-1 mod (p-1))
+        A_k = A_neg_k = 1
+        for k in range(K):
+            self.levels[p**k] = (k, p ** (K - k))
+            order = p ** (K - k - 1)
+            e, e_inv = a % order, a_inv % order
+            self.enc_steps.append((A_k, e, (s - e) % (p - 1)))
+            self.dec_steps.append((A_neg_k, e_inv, (1 - s * e_inv) * s_inv % (p - 1)))
+            A_k, A_neg_k = A_k * A % m, A_neg_k * A_inv % m
+        # Filled per digit on first use, at most p - 1 entries.
+        self.lifts: dict[int, int] = {}
+
+    def lift(self, c: int) -> int:
+        """w(c) mod p^K, in the closed form c^(p^(K-1)) of core.teichmuller."""
+        w = self.lifts.get(c)
+        if w is None:
+            w = self.lifts[c] = pow(c, self.top, self.modulus)
+        return w
+
+    def enc(self, x: int) -> int:
+        if x == 0:
+            return 0
+        q = math.gcd(x, self.modulus)  # p^k, k the valuation of x
+        k, M = self.levels[q]
+        A_k, e, j = self.enc_steps[k]
+        u = x // q
+        return A_k * self.lift(pow(u, j, self.p)) * pow(u, e, M) % M * q
+
+    def dec(self, y: int) -> int:
+        if y == 0:
+            return 0
+        q = math.gcd(y, self.modulus)
+        k, M = self.levels[q]
+        A_neg_k, e_inv, h = self.dec_steps[k]
+        w1 = y // q * A_neg_k % M
+        return pow(w1, e_inv, M) * self.lift(pow(w1, h, self.p)) % M * q
+
+
+class _SlotMatrix:
+    """A lower-triangular matrix over F_p acting on base-p digit vectors.
+
+    Packed-slot evaluation (Lamport, "Multiple byte processing with full-word
+    instructions", CACM 1975): column i is one integer whose B-bit slot k holds
+    entry (k, i), so the product with the digit vector x is the single integer
+    sum x_0 col_0 + ... + x_{K-1} col_{K-1}.  A slot sums at most K products
+    below p^2, so B = bitlen(K (p-1)^2) keeps carries out of the next slot;
+    each slot is reduced mod p once at the end.
+    """
+
+    def __init__(self, columns: list[int], p: int, width: int) -> None:
+        self.columns, self.p, self.width = columns, p, width
+        self.mask = (1 << width) - 1
+
+    @classmethod
+    def from_rows(cls, rows: tuple[tuple[int, ...], ...], p: int) -> "_SlotMatrix":
+        K = len(rows)
+        width = (K * (p - 1) ** 2).bit_length()
+        columns = [sum(rows[k][i] << (width * k) for k in range(i, K)) for i in range(K)]
+        return cls(columns, p, width)
+
+    def slot(self, packed: int, k: int) -> int:
+        return packed >> (self.width * k) & self.mask
+
+    def apply(self, v: int) -> int:
+        p = self.p
+        acc = 0
+        for col in self.columns:
+            v, d = divmod(v, p)
+            acc += d * col
+        out, mask = 0, self.mask
+        for shift in range(self.width * (len(self.columns) - 1), -1, -self.width):
+            out = out * p + (acc >> shift & mask) % p
+        return out
+
+    def inverse(self) -> "_SlotMatrix":
+        """The inverse over F_p, column j by forward substitution on L z = e_j.
+
+        The partial sum of z_i col_i (i < k) holds row k's dot product in slot
+        k, so each entry costs one slot read and one packed addition.
+        """
+        p, width, cols = self.p, self.width, self.columns
+        diag_inv = [pow(self.slot(col, k), -1, p) for k, col in enumerate(cols)]
+        inverse = []
+        for j in range(len(cols)):
+            z = diag_inv[j]
+            acc, col = z * cols[j], z << (width * j)
+            for k in range(j + 1, len(cols)):
+                z = -diag_inv[k] * self.slot(acc, k) % p
+                if z:
+                    acc += z * cols[k]
+                    col |= z << (width * k)
+            inverse.append(col)
+        return _SlotMatrix(inverse, p, width)
+
 
 @dataclass(frozen=True)
 class XorKey:
@@ -290,6 +444,20 @@ class XorKey:
     @property
     def ctx(self) -> PadicContext:
         return self.key_ctx
+
+    def enc_int(self, v: int) -> int:
+        return self._forward.apply(v)
+
+    def dec_int(self, v: int) -> int:
+        return self._backward.apply(v)
+
+    @cached_property
+    def _forward(self) -> _SlotMatrix:
+        return _SlotMatrix.from_rows(self.rows, self.key_ctx.p)
+
+    @cached_property
+    def _backward(self) -> _SlotMatrix:
+        return self._forward.inverse()
 
 
 @dataclass(frozen=True)
@@ -316,9 +484,38 @@ class AndKey:
     def ctx(self) -> PadicContext:
         return self.key_ctx
 
+    def enc_int(self, v: int) -> int:
+        return _digit_powers(v, self.key_ctx.p, self._enc_steps)
+
+    def dec_int(self, v: int) -> int:
+        return _digit_powers(v, self.key_ctx.p, self._dec_steps)
+
+    @cached_property
+    def _enc_steps(self) -> tuple[tuple[int, int], ...]:
+        p = self.key_ctx.p
+        return tuple((s, p**k) for k, s in enumerate(self.exponents))
+
+    @cached_property
+    def _dec_steps(self) -> tuple[tuple[int, int], ...]:
+        # x -> x^s permutes F_p exactly when s is a unit mod p - 1; at p = 2
+        # the only exponent is 1, its own inverse.
+        p = self.key_ctx.p
+        return tuple(
+            (pow(s, -1, p - 1) if p > 2 else 1, pk) for s, pk in self._enc_steps
+        )
+
+
+def _digit_powers(v: int, p: int, steps: tuple[tuple[int, int], ...]) -> int:
+    """Sum of (digit k of v)^s_k mod p, times p^k, over steps (s_k, p^k)."""
+    out = 0
+    for s, pk in steps:
+        v, d = divmod(v, p)
+        out += pow(d, s, p) * pk
+    return out
+
 
 @dataclass(frozen=True)
-class FheKey:
+class FheKey(_UnitMultiplier):
     """Additive key constrained to A^d = 1 so that a chosen G also commutes."""
 
     family = "fhe"
@@ -411,104 +608,13 @@ def keygen(
 def encrypt(key: CipherKey, x: PadicInt) -> PadicInt:
     if x.ctx != key.ctx:
         raise DomainError("plaintext context does not match the key")
-    if isinstance(key, (AdditiveKey, FheKey)):
-        return key.A * x
-    if isinstance(key, MultiplicativeKey):
-        return _multiplicative_encrypt(key, x)
-    if isinstance(key, XorKey):
-        return _xor_apply(key.rows, x)
-    if isinstance(key, AndKey):
-        return _and_apply(key.key_ctx, key.exponents, x)
-    raise FamilyMismatchError(f"unknown key type {type(key).__name__}")
+    return PadicInt(x.ctx, key.enc_int(x.value))
 
 
 def decrypt(key: CipherKey, y: PadicInt) -> PadicInt:
     if y.ctx != key.ctx:
         raise DomainError("ciphertext context does not match the key")
-    if isinstance(key, (AdditiveKey, FheKey)):
-        return _inverse_unit_cached(key.A) * y
-    if isinstance(key, MultiplicativeKey):
-        return _multiplicative_decrypt(key, y)
-    if isinstance(key, XorKey):
-        return _xor_solve(key, y)
-    if isinstance(key, AndKey):
-        p = key.key_ctx.p
-        inverse = tuple(pow(s, -1, p - 1) if p > 2 else 1 for s in key.exponents)
-        return _and_apply(key.key_ctx, inverse, y)
-    raise FamilyMismatchError(f"unknown key type {type(key).__name__}")
-
-
-@lru_cache(maxsize=4096)
-def _inverse_unit_cached(a: PadicInt) -> PadicInt:
-    return invert_unit(a)
-
-
-def _multiplicative_encrypt(key: MultiplicativeKey, x: PadicInt) -> PadicInt:
-    ctx = key.ctx
-    if x.value == 0:
-        return ctx.zero
-    dec = unit_decompose(x)
-    k = dec.valuation
-    u = PadicInt(ctx, x.value // ctx.p**k)
-    w = teichmuller(ctx, dec.unit_digit)
-    principal = u * _inverse_unit_cached(w)  # = 1 mod p
-    unit_image = pow_nat(key.A, k) * pow_nat(w, key.s) * pow_unit(principal, key.a)
-    return PadicInt(ctx, unit_image.value * ctx.p**k % ctx.modulus)
-
-
-def _multiplicative_decrypt(key: MultiplicativeKey, y: PadicInt) -> PadicInt:
-    ctx = key.ctx
-    if y.value == 0:
-        return ctx.zero
-    p = ctx.p
-    dec = unit_decompose(y)
-    k = dec.valuation
-    w_img = PadicInt(ctx, y.value // p**k)
-    # strip A^k, then read t0 through the inverse digit exponent
-    w1 = w_img * _inverse_unit_cached(pow_nat(key.A, k))
-    t0 = pow(w1.value % p, pow(key.s, -1, p - 1), p)
-    w = teichmuller(ctx, t0)
-    principal_img = w1 * _inverse_unit_cached(pow_nat(w, key.s))
-    a_inv = pow(key.a.value, -1, p ** (ctx.precision - 1)) if ctx.precision > 1 else 0
-    principal = pow_unit(principal_img, a_inv)
-    u = w * principal
-    return PadicInt(ctx, u.value * p**k % ctx.modulus)
-
-
-def _xor_apply(rows: tuple[tuple[int, ...], ...], x: PadicInt) -> PadicInt:
-    ctx = x.ctx
-    p = ctx.p
-    digits = x.digits
-    out, shift = 0, 1
-    for k, row in enumerate(rows):
-        acc = 0
-        for i in range(k + 1):
-            acc += row[i] * digits[i]
-        out += (acc % p) * shift
-        shift *= p
-    return PadicInt(ctx, out)
-
-
-def _xor_solve(key: XorKey, y: PadicInt) -> PadicInt:
-    ctx = key.key_ctx
-    p = ctx.p
-    ydig = y.digits
-    xdig: list[int] = []
-    for k, row in enumerate(key.rows):
-        acc = sum(row[i] * xdig[i] for i in range(k))
-        xk = (ydig[k] - acc) * pow(row[k], -1, p) % p
-        xdig.append(xk)
-    return ctx.from_digits(xdig)
-
-
-def _and_apply(ctx: PadicContext, exponents: tuple[int, ...], x: PadicInt) -> PadicInt:
-    p = ctx.p
-    digits = x.digits
-    out, shift = 0, 1
-    for k, s in enumerate(exponents):
-        out += pow(digits[k], s, p) * shift
-        shift *= p
-    return PadicInt(ctx, out)
+    return PadicInt(y.ctx, key.dec_int(y.value))
 
 
 # -- whole-map views ------------------------------------------------------------------
@@ -518,9 +624,7 @@ def encryption_table(key: CipherKey, limit: int = DEFAULT_TABLE_LIMIT) -> ValueT
     ctx = key.ctx
     if ctx.modulus > limit:
         raise DomainError(f"table of size {ctx.modulus} exceeds the limit {limit}")
-    return ValueTable.from_callable(
-        ctx, lambda x: encrypt(key, PadicInt(ctx, x)).value
-    )
+    return ValueTable.from_callable(ctx, key.enc_int)
 
 
 def is_identity_key(key: CipherKey, limit: int = DEFAULT_TABLE_LIMIT) -> bool:
@@ -554,33 +658,45 @@ def key_to_json(key: CipherKey) -> dict:
     raise FamilyMismatchError(f"unknown key type {type(key).__name__}")
 
 
+def _field(data: dict, name: str, kind: type):
+    value = data[name]
+    if not isinstance(value, kind):
+        raise FormatError(
+            f"key field {name!r} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
 def key_from_json(data: dict) -> CipherKey:
     try:
         family = data["family"]
         ctx = PadicContext(int(data["p"]), int(data["precision"]))
     except (KeyError, TypeError, ValueError, DomainError) as exc:
         raise FormatError(f"malformed key object: {exc}") from exc
+
+    def residue(name: str) -> PadicInt:
+        return from_text(_field(data, name, str), ctx)
+
     try:
         if family == "additive":
-            return AdditiveKey(from_text(data["A"], ctx))
+            return AdditiveKey(residue("A"))
         if family == "multiplicative":
-            return MultiplicativeKey(
-                A=from_text(data["A"], ctx),
-                s=int(data["s"]),
-                a=from_text(data["a"], ctx),
-            )
+            return MultiplicativeKey(A=residue("A"), s=int(data["s"]), a=residue("a"))
         if family == "xor":
-            return XorKey(ctx, tuple(tuple(int(c) for c in row) for row in data["rows"]))
+            rows = _field(data, "rows", list)
+            if not all(isinstance(row, list) for row in rows):
+                raise FormatError("key field 'rows' must be a list of lists")
+            return XorKey(ctx, tuple(tuple(int(c) for c in row) for row in rows))
         if family == "and":
-            return AndKey(ctx, tuple(int(s) for s in data["exponents"]))
+            return AndKey(ctx, tuple(int(s) for s in _field(data, "exponents", list)))
         if family == "fhe":
             g = operation_from_name(
                 data["g"],
                 ctx,
-                a=from_text(data["ga"], ctx) if "ga" in data else None,
-                b=from_text(data["gb"], ctx) if "gb" in data else None,
+                a=residue("ga") if "ga" in data else None,
+                b=residue("gb") if "gb" in data else None,
             )
-            return FheKey(from_text(data["A"], ctx), g)
+            return FheKey(residue("A"), g)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed key object: {exc}") from exc
     except (InvalidKeyError, DomainError, FormatError) as exc:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 DEFAULT_MAX_PRECISION = 64
@@ -330,26 +329,18 @@ def pow_unit(base: PadicInt, exponent: PadicInt | int) -> PadicInt:
 # -- Teichmuller lift ---------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _teichmuller_value(p: int, precision: int, a: int) -> int:
-    modulus = p**precision
-    t = a
-    for _ in range(precision + 1):
-        nxt = pow(t, p, modulus)
-        if nxt == t:
-            break
-        t = nxt
-    assert pow(t, p, modulus) == t
-    return t
-
-
 def teichmuller(ctx: PadicContext, a: int) -> PadicInt:
-    """The unique (p-1)-th root of unity congruent to a mod p (p odd)."""
+    """The unique (p-1)-th root of unity congruent to a mod p (p odd).
+
+    Closed form w(a) = a^(p^(K-1)) mod p^K: it is = a mod p by Fermat, and its
+    (p-1)-th power is (a^(p-1))^(p^(K-1)) = 1, because a^(p-1) lies in 1 + pZ,
+    a group of order p^(K-1) mod p^K.
+    """
     if ctx.p == 2:
         raise OddPrimeRequiredError("Teichmuller lift needs odd p")
     if not 1 <= a <= ctx.p - 1:
         raise DomainError(f"leading digit must be in [1, {ctx.p - 1}], got {a}")
-    return PadicInt(ctx, _teichmuller_value(ctx.p, ctx.precision, a))
+    return PadicInt(ctx, pow(a, ctx.p ** (ctx.precision - 1), ctx.modulus))
 
 
 # -- exp / ln on the convergence domains -------------------------------------

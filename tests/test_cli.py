@@ -100,6 +100,25 @@ def test_malformed_key_file_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"family": "additive", "A": ["x"]},
+        {"family": "multiplicative", "A": "1", "s": 1, "a": 7},
+        {"family": "xor", "rows": "1"},
+        {"family": "xor", "rows": ["1"]},
+        {"family": "and", "exponents": "1"},
+        {"family": "fhe", "A": "1", "g": "GLIN", "ga": ["x"]},
+    ],
+)
+def test_key_field_of_wrong_type_exits_3(tmp_path, capsys, fields):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"p": 5, "precision": 1} | fields))
+    code, out, err = run(capsys, "encrypt", "--key", str(path), "1")
+    assert code == 3
+    assert "must be a" in err
+
+
 def test_eval_plain(capsys):
     code, out, err = run(
         capsys, "eval", "--p", "5", "--precision", "2",

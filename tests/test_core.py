@@ -214,6 +214,27 @@ def test_teichmuller_is_root_of_unity_oracle():
         assert scan == [w.value]
 
 
+def _teichmuller_fixed_point(p: int, precision: int, a: int) -> int:
+    """The lift as the fixed point of t -> t^p mod p^K, iterated from a."""
+    modulus = p**precision
+    t = a
+    for _ in range(precision + 1):
+        nxt = pow(t, p, modulus)
+        if nxt == t:
+            break
+        t = nxt
+    assert pow(t, p, modulus) == t
+    return t
+
+
+def test_teichmuller_closed_form_equals_fixed_point():
+    for p in (3, 5, 7, 11, 13):
+        for K in (1, 2, 5, 16, 64):
+            ctx = PadicContext(p, K)
+            for a in range(1, p):
+                assert teichmuller(ctx, a).value == _teichmuller_fixed_point(p, K, a)
+
+
 def test_teichmuller_multiplicative():
     for p, K in [(3, 3), (5, 2), (7, 4)]:
         ctx = PadicContext(p, K)
