@@ -26,73 +26,33 @@ from dataclasses import dataclass
 from functools import lru_cache
 from random import Random
 
-from .ciphers import (
-    AdditiveKey,
-    AndKey,
-    FheKey,
-    G1,
-    G2,
-    G3,
-    G4,
+from .ciphers import (  # OpSymbol, ADD, MUL, XOR, AND and g_sym are re-exported
+    ADD,
+    AND,
+    MUL,
+    OP_NAMES,
+    XOR,
+    CipherKey,
     GOperation,
     LinearG,
     MultiplicativeKey,
+    OpSymbol,
     SeriesG,
-    XorKey,
     encrypt,
     encryption_table,
     g_eval,
-    g_name,
+    g_sym,
     is_identity_key,
     key_to_json,
     keygen,
 )
-from .core import DomainError, FormatError, PadicContext, PadicInt, and_p, xor_p
+from .core import DomainError, FormatError, PadicContext, PadicInt, and_p, digitwise, xor_p
 from .lipschitz import (
     NotOneLipschitzError,
     ValueTable,
     digit_length,
     vdp_interpolate,
 )
-
-_KINDS = ("ADD", "MUL", "XOR", "AND", "G")
-
-_KEY_TYPES = (AdditiveKey, MultiplicativeKey, XorKey, AndKey, FheKey)
-
-
-@dataclass(frozen=True)
-class OpSymbol:
-    """A named two-argument operation.
-
-    kind "G" carries a concrete operation, or None for a linear placeholder
-    to be bound at use (a key file supplies the coefficients).
-    """
-
-    kind: str
-    g: GOperation | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown operation kind {self.kind!r}")
-        if self.kind != "G" and self.g is not None:
-            raise DomainError(f"{self.kind} does not take an operation parameter")
-
-    @property
-    def name(self) -> str:
-        if self.kind != "G":
-            return self.kind
-        return "GLIN" if self.g is None else g_name(self.g)
-
-
-ADD = OpSymbol("ADD")
-MUL = OpSymbol("MUL")
-XOR = OpSymbol("XOR")
-AND = OpSymbol("AND")
-
-
-def g_sym(op: GOperation) -> OpSymbol:
-    return OpSymbol("G", op)
-
 
 CANONICAL_PAIRS = (
     (ADD, MUL),
@@ -105,15 +65,10 @@ CANONICAL_PAIRS = (
 
 
 def symbol_from_name(name: str) -> OpSymbol:
-    basic = {"ADD": ADD, "MUL": MUL, "XOR": XOR, "AND": AND}
-    if name in basic:
-        return basic[name]
-    named_g = {"G1": G1(), "G2": G2(), "G3": G3(), "G4": G4()}
-    if name in named_g:
-        return OpSymbol("G", named_g[name])
-    if name == "GLIN":
-        return OpSymbol("G")
-    raise FormatError(f"unknown operation {name!r}")
+    try:
+        return OP_NAMES[name]
+    except KeyError:
+        raise FormatError(f"unknown operation {name!r}") from None
 
 
 def op_apply(
@@ -133,19 +88,9 @@ def op_apply(
     return g_eval(g, x, y)
 
 
-def laws_for_key(key) -> tuple[OpSymbol, ...]:
+def laws_for_key(key: CipherKey) -> tuple[OpSymbol, ...]:
     """The operations a key's encryption map is supposed to respect."""
-    if isinstance(key, FheKey):
-        return (ADD, OpSymbol("G", key.g))
-    if isinstance(key, AdditiveKey):
-        return (ADD,)
-    if isinstance(key, MultiplicativeKey):
-        return (MUL,)
-    if isinstance(key, XorKey):
-        return (XOR,)
-    if isinstance(key, AndKey):
-        return (AND,)
-    raise DomainError(f"unknown key type {type(key).__name__}")
+    return key.laws
 
 
 @dataclass(frozen=True)
@@ -193,25 +138,15 @@ def _rehome(g: GOperation, ctx: PadicContext) -> GOperation:
 
 
 def _op_int(sym: OpSymbol, ctx: PadicContext, x: int, y: int) -> int:
-    p, m = ctx.p, ctx.modulus
-    if sym.kind == "ADD":
-        return (x + y) % m
-    if sym.kind == "MUL":
-        return (x * y) % m
-    if sym.kind == "XOR":
-        out, shift = 0, 1
-        for _ in range(ctx.precision):
-            out += (x + y) % p * shift
-            x, y, shift = x // p, y // p, shift * p
-        return out
-    if sym.kind == "AND":
-        out, shift = 0, 1
-        for _ in range(ctx.precision):
-            out += x * y % p * shift
-            x, y, shift = x // p, y // p, shift * p
-        return out
-    g = _rehome(sym.g, ctx)
-    return g_eval(g, PadicInt(ctx, x), PadicInt(ctx, y)).value
+    kind = sym.kind
+    if kind == "ADD":
+        return (x + y) % ctx.modulus
+    if kind == "MUL":
+        return (x * y) % ctx.modulus
+    if kind == "G":
+        g = _rehome(sym.g, ctx)
+        return g_eval(g, PadicInt(ctx, x), PadicInt(ctx, y)).value
+    return digitwise(x, y, ctx.p, ctx.precision, multiply=kind == "AND")
 
 
 @lru_cache(maxsize=32)
@@ -223,7 +158,7 @@ def _op_table(sym: OpSymbol, ctx: PadicContext) -> tuple[int, ...]:
 def _subject(subject):
     if isinstance(subject, ValueTable):
         return subject.ctx, subject.values.__getitem__
-    if isinstance(subject, _KEY_TYPES):
+    if isinstance(subject, CipherKey):
         return subject.ctx, subject.enc_int
     raise DomainError(f"cannot test a {type(subject).__name__}; pass a key or a table")
 
@@ -413,7 +348,7 @@ def vdp_coefficient_probe(
     * m = u + h * p^(n-1), u != 0, lead digit h,
       lowest nonzero digit t0 at position k:    b = a * A^k * t0^(s-1) * h
     """
-    if not isinstance(key, MultiplicativeKey):
+    if key.family != "multiplicative":
         raise DomainError("the coefficient probe applies to multiplicative keys")
     table = encryption_table(key, limit)
     return _vdp_probe_table(table, key.A.value, key.s, key.a.value)

@@ -20,6 +20,7 @@ from .lipschitz import (
     DEFAULT_TABLE_LIMIT,
     NotOneLipschitzError,
     ValueTable,
+    check_measure_bruteforce,
     check_one_lipschitz,
 )
 
@@ -151,13 +152,7 @@ def function_of_automaton(
 
 def check_induced_bijections(machine: MealyMachine, precision: int) -> bool:
     """True iff the word map is a bijection on length-n words for all n <= precision."""
-    table = function_of_automaton(machine, precision)
-    p = machine.p
-    for n in range(1, precision + 1):
-        pn = p**n
-        if len({table.values[x] % pn for x in range(pn)}) != pn:
-            return False
-    return True
+    return check_measure_bruteforce(function_of_automaton(machine, precision))
 
 
 # -- serialization ------------------------------------------------------------

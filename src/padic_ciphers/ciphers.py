@@ -38,6 +38,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from random import Random
+from typing import get_args
 
 from .core import (
     DomainError,
@@ -59,16 +60,14 @@ class InvalidKeyError(PadicError):
     """Key parameters violate the family's constraints."""
 
 
-class FamilyMismatchError(PadicError):
-    """Key belongs to a different family than the operation requires."""
-
-
 # -- two-variable operations ---------------------------------------------------
 
 
 @dataclass(frozen=True)
 class LinearG:
     """G(x, y) = a*x + b*y."""
+
+    name = "GLIN"
 
     a: PadicInt
     b: PadicInt
@@ -78,21 +77,29 @@ class LinearG:
 class G1:
     """G(x, y) = x * y**(p-1)."""
 
+    name = "G1"
+
 
 @dataclass(frozen=True)
 class G2:
     """G(x, y) = x**(p-1) * y + x * y**(p-1)."""
+
+    name = "G2"
 
 
 @dataclass(frozen=True)
 class G3:
     """G(x, y) = x**((p-1)/2) * y**((p-1)/2); p odd."""
 
+    name = "G3"
+
 
 @dataclass(frozen=True)
 class G4:
     """G(x, y) = x/(1 - p x**(p-1)) + y/(1 - p y**(p-1))
     = sum over s >= 0 of p^s (x**((p-1)s+1) + y**((p-1)s+1))."""
+
+    name = "G4"
 
 
 @dataclass(frozen=True)
@@ -103,6 +110,8 @@ class SeriesG:
     cannot commute with any multiplier, so c = 0 is required whenever the
     term list is nonempty.
     """
+
+    name = "GSERIES"
 
     c: PadicInt
     a: PadicInt
@@ -121,15 +130,56 @@ class SeriesG:
 
 GOperation = LinearG | G1 | G2 | G3 | G4 | SeriesG
 
-_G_NAMES = {G1: "G1", G2: "G2", G3: "G3", G4: "G4"}
+NAMED_G = {g.name: g for g in (G1(), G2(), G3(), G4())}
+
+G_CHOICES = (*NAMED_G, "GLIN")
 
 
-def g_name(op: GOperation) -> str:
-    if isinstance(op, LinearG):
-        return "GLIN"
-    if isinstance(op, SeriesG):
-        return "GSERIES"
-    return _G_NAMES[type(op)]
+# -- named operations and laws ---------------------------------------------------
+
+_KINDS = ("ADD", "MUL", "XOR", "AND", "G")
+
+
+@dataclass(frozen=True)
+class OpSymbol:
+    """A named two-argument operation.
+
+    kind "G" carries a concrete operation, or None for a linear placeholder
+    to be bound at use (a key file supplies the coefficients).
+    """
+
+    kind: str
+    g: GOperation | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in _KINDS:
+            raise DomainError(f"unknown operation kind {self.kind!r}")
+        if self.kind != "G" and self.g is not None:
+            raise DomainError(f"{self.kind} does not take an operation parameter")
+
+    @property
+    def name(self) -> str:
+        if self.kind != "G":
+            return self.kind
+        return "GLIN" if self.g is None else self.g.name
+
+
+ADD = OpSymbol("ADD")
+MUL = OpSymbol("MUL")
+XOR = OpSymbol("XOR")
+AND = OpSymbol("AND")
+
+
+def g_sym(op: GOperation) -> OpSymbol:
+    return OpSymbol("G", op)
+
+
+# Every operation by the name the CLI and formulas use for it.
+OP_NAMES = {
+    **{op.name: op for op in (ADD, MUL, XOR, AND)},
+    **{name: g_sym(g) for name, g in NAMED_G.items()},
+    "GLIN": OpSymbol("G"),
+}
 
 
 def g_eval(op: GOperation, x: PadicInt, y: PadicInt) -> PadicInt:
@@ -223,7 +273,75 @@ def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
     )
 
 
+# -- key fields in JSON -------------------------------------------------------------
+#
+# A codec is a pair (dump, load): dump(name, value) gives the JSON entries that
+# hold a key field, and load(data, name, ctx) reads the field back from them.
+
+
+def _field(data: dict, name: str, kind: type):
+    value = data[name]
+    if not isinstance(value, kind):
+        raise FormatError(
+            f"key field {name!r} must be a {kind.__name__}, got {type(value).__name__}"
+        )
+    return value
+
+
+def _integer(value, what: str) -> int:
+    if type(value) is not int:  # JSON true/false load as bool, a subclass of int
+        raise FormatError(f"{what} must be a JSON integer, got {type(value).__name__}")
+    return value
+
+
+def _integers(values: list, name: str) -> tuple[int, ...]:
+    return tuple(_integer(v, f"each entry of key field {name!r}") for v in values)
+
+
+def _load_rows(data: dict, name: str, ctx: PadicContext) -> tuple[tuple[int, ...], ...]:
+    rows = _field(data, name, list)
+    if not all(isinstance(row, list) for row in rows):
+        raise FormatError(f"key field {name!r} must be a list of lists")
+    return tuple(_integers(row, name) for row in rows)
+
+
+def _dump_operation(name: str, g: GOperation) -> dict:
+    if isinstance(g, SeriesG):
+        raise DomainError("series operations are not supported in key files")
+    out = {name: g.name}
+    if isinstance(g, LinearG):
+        out |= {"ga": to_text(g.a), "gb": to_text(g.b)}
+    return out
+
+
+def _load_operation(data: dict, name: str, ctx: PadicContext) -> GOperation:
+    def coefficient(field: str) -> PadicInt | None:
+        return from_text(_field(data, field, str), ctx) if field in data else None
+
+    return operation_from_name(data[name], ctx, a=coefficient("ga"), b=coefficient("gb"))
+
+
+_CONTEXT = (lambda name, ctx: {}, lambda data, name, ctx: ctx)  # in "p" and "precision"
+_RESIDUE = (
+    lambda name, x: {name: to_text(x)},
+    lambda data, name, ctx: from_text(_field(data, name, str), ctx),
+)
+_INTEGER = (
+    lambda name, n: {name: n},
+    lambda data, name, ctx: _integer(data[name], f"key field {name!r}"),
+)
+_INTEGERS = (
+    lambda name, values: {name: list(values)},
+    lambda data, name, ctx: _integers(_field(data, name, list), name),
+)
+_ROWS = (lambda name, rows: {name: [list(r) for r in rows]}, _load_rows)
+_OPERATION = (_dump_operation, _load_operation)
+
+
 # -- key families ----------------------------------------------------------------
+#
+# Each class states the operations its encryption map respects (``laws``) and
+# its fields in JSON (``json_fields``, written and read in that order).
 #
 # Kernel data is built on a key's first use (a cached_property), so a key that
 # never encrypts costs nothing extra.  No kernel fills a table over all p digit
@@ -250,6 +368,8 @@ class _UnitMultiplier:
 @dataclass(frozen=True)
 class AdditiveKey(_UnitMultiplier):
     family = "additive"
+    laws = (ADD,)
+    json_fields = {"A": _RESIDUE}
     A: PadicInt
 
     def __post_init__(self) -> None:
@@ -264,6 +384,8 @@ class AdditiveKey(_UnitMultiplier):
 @dataclass(frozen=True)
 class MultiplicativeKey:
     family = "multiplicative"
+    laws = (MUL,)
+    json_fields = {"A": _RESIDUE, "s": _INTEGER, "a": _RESIDUE}
     A: PadicInt
     s: int
     a: PadicInt
@@ -426,6 +548,8 @@ class XorKey:
     """Row k holds the coefficients of output digit k over input digits 0..k."""
 
     family = "xor"
+    laws = (XOR,)
+    json_fields = {"key_ctx": _CONTEXT, "rows": _ROWS}
     key_ctx: PadicContext
     rows: tuple[tuple[int, ...], ...]
 
@@ -465,6 +589,8 @@ class AndKey:
     """Digit k maps through x -> x**s_k on the digit alphabet."""
 
     family = "and"
+    laws = (AND,)
+    json_fields = {"key_ctx": _CONTEXT, "exponents": _INTEGERS}
     key_ctx: PadicContext
     exponents: tuple[int, ...]
 
@@ -519,6 +645,7 @@ class FheKey(_UnitMultiplier):
     """Additive key constrained to A^d = 1 so that a chosen G also commutes."""
 
     family = "fhe"
+    json_fields = {"A": _RESIDUE, "g": _OPERATION}
     A: PadicInt
     g: GOperation
 
@@ -537,10 +664,14 @@ class FheKey(_UnitMultiplier):
     def d(self) -> int | None:
         return exponent_gcd(self.g, self.A.ctx.p)
 
+    @cached_property
+    def laws(self) -> tuple[OpSymbol, ...]:
+        return (ADD, g_sym(self.g))
+
 
 CipherKey = AdditiveKey | MultiplicativeKey | XorKey | AndKey | FheKey
 
-FAMILIES = ("additive", "multiplicative", "xor", "and", "fhe")
+FAMILIES = {cls.family: cls for cls in get_args(CipherKey)}  # family name -> key class
 
 
 # -- key generation ----------------------------------------------------------------
@@ -599,7 +730,7 @@ def keygen(
                 f"at p = {ctx.p}; pick a different operation or a larger prime"
             )
         return FheKey(PadicInt(ctx, rng.choice(candidates)), g)
-    raise DomainError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    raise DomainError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
 
 
 # -- encryption / decryption ----------------------------------------------------------
@@ -637,74 +768,29 @@ def is_identity_key(key: CipherKey, limit: int = DEFAULT_TABLE_LIMIT) -> bool:
 
 
 def key_to_json(key: CipherKey) -> dict:
-    base = {"family": key.family, "p": key.ctx.p, "precision": key.ctx.precision}
-    if isinstance(key, AdditiveKey):
-        return base | {"A": to_text(key.A)}
-    if isinstance(key, MultiplicativeKey):
-        return base | {"A": to_text(key.A), "s": key.s, "a": to_text(key.a)}
-    if isinstance(key, XorKey):
-        return base | {"rows": [list(r) for r in key.rows]}
-    if isinstance(key, AndKey):
-        return base | {"exponents": list(key.exponents)}
-    if isinstance(key, FheKey):
-        name = g_name(key.g)
-        if name == "GSERIES":
-            raise DomainError("series operations are not supported in key files")
-        extra = {"A": to_text(key.A), "g": name}
-        if isinstance(key.g, LinearG):
-            extra["ga"] = to_text(key.g.a)
-            extra["gb"] = to_text(key.g.b)
-        return base | extra
-    raise FamilyMismatchError(f"unknown key type {type(key).__name__}")
-
-
-def _field(data: dict, name: str, kind: type):
-    value = data[name]
-    if not isinstance(value, kind):
-        raise FormatError(
-            f"key field {name!r} must be a {kind.__name__}, got {type(value).__name__}"
-        )
-    return value
+    out = {"family": key.family, "p": key.ctx.p, "precision": key.ctx.precision}
+    for name, (dump, _) in key.json_fields.items():
+        out |= dump(name, getattr(key, name))
+    return out
 
 
 def key_from_json(data: dict) -> CipherKey:
     try:
         family = data["family"]
-        ctx = PadicContext(int(data["p"]), int(data["precision"]))
-    except (KeyError, TypeError, ValueError, DomainError) as exc:
+        ctx = PadicContext(_integer(data["p"], "key field 'p'"),
+                           _integer(data["precision"], "key field 'precision'"))
+    except (KeyError, DomainError) as exc:
         raise FormatError(f"malformed key object: {exc}") from exc
-
-    def residue(name: str) -> PadicInt:
-        return from_text(_field(data, name, str), ctx)
-
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise FormatError(f"unknown family {family!r}")
     try:
-        if family == "additive":
-            return AdditiveKey(residue("A"))
-        if family == "multiplicative":
-            return MultiplicativeKey(A=residue("A"), s=int(data["s"]), a=residue("a"))
-        if family == "xor":
-            rows = _field(data, "rows", list)
-            if not all(isinstance(row, list) for row in rows):
-                raise FormatError("key field 'rows' must be a list of lists")
-            return XorKey(ctx, tuple(tuple(int(c) for c in row) for row in rows))
-        if family == "and":
-            return AndKey(ctx, tuple(int(s) for s in _field(data, "exponents", list)))
-        if family == "fhe":
-            g = operation_from_name(
-                data["g"],
-                ctx,
-                a=residue("ga") if "ga" in data else None,
-                b=residue("gb") if "gb" in data else None,
-            )
-            return FheKey(residue("A"), g)
+        return cls(**{name: load(data, name, ctx)
+                      for name, (_, load) in cls.json_fields.items()})
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"malformed key object: {exc}") from exc
     except (InvalidKeyError, DomainError, FormatError) as exc:
         raise FormatError(f"invalid key material: {exc}") from exc
-    raise FormatError(f"unknown family {family!r}")
-
-
-G_CHOICES = ("G1", "G2", "G3", "G4", "GLIN")
 
 
 def operation_from_name(
@@ -713,14 +799,9 @@ def operation_from_name(
     a: PadicInt | None = None,
     b: PadicInt | None = None,
 ) -> GOperation:
-    if name == "G1":
-        return G1()
-    if name == "G2":
-        return G2()
-    if name == "G3":
-        return G3()
-    if name == "G4":
-        return G4()
     if name == "GLIN":
         return LinearG(a if a is not None else ctx.one, b if b is not None else ctx.one)
-    raise FormatError(f"unknown operation {name!r}; expected one of {G_CHOICES}")
+    try:
+        return NAMED_G[name]
+    except (KeyError, TypeError):  # TypeError: a JSON list or object is unhashable
+        raise FormatError(f"unknown operation {name!r}; expected one of {G_CHOICES}") from None

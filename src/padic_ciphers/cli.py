@@ -81,6 +81,18 @@ from .lipschitz import (
 _MEASURE_LIMIT = 4096
 
 
+def _at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return count
+
+
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
@@ -436,8 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--table", help="value table file to verify")
     sub.add_argument("--measure", action="store_true",
                      help="measure checks only (skip law scans)")
-    sub.add_argument("--exhaustive-k", type=int, default=2, dest="exhaustive_k")
-    sub.add_argument("--trials", type=int, default=512)
+    sub.add_argument("--exhaustive-k", type=_at_least(0), default=2, dest="exhaustive_k")
+    sub.add_argument("--trials", type=_at_least(1), default=512)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="with --key: export the encryption table")
     sub.add_argument("--json", action="store_true")
@@ -447,9 +459,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_context_args(sub, default_p=3, default_precision=3)
     sub.add_argument("first", help="family operation: ADD MUL XOR AND")
     sub.add_argument("second", help="law to violate: ADD MUL XOR AND G1..G4")
-    sub.add_argument("--keys", type=int, default=10)
+    sub.add_argument("--keys", type=_at_least(1), default=10)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--exhaustive-k", type=int, default=None, dest="exhaustive_k")
+    sub.add_argument("--exhaustive-k", type=_at_least(0), default=None, dest="exhaustive_k")
     sub.add_argument("--json", action="store_true")
     sub.set_defaults(func=_cmd_search)
 

@@ -187,17 +187,6 @@ class PadicInt:
 # -- construction / text form ----------------------------------------------
 
 
-def construct(ctx: PadicContext, source: int | Sequence[int]) -> PadicInt:
-    """Build from a non-negative integer (reduced mod p**K) or a digit sequence."""
-    if isinstance(source, int):
-        return ctx.integer(source)
-    return ctx.from_digits(source)
-
-
-def to_digits(x: PadicInt) -> tuple[int, ...]:
-    return x.digits
-
-
 def truncate(x: PadicInt, precision: int) -> PadicInt:
     """Keep the first ``precision`` digits; the result lives in a (p, precision) context."""
     if not 1 <= precision <= x.ctx.precision:
@@ -421,27 +410,27 @@ def ln_p(u: PadicInt) -> PadicInt:
 # -- digitwise operations -----------------------------------------------------
 
 
-def _digitwise(x: PadicInt, y: PadicInt, combine) -> PadicInt:
-    x._check_ctx(y)
-    p = x.ctx.p
-    a, b = x.value, y.value
+def digitwise(x: int, y: int, p: int, precision: int, multiply: bool = False) -> int:
+    """Digitwise sum (or product) mod p of two residues mod p**precision."""
     out, shift = 0, 1
-    for _ in range(x.ctx.precision):
-        out += (combine(a % p, b % p) % p) * shift
-        a //= p
-        b //= p
-        shift *= p
-    return PadicInt(x.ctx, out)
+    for _ in range(precision):
+        out += (x * y if multiply else x + y) % p * shift
+        x, y, shift = x // p, y // p, shift * p
+    return out
 
 
 def xor_p(x: PadicInt, y: PadicInt) -> PadicInt:
     """Digitwise addition mod p (no carries); classical xor at p = 2."""
-    return _digitwise(x, y, lambda a, b: a + b)
+    x._check_ctx(y)
+    return PadicInt(x.ctx, digitwise(x.value, y.value, x.ctx.p, x.ctx.precision))
 
 
 def and_p(x: PadicInt, y: PadicInt) -> PadicInt:
     """Digitwise multiplication mod p (no carries); classical and at p = 2."""
-    return _digitwise(x, y, lambda a, b: a * b)
+    x._check_ctx(y)
+    return PadicInt(
+        x.ctx, digitwise(x.value, y.value, x.ctx.p, x.ctx.precision, multiply=True)
+    )
 
 
 def all_ones(ctx: PadicContext) -> PadicInt:

@@ -8,7 +8,9 @@ Grammar (whitespace insensitive)::
 
 Call names: XOR, AND, G1, G2, G3, G4, GLIN, and STAR as an alias for G1.
 GLIN stands for a linear two-variable map whose coefficients are supplied
-at evaluation time (normally by the key).
+at evaluation time (normally by the key).  Parentheses and calls nest at
+most MAX_NESTING deep; every walk over a parsed tree is iterative, so a
+long flat sum costs no recursion.
 
 A formula built from operations a key respects can be evaluated on
 ciphertexts: encrypt the environment (and any literals), run the same
@@ -22,21 +24,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .analysis import OpSymbol, ADD, MUL, XOR, AND, homomorphism_test, op_apply
+from .analysis import homomorphism_test, op_apply
 from .ciphers import (
-    AdditiveKey,
-    AndKey,
+    ADD,
+    MUL,
+    NAMED_G,
+    OP_NAMES,
     CipherKey,
-    FheKey,
-    G1,
-    G2,
-    G3,
-    G4,
     LinearG,
-    MultiplicativeKey,
-    XorKey,
+    OpSymbol,
     decrypt,
     encrypt,
+    g_sym,
 )
 from .core import DomainError, FormatError, PadicContext, PadicError, PadicInt
 
@@ -82,16 +81,10 @@ class App:
 
 Node = Var | Lit | App
 
-_CALL_NAMES = {
-    "XOR": XOR,
-    "AND": AND,
-    "STAR": OpSymbol("G", G1()),
-    "G1": OpSymbol("G", G1()),
-    "G2": OpSymbol("G", G2()),
-    "G3": OpSymbol("G", G3()),
-    "G4": OpSymbol("G", G4()),
-    "GLIN": OpSymbol("G"),
-}
+_CALL_NAMES = {name: op for name, op in OP_NAMES.items() if op not in (ADD, MUL)}
+_CALL_NAMES["STAR"] = g_sym(NAMED_G["G1"])
+
+MAX_NESTING = 200  # parenthesis and call depth; the parser recurses per level
 
 
 # -- lexing / parsing ------------------------------------------------------------
@@ -131,6 +124,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.ctx = ctx
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -152,10 +146,17 @@ class _Parser:
         return node
 
     def expr(self) -> Node:
+        # Each parenthesis or call argument is one more level of expr.
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(
+                f"nesting deeper than {MAX_NESTING} levels", self.peek()[2]
+            )
+        self.depth += 1
         node = self.term()
         while self.peek()[0] == "PLUS":
             self.take("PLUS")
             node = App(ADD, node, self.term())
+        self.depth -= 1
         return node
 
     def term(self) -> Node:
@@ -201,105 +202,122 @@ def parse(text: str, ctx: PadicContext) -> Node:
     return _Parser(text, ctx).parse()
 
 
+# -- walking a tree -----------------------------------------------------------------
+
+
+def _fold(node: Node, leaf, app):
+    """The value of a tree built bottom up, without recursion: ``leaf(n)`` at
+    each Var or Lit, ``app(op, left, right)`` at each App, in the order of a
+    recursive left-to-right walk."""
+    values, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, App):
+            stack += (n.op, n.right, n.left)  # the op marks its App as done
+        elif isinstance(n, OpSymbol):
+            right = values.pop()
+            values[-1] = app(n, values[-1], right)
+        else:
+            values.append(leaf(n))
+    return values[0]
+
+
+_INFIX = {"ADD": (" + ", 1), "MUL": (" * ", 2)}  # kind -> (sign, precedence)
+
+
 def to_text(node: Node) -> str:
     """Render with the fewest parentheses that re-parse to the same tree."""
 
-    def go(n: Node, floor: int) -> str:
-        if isinstance(n, Var):
-            return n.name
-        if isinstance(n, Lit):
-            return str(n.value.value)
-        if n.op.kind == "ADD":
-            s, prec = f"{go(n.left, 1)} + {go(n.right, 2)}", 1
-        elif n.op.kind == "MUL":
-            s, prec = f"{go(n.left, 2)} * {go(n.right, 3)}", 2
-        else:
-            return f"{n.op.name}({go(n.left, 1)}, {go(n.right, 1)})"
-        return f"({s})" if prec < floor else s
+    def leaf(n: Node) -> tuple[str, int]:
+        return (n.name if isinstance(n, Var) else str(n.value.value)), 3
 
-    return go(node, 1)
+    def app(op: OpSymbol, left, right) -> tuple[str, int]:
+        if op.kind not in _INFIX:
+            return f"{op.name}({left[0]}, {right[0]})", 3
+        sign, prec = _INFIX[op.kind]  # both operators are left associative
+        return f"{_paren(left, prec)}{sign}{_paren(right, prec + 1)}", prec
+
+    return _fold(node, leaf, app)[0]
+
+
+def _paren(rendered: tuple[str, int], floor: int) -> str:
+    text, prec = rendered
+    return f"({text})" if prec < floor else text
 
 
 # -- evaluation -------------------------------------------------------------------
 
 
 def vars_used(node: Node) -> frozenset[str]:
-    if isinstance(node, Var):
-        return frozenset((node.name,))
-    if isinstance(node, Lit):
-        return frozenset()
-    return vars_used(node.left) | vars_used(node.right)
+    names: set[str] = set()  # one set: unions of the subtrees' sets cost O(n^2)
+
+    def leaf(n: Node) -> None:
+        if isinstance(n, Var):
+            names.add(n.name)
+
+    _fold(node, leaf, lambda *_: None)
+    return frozenset(names)
 
 
 def ops_used(node: Node) -> frozenset[OpSymbol]:
-    if isinstance(node, App):
-        return ops_used(node.left) | ops_used(node.right) | {node.op}
-    return frozenset()
+    return _fold(node, lambda n: frozenset(), lambda op, left, right: left | right | {op})
 
 
 def evaluate(
     node: Node, env: dict[str, PadicInt], linear_g: LinearG | None = None
 ) -> PadicInt:
-    if isinstance(node, Var):
+    def leaf(n: Node) -> PadicInt:
+        if isinstance(n, Lit):
+            return n.value
         try:
-            return env[node.name]
+            return env[n.name]
         except KeyError:
-            raise UnboundVariableError(f"variable {node.name!r} is not bound") from None
-    if isinstance(node, Lit):
-        return node.value
-    left = evaluate(node.left, env, linear_g)
-    right = evaluate(node.right, env, linear_g)
-    return op_apply(node.op, left, right, linear_g)
+            raise UnboundVariableError(f"variable {n.name!r} is not bound") from None
+
+    return _fold(node, leaf, lambda op, x, y: op_apply(op, x, y, linear_g))
 
 
 # -- key compatibility --------------------------------------------------------------
 
-
-def _op_compatible(op: OpSymbol, key: CipherKey) -> bool:
-    if isinstance(key, AdditiveKey):
-        return op.kind == "ADD" or (op.kind == "G" and isinstance(op.g, LinearG))
-    if isinstance(key, MultiplicativeKey):
-        return op.kind == "MUL"
-    if isinstance(key, XorKey):
-        return op.kind == "XOR"
-    if isinstance(key, AndKey):
-        return op.kind == "AND"
-    if isinstance(key, FheKey):
-        if op.kind == "ADD":
-            return True
-        if op.kind != "G":
-            return False
-        if op.g is None:
-            return isinstance(key.g, LinearG)
-        return op.g == key.g or isinstance(op.g, LinearG)
-    raise DomainError(f"unknown key type {type(key).__name__}")
+_GLIN = OpSymbol("G")
 
 
-def compatibility_check(node: Node, key: CipherKey) -> None:
-    """Raise IncompatibleFormulaError naming the first unusable operation."""
-    if isinstance(node, App):
-        if not _op_compatible(node.op, key):
-            raise IncompatibleFormulaError(
-                f"a {key.family} key does not respect {node.op.name}"
-            )
-        compatibility_check(node.left, key)
-        compatibility_check(node.right, key)
+def _bind(op: OpSymbol, key: CipherKey) -> OpSymbol | None:
+    """The operation ``op`` stands for under ``key``; None if the key does not
+    respect it.
 
-
-def _key_linear_g(key: CipherKey) -> LinearG | None:
-    if isinstance(key, FheKey) and isinstance(key.g, LinearG):
-        return key.g
+    An unbound GLIN is the key's own G if that G is linear.  A key that
+    respects + respects every linear G as well: a map that respects + on
+    Z/p^K is x -> f(1)*x, which commutes with every a*x + b*y.
+    """
+    laws = key.laws
+    if op == _GLIN:
+        return next((law for law in laws if isinstance(law.g, LinearG)), None)
+    if op in laws or (isinstance(op.g, LinearG) and ADD in laws):
+        return op
     return None
 
 
-def _encrypt_literals(node: Node, key: CipherKey) -> Node:
-    if isinstance(node, Lit):
-        return Lit(encrypt(key, node.value))
-    if isinstance(node, App):
-        return App(
-            node.op, _encrypt_literals(node.left, key), _encrypt_literals(node.right, key)
+def compatibility_check(node: Node, key: CipherKey) -> None:
+    """Raise IncompatibleFormulaError naming the first unusable operation,
+    in pre-order (an App before its operands)."""
+    unusable = _fold(
+        node,
+        lambda n: None,
+        lambda op, left, right: op if _bind(op, key) is None else left or right,
+    )
+    if unusable is not None:
+        raise IncompatibleFormulaError(
+            f"a {key.family} key does not respect {unusable.name}"
         )
-    return node
+
+
+def _encrypt_literals(node: Node, key: CipherKey) -> Node:
+    return _fold(
+        node,
+        lambda n: Lit(encrypt(key, n.value)) if isinstance(n, Lit) else n,
+        App,
+    )
 
 
 def encrypted_eval_demo(
@@ -316,11 +334,11 @@ def encrypted_eval_demo(
     checks each used law on random pairs before trusting the round trip.
     """
     compatibility_check(node, key)
-    linear_g = _key_linear_g(key)
+    own_linear = _bind(_GLIN, key)
+    linear_g = own_linear.g if own_linear is not None else None
     law_checks = {}
     for op in sorted(ops_used(node), key=lambda o: o.name):
-        bound = OpSymbol("G", linear_g) if (op.kind == "G" and op.g is None) else op
-        report = homomorphism_test(key, bound, seed=seed, trials=law_trials)
+        report = homomorphism_test(key, _bind(op, key), seed=seed, trials=law_trials)
         law_checks[op.name] = report.verdict
         if report.verdict != "pass":
             raise DomainError(

@@ -109,6 +109,16 @@ def test_malformed_key_file_exits_3(tmp_path, capsys):
         {"family": "xor", "rows": ["1"]},
         {"family": "and", "exponents": "1"},
         {"family": "fhe", "A": "1", "g": "GLIN", "ga": ["x"]},
+        {"family": "additive", "A": "1", "p": 5.9},
+        {"family": "additive", "A": "1", "p": "5"},
+        {"family": "additive", "A": "1", "precision": 1.0},
+        {"family": "additive", "A": "1", "precision": True},
+        {"family": "multiplicative", "A": "1", "s": 3.2, "a": "1"},
+        {"family": "multiplicative", "A": "1", "s": "3", "a": "1"},
+        {"family": "and", "exponents": [3.7]},
+        {"family": "and", "exponents": [True]},
+        {"family": "xor", "rows": [[1.0]]},
+        {"family": "xor", "rows": [["1"]]},
     ],
 )
 def test_key_field_of_wrong_type_exits_3(tmp_path, capsys, fields):
@@ -156,6 +166,30 @@ def test_eval_incompatible_formula_exits_4(tmp_path, capsys):
     assert "MUL" in err
 
 
+def test_eval_long_flat_sum(tmp_path, capsys):
+    formula = " + ".join(["x"] * 3000)
+    code, out, err = run(capsys, "eval", "--formula", formula, "--env", "x=7",
+                         "--p", "5", "--precision", "4", "--json")
+    assert code == 0
+    assert json.loads(out)["value"] == 3000 * 7 % 625
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "additive", "--p", "5", "--precision", "4",
+        "--seed", "1", "--out", str(path))
+    code, out, err = run(capsys, "eval", "--key", str(path), "--formula", formula,
+                         "--env", "x=7", "--json")
+    assert code == 0
+    data = json.loads(out)
+    assert data["plain"] == 3000 * 7 % 625
+    assert data["match"] is True
+
+
+def test_eval_deep_nesting_exits_3(capsys):
+    deep = "(" * 2000 + "x" + ")" * 2000
+    code, out, err = run(capsys, "eval", "--formula", deep, "--env", "x=1")
+    assert code == 3
+    assert "nesting" in err
+
+
 def test_eval_syntax_error_exits_3(capsys):
     code, out, err = run(capsys, "eval", "--formula", "x +", "--env", "x=1")
     assert code == 3
@@ -183,6 +217,16 @@ def test_check_key_full_report(tmp_path, capsys):
     assert len(data["laws"]) == 3  # k=1, k=2, random
     assert all(entry["verdict"] == "pass" for entry in data["laws"])
     assert data["coefficient_probe"]["verdict"] == "pass"
+
+
+def test_check_with_no_exhaustive_levels(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "additive", "--p", "5", "--precision", "2",
+        "--seed", "4", "--out", str(path))
+    code, out, err = run(capsys, "check", "--key", str(path), "--exhaustive-k", "0",
+                         "--trials", "1", "--json")
+    assert code == 0
+    assert [entry["mode"] for entry in json.loads(out)["laws"]] == ["random:K=2"]
 
 
 def test_check_key_human_output(tmp_path, capsys):
@@ -280,3 +324,15 @@ def test_usage_errors_exit_2(capsys):
     assert run(capsys, "frobnicate")[0] == 2
     assert run(capsys)[0] == 2
     assert run(capsys, "keygen")[0] == 2  # --family is required
+    # counts below their minimum, before any file is read
+    for argv in (
+        ("check", "--key", "k.json", "--trials", "0"),
+        ("check", "--key", "k.json", "--trials", "-5", "--exhaustive-k", "-1"),
+        ("check", "--key", "k.json", "--exhaustive-k", "-1"),
+        ("search", "ADD", "XOR", "--keys", "0"),
+        ("search", "ADD", "XOR", "--keys", "-1"),
+        ("search", "ADD", "XOR", "--exhaustive-k", "-1"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert "must be at least" in err

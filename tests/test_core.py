@@ -14,7 +14,7 @@ from padic_ciphers.core import (
     PadicInt,
     all_ones,
     and_p,
-    construct,
+    digitwise,
     exp_p,
     from_text,
     invert_unit,
@@ -60,7 +60,6 @@ def test_construct_and_digits():
         C34.from_digits([3, 0, 0, 0])
     with pytest.raises(DomainError):
         C34.from_digits([1, 1])
-    assert construct(C34, 5) == construct(C34, (2, 1, 0, 0))
 
 
 def test_digit_roundtrip_exhaustive():
@@ -96,6 +95,19 @@ def test_digitwise_ops_examples():
     assert xor_p(C28.integer(13), C28.integer(9)).value == 13 ^ 9 == 4
     assert and_p(C28.integer(13), C28.integer(9)).value == 13 & 9
     assert (C32.integer(5) ^ C32.integer(7)).value == 0
+
+
+def test_digitwise_kernel_matches_digit_lists():
+    rng = random.Random(5)
+    for ctx in (C33, C28, PadicContext(7, 5), PadicContext(5, 16)):
+        p, K = ctx.p, ctx.precision
+        pairs = [(rng.randrange(ctx.modulus), rng.randrange(ctx.modulus)) for _ in range(200)]
+        for x, y in pairs:
+            dx, dy = ctx.integer(x).digits, ctx.integer(y).digits
+            added = ctx.from_digits([(a + b) % p for a, b in zip(dx, dy)])
+            multiplied = ctx.from_digits([a * b % p for a, b in zip(dx, dy)])
+            assert digitwise(x, y, p, K) == added.value
+            assert digitwise(x, y, p, K, multiply=True) == multiplied.value
 
 
 def test_xor_group_laws_exhaustive():

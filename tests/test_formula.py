@@ -1,6 +1,8 @@
+from random import Random
+
 import pytest
 
-from padic_ciphers.analysis import ADD, AND, MUL, XOR, g_sym
+from padic_ciphers.analysis import ADD, AND, MUL, XOR, g_sym, homomorphism_test
 from padic_ciphers.ciphers import (
     AdditiveKey,
     AndKey,
@@ -10,6 +12,7 @@ from padic_ciphers.ciphers import (
     MultiplicativeKey,
     XorKey,
     encrypt,
+    keygen,
 )
 from padic_ciphers.core import PadicContext, PadicInt
 from padic_ciphers.formula import (
@@ -19,6 +22,7 @@ from padic_ciphers.formula import (
     FormulaSyntaxError,
     IncompatibleFormulaError,
     Lit,
+    MAX_NESTING,
     UnboundVariableError,
     UnknownOperationError,
     Var,
@@ -81,6 +85,33 @@ def test_parse_errors():
         parse("XOR(x)", C52)
     with pytest.raises(ArityError):
         parse("XOR(x, y, z)", C52)
+
+
+def test_nesting_limit():
+    assert parse("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, C52) == Var("x")
+    calls = "XOR(x, " * MAX_NESTING + "y" + ")" * MAX_NESTING
+    assert to_text(parse(calls, C52)) == calls
+    for depth in (MAX_NESTING + 1, 2000):
+        with pytest.raises(FormulaSyntaxError, match="nesting"):
+            parse("(" * depth + "x" + ")" * depth, C52)
+    with pytest.raises(FormulaSyntaxError, match="nesting"):
+        parse("XOR(x, " * (MAX_NESTING + 1) + "y" + ")" * (MAX_NESTING + 1), C52)
+
+
+def test_long_flat_sum_walks_without_recursion():
+    node = parse(" + ".join(["x"] * 3000), C52)
+    assert vars_used(node) == frozenset({"x"})
+    assert ops_used(node) == frozenset({ADD})
+    assert to_text(node) == " + ".join(["x"] * 3000)
+    names = [f"x{i}" for i in range(3000)]
+    assert vars_used(parse(" + ".join(names), C52)) == frozenset(names)
+    key = AdditiveKey(C52.integer(7))
+    compatibility_check(node, key)
+    report = encrypted_eval_demo(node, {"x": C52.integer(3)}, key)
+    assert report["plain"].value == 3000 * 3 % 25
+    assert report["match"] is True
+    with pytest.raises(IncompatibleFormulaError, match="ADD"):
+        compatibility_check(node, MultiplicativeKey(A=C52.one, s=3, a=C52.one))
 
 
 def test_to_text_roundtrip():
@@ -163,6 +194,18 @@ def test_compatibility_rules():
         compatibility_check(parse("GLIN(x, y)", C52), fhe_g1)
     with pytest.raises(IncompatibleFormulaError, match="XOR"):
         compatibility_check(parse("XOR(x, y)", C52), mul_key)
+
+
+@pytest.mark.parametrize("family", ["additive", "multiplicative", "xor", "and", "fhe"])
+def test_compatibility_agrees_with_laws(family):
+    key = keygen(C52, family, Random(11), g=G1() if family == "fhe" else None)
+    for law in key.laws:
+        assert homomorphism_test(key, law, exhaustive_k=2).verdict == "pass"
+        compatibility_check(App(law, Var("x"), Var("y")), key)
+    for op in (ADD, MUL, XOR, AND):
+        if op not in key.laws:
+            with pytest.raises(IncompatibleFormulaError, match=op.name):
+                compatibility_check(App(op, Var("x"), Var("y")), key)
 
 
 def test_encrypted_eval_fhe_showcase():
