@@ -11,6 +11,18 @@ level.  Escalating k and falling back to random full-precision pairs gives
 a cheap, honest verdict: "counterexample" with a witness, or "exhausted"
 with the search budget on record.
 
+Scans run on plain residues.  An exhaustive level k compares one row per y:
+row y of an operation holds op(x, y) for every x, so f(op(x, y)) over all x
+is a gather of row y through the encryption values, op(f(x), f(y)) a gather
+of the encryption values through row f(y), and the first differing x is
+looked up only on a mismatch.  Levels of at most 256 residues read their
+rows from a cached table of bytes; larger levels build each row when it is
+needed, so no level holds p^(2k) entries.  ADD rows are two ranges, MUL
+rows one product each, XOR/AND rows are built from the level k-1 row and the
+digit row, and G rows come from the operation's own kernel
+(``ciphers.G1.kernel`` and its kin).  A level of more than PAIR_BUDGET
+pairs is refused with DomainError before any of it is built.
+
 The coefficient probe cross-checks the multiplicative cipher against its
 interpolation series: the normalized coefficients must reduce mod p to
 A^k t0^s on pure digit powers t0 p^k, and to a A^k t0^(s-1) h on mixed
@@ -33,11 +45,9 @@ from .ciphers import (  # OpSymbol, ADD, MUL, XOR, AND and g_sym are re-exported
     OP_NAMES,
     XOR,
     CipherKey,
-    GOperation,
     LinearG,
     MultiplicativeKey,
     OpSymbol,
-    SeriesG,
     encrypt,
     encryption_table,
     g_eval,
@@ -117,24 +127,18 @@ class SearchReport:
 
 # -- evaluating operations at reduced precision -------------------------------
 
+PAIR_BUDGET = 1 << 24  # most pairs one exhaustive level may scan: p^(2k) <= this
+TABLE_RESIDUES = 256  # levels this small keep their operation table
 
-@lru_cache(maxsize=256)
-def _rehome(g: GOperation, ctx: PadicContext) -> GOperation:
-    def move(v: PadicInt) -> PadicInt:
-        if v.ctx.p != ctx.p:
-            raise DomainError("operation coefficients use a different prime")
-        return PadicInt(ctx, v.value % ctx.modulus)
 
-    if isinstance(g, LinearG):
-        return LinearG(move(g.a), move(g.b))
-    if isinstance(g, SeriesG):
-        return SeriesG(
-            move(g.c),
-            move(g.a),
-            move(g.b),
-            tuple(((i, j), move(c)) for (i, j), c in g.terms),
+def check_pair_budget(ctx: PadicContext, k: int) -> None:
+    """Refuse an exhaustive level k whose p^(2k) pairs exceed PAIR_BUDGET."""
+    pairs = ctx.p ** (2 * k)
+    if pairs > PAIR_BUDGET:
+        raise DomainError(
+            f"level {k} has {ctx.p}^{2 * k} = {pairs} pairs, "
+            f"over the budget of {PAIR_BUDGET}"
         )
-    return g
 
 
 def _op_int(sym: OpSymbol, ctx: PadicContext, x: int, y: int) -> int:
@@ -144,15 +148,53 @@ def _op_int(sym: OpSymbol, ctx: PadicContext, x: int, y: int) -> int:
     if kind == "MUL":
         return (x * y) % ctx.modulus
     if kind == "G":
-        g = _rehome(sym.g, ctx)
-        return g_eval(g, PadicInt(ctx, x), PadicInt(ctx, y)).value
+        return sym.g.kernel((x,), y, ctx.p, ctx.modulus)[0]
     return digitwise(x, y, ctx.p, ctx.precision, multiply=kind == "AND")
 
 
-@lru_cache(maxsize=32)
-def _op_table(sym: OpSymbol, ctx: PadicContext) -> tuple[int, ...]:
-    m = ctx.modulus
-    return tuple(_op_int(sym, ctx, x, y) for y in range(m) for x in range(m))
+def _row_builder(sym: OpSymbol, ctx: PadicContext):
+    """The function y -> [op(x, y) for x in range(p^k)] at level ctx = (p, k)."""
+    p, m = ctx.p, ctx.modulus
+    kind = sym.kind
+    if kind == "ADD":
+        return lambda y: [*range(y, m), *range(y)]
+    if kind == "MUL":
+        return lambda y: [x * y % m for x in range(m)]
+    if kind == "G":
+        kernel, xs = sym.g.kernel, range(m)
+        return lambda y: kernel(xs, y, p, m)
+    # Digitwise: x = x0 + p*x' takes digit 0 from the level-1 ADD or MUL row
+    # and the rest from the level k-1 row, in the order of x.
+    digit = _rows(ADD if kind == "XOR" else MUL, PadicContext(p, 1))
+    if ctx.precision == 1:
+        return digit
+    lower = _rows(sym, PadicContext(p, ctx.precision - 1))
+
+    def row(y: int) -> list[int]:
+        low = digit(y % p)
+        return [d + p * t for t in lower(y // p) for d in low]
+
+    return row
+
+
+def _rows(sym: OpSymbol, ctx: PadicContext):
+    """Row function of an operation at a level: read from the cached table
+    when the level has at most TABLE_RESIDUES residues, else built per call."""
+    if ctx.modulus <= TABLE_RESIDUES:
+        return _op_table(sym, ctx).__getitem__
+    return _row_builder(sym, ctx)
+
+
+@lru_cache(maxsize=128)
+def _op_table(sym: OpSymbol, ctx: PadicContext) -> tuple[bytes, ...]:
+    """Row y of op at a level of at most 256 residues, one byte per entry.
+
+    A table takes at most 256 * (256 + 33) + 2088 bytes (76 KB) and the cache
+    at most 128 of them (9.7 MB).  Certifying keys at (3,5), (5,3), (7,3) and
+    refuting at (3,3), (3,4), (5,2), (7,2) use 74 distinct tables.
+    """
+    build = _row_builder(sym, ctx)
+    return tuple(bytes(build(y)) for y in range(ctx.modulus))
 
 
 def _subject(subject):
@@ -182,37 +224,37 @@ def homomorphism_test(
     random pairs at full precision.
     """
     ctx, f = _subject(subject)
-    if op.kind == "G" and op.g is None:
-        raise DomainError("bind the linear operation to coefficients before testing")
+    if op.kind == "G":
+        if op.g is None:
+            raise DomainError("bind the linear operation to coefficients before testing")
+        if any(v.ctx.p != ctx.p for v in op.g.coefficients):
+            raise DomainError("operation coefficients use a different prime")
     if exhaustive_k is not None:
         k = exhaustive_k
         if not 1 <= k <= ctx.precision:
             raise DomainError(f"level must be in [1, {ctx.precision}], got {k}")
+        check_pair_budget(ctx, k)
         sub = PadicContext(ctx.p, k)
         m = sub.modulus
         mode = f"exhaustive:k={k}"
+        row = _rows(op, sub)
         enc = [f(v) % m for v in range(m)]
-        table = _op_table(op, sub) if m <= 256 else None
-        checked = 0
+        # Row y holds op(x, y) for every x, so f(op(x, y)) for all x is one
+        # gather through enc, and op(f(x), f(y)) one gather through row f(y).
         for y in range(m):
-            row = y * m
-            for x in range(m):
-                if table is not None:
-                    z = table[row + x]
-                    rhs = table[enc[y] * m + enc[x]]
-                else:
-                    z = _op_int(op, sub, x, y)
-                    rhs = _op_int(op, sub, enc[x], enc[y])
-                checked += 1
-                if enc[z] != rhs:
-                    return SearchReport(
-                        "counterexample",
-                        (x, y),
-                        checked,
-                        mode,
-                        {"level": k, "lhs": enc[z], "rhs": rhs},
-                    )
-        return SearchReport("pass", None, checked, mode)
+            lhs = [enc[z] for z in row(y)]
+            image = row(enc[y])
+            rhs = [image[e] for e in enc]
+            if lhs != rhs:
+                x = next(x for x in range(m) if lhs[x] != rhs[x])
+                return SearchReport(
+                    "counterexample",
+                    (x, y),
+                    y * m + x + 1,
+                    mode,
+                    {"level": k, "lhs": lhs[x], "rhs": rhs[x]},
+                )
+        return SearchReport("pass", None, m * m, mode)
     r = rng if rng is not None else Random(seed)
     mode = f"random:K={ctx.precision}"
     m = ctx.modulus
@@ -231,9 +273,11 @@ def homomorphism_test(
 def _escalation_depth(ctx: PadicContext, max_k: int | None) -> int:
     if max_k is None:
         max_k = 1
-        while max_k < ctx.precision and ctx.p ** (max_k + 1) <= 256:
+        while max_k < ctx.precision and ctx.p ** (max_k + 1) <= TABLE_RESIDUES:
             max_k += 1
-    return min(max_k, ctx.precision)
+    depth = min(max_k, ctx.precision)
+    check_pair_budget(ctx, depth)
+    return depth
 
 
 def counterexample_search(
@@ -247,8 +291,10 @@ def counterexample_search(
 ) -> SearchReport:
     """Escalate exhaustive levels k = 1, 2, ... then fall back to random pairs.
 
-    Levels stay exhaustive while p^k <= 256; the witness (x, y) reported for
-    level k consists of residues mod p^k, scanned in order of y then x.
+    Levels stay exhaustive while p^k <= 256 unless max_k says otherwise; a
+    max_k whose level has more than PAIR_BUDGET pairs is refused before any
+    scan.  The witness (x, y) reported for level k consists of residues mod
+    p^k, scanned in order of y then x.
     """
     ctx, _ = _subject(subject)
     max_k = _escalation_depth(ctx, max_k)

@@ -41,13 +41,13 @@ from random import Random
 from typing import get_args
 
 from .core import (
+    ContextMismatchError,
     DomainError,
     FormatError,
     PadicContext,
     PadicError,
     PadicInt,
     from_text,
-    invert_unit,
     is_unit,
     pow_nat,
     teichmuller,
@@ -61,6 +61,14 @@ class InvalidKeyError(PadicError):
 
 
 # -- two-variable operations ---------------------------------------------------
+#
+# Each operation has one integer kernel, ``kernel(xs, y, p, m)``: the list of
+# G(x, y) mod m for every x in ``xs``, for residues mod m = p^k.  A kernel
+# computes what depends on y alone once per call, so one call gives a whole
+# row of an operation table; ``g_eval`` calls it with a single x.  A
+# coefficient stored at precision K reads at level k <= K as its value mod
+# p^k, which the final reduction mod m does, so kernels use ``value`` as is.
+# ``coefficients`` lists the PadicInt coefficients, for the context checks.
 
 
 @dataclass(frozen=True)
@@ -72,12 +80,25 @@ class LinearG:
     a: PadicInt
     b: PadicInt
 
+    @property
+    def coefficients(self) -> tuple[PadicInt, ...]:
+        return (self.a, self.b)
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        a, by = self.a.value, self.b.value * y
+        return [(a * x + by) % m for x in xs]
+
 
 @dataclass(frozen=True)
 class G1:
     """G(x, y) = x * y**(p-1)."""
 
     name = "G1"
+    coefficients = ()
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        yy = pow(y, p - 1, m)
+        return [x * yy % m for x in xs]
 
 
 @dataclass(frozen=True)
@@ -85,6 +106,11 @@ class G2:
     """G(x, y) = x**(p-1) * y + x * y**(p-1)."""
 
     name = "G2"
+    coefficients = ()
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        yy = pow(y, p - 1, m)
+        return [(pow(x, p - 1, m) * y + x * yy) % m for x in xs]
 
 
 @dataclass(frozen=True)
@@ -92,6 +118,14 @@ class G3:
     """G(x, y) = x**((p-1)/2) * y**((p-1)/2); p odd."""
 
     name = "G3"
+    coefficients = ()
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        if p == 2:
+            raise DomainError("this operation needs an odd p (exponent (p-1)/2)")
+        e = (p - 1) // 2
+        yy = pow(y, e, m)
+        return [pow(x, e, m) * yy % m for x in xs]
 
 
 @dataclass(frozen=True)
@@ -100,6 +134,14 @@ class G4:
     = sum over s >= 0 of p^s (x**((p-1)s+1) + y**((p-1)s+1))."""
 
     name = "G4"
+    coefficients = ()
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        def half(v: int) -> int:  # v/(1 - p v^(p-1)); the divisor is 1 mod p
+            return v * pow(1 - p * pow(v, p - 1, m), -1, m)
+
+        hy = half(y)
+        return [(half(x) + hy) % m for x in xs]
 
 
 @dataclass(frozen=True)
@@ -127,8 +169,22 @@ class SeriesG:
         if self.terms and self.c.value != 0:
             raise DomainError("a nonzero constant term admits no multipliers; use c = 0")
 
+    @property
+    def coefficients(self) -> tuple[PadicInt, ...]:
+        # g_eval names the first coefficient in another context, in this order
+        return (self.a, self.c, self.b, *(coeff for _, coeff in self.terms))
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        base = self.c.value + self.b.value * y
+        a = self.a.value
+        terms = [(i, coeff.value * pow(y, j, m)) for (i, j), coeff in self.terms]
+        return [
+            (base + a * x + sum(cy * pow(x, i, m) for i, cy in terms)) % m for x in xs
+        ]
+
 
 GOperation = LinearG | G1 | G2 | G3 | G4 | SeriesG
+_G_CLASSES = get_args(GOperation)
 
 NAMED_G = {g.name: g for g in (G1(), G2(), G3(), G4())}
 
@@ -185,32 +241,15 @@ OP_NAMES = {
 def g_eval(op: GOperation, x: PadicInt, y: PadicInt) -> PadicInt:
     if x.ctx != y.ctx:
         raise DomainError("operands live in different contexts")
+    if not isinstance(op, _G_CLASSES):
+        raise DomainError(f"unknown operation {op!r}")
     ctx = x.ctx
-    p = ctx.p
-    if isinstance(op, LinearG):
-        if op.a.ctx != ctx or op.b.ctx != ctx:
+    stray = next((v for v in op.coefficients if v.ctx != ctx), None)
+    if stray is not None:
+        if isinstance(op, LinearG):
             raise DomainError("linear coefficients live in a different context")
-        return op.a * x + op.b * y
-    if isinstance(op, G1):
-        return x * pow_nat(y, p - 1)
-    if isinstance(op, G2):
-        return pow_nat(x, p - 1) * y + x * pow_nat(y, p - 1)
-    if isinstance(op, G3):
-        if p == 2:
-            raise DomainError("this operation needs an odd p (exponent (p-1)/2)")
-        e = (p - 1) // 2
-        return pow_nat(x, e) * pow_nat(y, e)
-    if isinstance(op, G4):
-        one = ctx.one
-        px = ctx.integer(p) * pow_nat(x, p - 1)
-        py = ctx.integer(p) * pow_nat(y, p - 1)
-        return x * invert_unit(one - px) + y * invert_unit(one - py)
-    if isinstance(op, SeriesG):
-        total = op.c + op.a * x + op.b * y
-        for (i, j), coeff in op.terms:
-            total = total + coeff * pow_nat(x, i) * pow_nat(y, j)
-        return total
-    raise DomainError(f"unknown operation {op!r}")
+        raise ContextMismatchError(f"mixed contexts {stray.ctx} and {ctx}")
+    return PadicInt(ctx, op.kernel((x.value,), y.value, ctx.p, ctx.modulus)[0])
 
 
 def exponent_gcd(op: GOperation, p: int) -> int | None:

@@ -26,6 +26,7 @@ import tempfile
 from random import Random
 
 from .analysis import (
+    check_pair_budget,
     counterexample_search,
     homomorphism_test,
     intersection_scan,
@@ -296,9 +297,11 @@ def _cmd_check(args) -> int:
             if args.out:
                 raise DomainError("cannot export a table this large")
         if not args.measure:
+            top = min(args.exhaustive_k, ctx.precision)
+            check_pair_budget(ctx, top)  # refuse before any level runs
             laws = []
             for law in laws_for_key(key):
-                for k in range(1, min(args.exhaustive_k, ctx.precision) + 1):
+                for k in range(1, top + 1):
                     rep = homomorphism_test(key, law, exhaustive_k=k)
                     laws.append({"law": law.name} | rep.to_json())
                 rep = homomorphism_test(key, law, seed=args.seed, trials=args.trials)

@@ -72,11 +72,37 @@ class Lit:
     value: PadicInt
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class App:
+    """An operation applied to two subtrees.
+
+    Equality, hashing and repr walk the tree with an explicit stack, so a
+    long flat sum costs no recursion; equality is structural.
+    """
+
     op: OpSymbol
     left: "Node"
     right: "Node"
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, App):
+            return NotImplemented
+        return list(_preorder(self)) == list(_preorder(other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(_preorder(self)))
+
+    def __repr__(self) -> str:
+        parts, stack = [], [self]
+        while stack:
+            n = stack.pop()
+            if isinstance(n, str):
+                parts.append(n)
+            elif isinstance(n, App):
+                stack += (")", n.right, ", right=", n.left, f"App(op={n.op!r}, left=")
+            else:
+                parts.append(repr(n))
+        return "".join(parts)
 
 
 Node = Var | Lit | App
@@ -220,6 +246,19 @@ def _fold(node: Node, leaf, app):
         else:
             values.append(leaf(n))
     return values[0]
+
+
+def _preorder(node: Node):
+    """Each App's op and each leaf, an App before its operands: the sequence
+    determines the tree, since an op always takes two operands."""
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, App):
+            yield n.op
+            stack += (n.right, n.left)
+        else:
+            yield n
 
 
 _INFIX = {"ADD": (" + ", 1), "MUL": (" * ", 2)}  # kind -> (sign, precedence)

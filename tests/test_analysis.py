@@ -21,10 +21,13 @@ from padic_ciphers.analysis import (
     _vdp_probe_table,
 )
 from padic_ciphers.ciphers import (
+    FAMILIES,
     AdditiveKey,
     FheKey,
     G1,
+    G2,
     G3,
+    G4,
     LinearG,
     MultiplicativeKey,
     XorKey,
@@ -205,6 +208,46 @@ def test_search_exhausts_when_no_counterexample():
     assert rep.verdict == "exhausted"
     assert rep.witness is None
     assert rep.trials == 9 + 81 + 729 + 64
+
+
+def test_level_over_the_pair_budget_is_refused_before_any_work():
+    # enc alone would be 7^64 entries: only a refusal up front returns.
+    key = keygen(PadicContext(7, 64), "additive", Random(0))
+    assert 7 ** (2 * 4) <= analysis.PAIR_BUDGET < 7 ** (2 * 5)
+    with pytest.raises(DomainError, match="over the budget"):
+        homomorphism_test(key, ADD, exhaustive_k=64)
+    with pytest.raises(DomainError, match="over the budget"):
+        homomorphism_test(key, ADD, exhaustive_k=5)
+    with pytest.raises(DomainError, match="over the budget"):
+        counterexample_search(key, MUL, max_k=5)
+    with pytest.raises(DomainError, match="over the budget"):
+        intersection_scan(ADD, MUL, key.ctx, max_k=5)
+
+
+def test_operation_tables_hold_a_check_and_search_working_set():
+    """The certify and refute work of the laws benchmark, done twice: the
+    second pass finds every operation table it needs in the cache."""
+    rng = Random(0)
+    keys = [keygen(PadicContext(p, K), family, rng)
+            for p, K in ((3, 5), (5, 3), (7, 3)) for family in FAMILIES]
+    scans = [(first, second, PadicContext(p, K))
+             for p, K in ((3, 3), (3, 4), (5, 2), (7, 2))
+             for first in (ADD, XOR) for second in (G2(), G3(), G4())
+             if not (first == ADD and isinstance(second, G4) and K == 2)]
+
+    def work():
+        for key in keys:
+            for law in laws_for_key(key):
+                for k in range(1, key.ctx.precision + 1):
+                    homomorphism_test(key, law, exhaustive_k=k)
+        for first, second, ctx in scans:
+            intersection_scan(first, g_sym(second), ctx, n_keys=2, seed=1)
+
+    analysis._op_table.cache_clear()
+    work()
+    built = analysis._op_table.cache_info().misses
+    work()
+    assert analysis._op_table.cache_info().misses == built
 
 
 def test_report_json():

@@ -1,5 +1,6 @@
 import json
 import os
+import time
 
 import pytest
 
@@ -227,6 +228,32 @@ def test_check_with_no_exhaustive_levels(tmp_path, capsys):
                          "--trials", "1", "--json")
     assert code == 0
     assert [entry["mode"] for entry in json.loads(out)["laws"]] == ["random:K=2"]
+
+
+def test_exhaustive_levels_over_the_pair_budget_exit_5(tmp_path, capsys):
+    # 7^(2k) pairs pass 2^24 at k = 5: both refuse before scanning any level.
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "multiplicative", "--p", "7", "--precision", "10",
+        "--seed", "1", "--out", str(path))
+    for argv in (("check", "--key", str(path), "--exhaustive-k", "9"),
+                 ("search", "ADD", "MUL", "--p", "7", "--precision", "10",
+                  "--exhaustive-k", "5")):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert code == 5
+        assert "over the budget" in err
+        assert time.perf_counter() - start < 1.0
+
+
+def test_check_scans_a_level_of_531441_pairs(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "multiplicative", "--p", "3", "--precision", "6",
+        "--seed", "2", "--out", str(path))
+    code, out, err = run(capsys, "check", "--key", str(path), "--exhaustive-k", "6",
+                         "--json")
+    assert code == 0
+    laws = json.loads(out)["laws"]
+    assert [entry["trials"] for entry in laws][-2] == 3**12
 
 
 def test_check_key_human_output(tmp_path, capsys):

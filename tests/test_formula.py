@@ -114,6 +114,16 @@ def test_long_flat_sum_walks_without_recursion():
         compatibility_check(node, MultiplicativeKey(A=C52.one, s=3, a=C52.one))
 
 
+def test_long_flat_sum_compares_hashes_and_prints_without_recursion():
+    text = " + ".join(f"x{i % 7}" for i in range(3000))
+    first, second = parse(text, C52), parse(text, C52)
+    assert first == second
+    assert hash(first) == hash(second)
+    assert repr(first).startswith("App(op=OpSymbol(kind='ADD', g=None), left=App(")
+    assert first != parse(text + " + x0", C52)
+    assert parse("XOR(x, 1) * y", C52) != parse("XOR(1, x) * y", C52)
+
+
 def test_to_text_roundtrip():
     texts = (
         "x + y * z",
