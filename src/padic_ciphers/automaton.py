@@ -176,8 +176,10 @@ def machine_from_json(data: dict) -> MealyMachine:
         initial = int(data["initial"])
         flat_t = [int(v) for v in data["transition"]]
         flat_o = [int(v) for v in data["output"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"malformed machine object: {exc}") from exc
+    if n_states < 1:  # else a large p with empty tables would unflatten p empty rows
+        raise FormatError("at least one state required")
     if len(flat_t) != p * n_states or len(flat_o) != p * n_states:
         raise FormatError("transition/output tables have the wrong size")
     unflatten = lambda flat: tuple(

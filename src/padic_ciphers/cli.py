@@ -331,9 +331,16 @@ def _cmd_check(args) -> int:
 # -- search -------------------------------------------------------------------------------
 
 
+def _search_symbol(name: str):
+    if name == "GLIN":
+        raise FormatError("search cannot bind the coefficients of GLIN; "
+                          "name a fixed operation (ADD MUL XOR AND G1..G4)")
+    return symbol_from_name(name)
+
+
 def _cmd_search(args) -> int:
-    first = symbol_from_name(args.first)
-    second = symbol_from_name(args.second)
+    first = _search_symbol(args.first)
+    second = _search_symbol(args.second)
     ctx = PadicContext(args.p, args.precision)
     reports = intersection_scan(
         first, second, ctx,

@@ -47,25 +47,49 @@ class FormatError(PadicError):
     """Malformed textual representation."""
 
 
+# Miller-Rabin with the first 13 primes as bases is exact for every n below
+# PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
+# Webster, Math. Comp. 86, 2017).
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    # Deterministic trial division; contexts use desk-scale primes.
+    """Exact primality for n < PRIME_BOUND; DomainError for a larger n with
+    no factor among the witnesses."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    if n >= PRIME_BOUND:
+        raise DomainError(
+            f"p = {n} is out of range: primality is decided exactly only "
+            f"below {PRIME_BOUND}"
+        )
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
 @dataclass(frozen=True)
 class PadicContext:
-    """Working precision: prime p and number of retained digits K."""
+    """Working precision: prime p and number of retained digits K.
+
+    p must be below ``PRIME_BOUND`` (about 3.3e24), the range in which
+    primality is decided exactly; a larger p raises ``DomainError``.
+    """
 
     p: int
     precision: int

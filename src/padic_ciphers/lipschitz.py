@@ -16,15 +16,26 @@ series coefficient criterion, sub-function bijectivity); the criteria agree
 on 1-Lipschitz inputs.  The series criterion is stated in its corrected form
 with level-1 coefficient bands included; ``min_level=2`` reproduces a weaker
 published variant that the tests demonstrate to disagree with brute force.
+
+Every check and conversion works on plain residues, one level at a time:
+level n of a table is the block of residues [p^n, p^(n+1)), compared with
+the level below as whole slices (the 1-Lipschitz check compares each block
+values[i:i+p^n] with values[:p^n] mod p^n), the series criterion reads level
+k's band as B[p^k:p^(k+1)][m::p^k], and a coordinate sub-function is
+phi_k[prefix::p^k].  The table text writes each canonical entry line from
+the digit texts of the residue's low and high halves, built once per call,
+and reads a line in that exact spelling back through the same halves; any
+other line goes to ``core.from_text``.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from random import Random
 from typing import Callable, Iterable
 
-from .core import DomainError, FormatError, PadicContext, PadicInt, PadicError
+from .core import DomainError, FormatError, PadicContext, PadicInt, PadicError, from_text
 
 DEFAULT_TABLE_LIMIT = 1 << 20
 
@@ -180,10 +191,16 @@ def vdp_interpolate(table: ValueTable) -> VdpSeries:
 
 
 def vdp_to_table(series: VdpSeries) -> ValueTable:
+    """Inverse of ``vdp_interpolate``: t[m] = B_m for m < p, and level by level
+    t[m] = B_m + t[m mod p^n] for m in [p^n, p^(n+1))."""
     ctx = series.ctx
-    return ValueTable.from_callable(
-        ctx, lambda x: vdp_eval(series, PadicInt(ctx, x)).value
-    )
+    p, modulus, B = ctx.p, ctx.modulus, series.B
+    t = list(B[:p])
+    pn = p
+    while pn < modulus:
+        t += [(b + a) % modulus for b, a in zip(B[pn:pn * p], t * (p - 1))]
+        pn *= p
+    return ValueTable(ctx, tuple(t))
 
 
 # -- 1-Lipschitz checks --------------------------------------------------------
@@ -202,14 +219,18 @@ def check_one_lipschitz(obj: ValueTable | VdpSeries) -> bool:
             if coeff % q:
                 return False
         return True
-    ctx = obj.ctx
-    p = ctx.p
+    # Comparing each level with its parent suffices: given f(x) = f(x mod p^n)
+    # mod p^n for every n and every x < p^(n+1), the congruences chain from x
+    # down through x mod p^(K-1), ..., x mod p^j for every j.
+    p, modulus = obj.ctx.p, obj.ctx.modulus
     values = obj.values
-    for j in range(1, ctx.precision):
-        pj = p**j
-        for x in range(ctx.modulus):
-            if (values[x] - values[x % pj]) % pj:
+    pn = p
+    while pn < modulus:
+        base = [v % pn for v in values[:pn]]
+        for i in range(pn, pn * p, pn):
+            if [v % pn for v in values[i:i + pn]] != base:
                 return False
+        pn *= p
     return True
 
 
@@ -231,18 +252,14 @@ def coord_from_table(table: ValueTable) -> CoordRep:
 
 
 def table_from_coord(coord: CoordRep) -> ValueTable:
-    ctx = coord.ctx
-    p = ctx.p
-
-    def fn(x: int) -> int:
-        total, pk = 0, 1
-        for k in range(ctx.precision):
-            pk1 = pk * p
-            total += coord.phi[k][x % pk1] * pk
-            pk = pk1
-        return total
-
-    return ValueTable.from_callable(ctx, fn)
+    """f(x) = sum p^k phi_k(x mod p^(k+1)), built level by level: the table mod
+    p^(k+1) is the table mod p^k, repeated p times, plus p^k phi_k."""
+    p = coord.ctx.p
+    t, pk = [0], 1
+    for row in coord.phi:
+        t = [a + d * pk for a, d in zip(t * p, row)]
+        pk *= p
+    return ValueTable(coord.ctx, tuple(t))
 
 
 # -- measure preservation --------------------------------------------------------
@@ -273,26 +290,39 @@ def check_measure_vdp(series: VdpSeries, min_level: int = 1) -> bool:
     if min_level < 1:
         raise DomainError("min_level must be >= 1")
     ctx = series.ctx
-    p = ctx.p
-    nonzero = frozenset(range(1, p))
-    if {series.b(m) % p for m in range(p)} != frozenset(range(p)):
+    p, B = ctx.p, series.B
+    nonzero = set(range(1, p))
+    if {c % p for c in B[:p]} != set(range(p)):  # b_m = B_m for m < p
         return False
     for k in range(min_level, ctx.precision):
         pk = p**k
-        for m in range(pk):
-            if {series.b(m + i * pk) % p for i in range(1, p)} != nonzero:
+        # Level k's band: b_(m + i p^k) for i = 1..p-1 is band[m::pk][i - 1].
+        band = B[pk:pk * p]
+        columns = range(pk)
+        bad = [j for j, c in enumerate(band) if c % pk]
+        if bad:
+            # The first coefficient b() would reject, visiting m then i:
+            # columns before it are still checked, and may return False first.
+            first = min(bad, key=lambda j: (j % pk, j))
+            columns = range(first % pk)
+        b = [c // pk % p for c in band]
+        for m in columns:
+            if set(b[m::pk]) != nonzero:
                 return False
+        if bad:
+            series.b(pk + first)  # raises NotOneLipschitzError
     return True
 
 
 def check_measure_coord(coord: CoordRep) -> bool:
     """Every one-digit sub-function (phi_0 included) must be a bijection."""
-    ctx = coord.ctx
-    p = ctx.p
-    for k in range(ctx.precision):
-        for prefix in range(p**k):
-            if len(set(coord.subfn(k, prefix))) != p:
+    p = coord.ctx.p
+    pk = 1
+    for row in coord.phi:  # the sub-function of phi_k at a prefix is row[prefix::pk]
+        for prefix in range(pk):
+            if len(set(row[prefix::pk])) != p:
                 return False
+        pk *= p
     return True
 
 
@@ -332,19 +362,45 @@ def random_one_lipschitz_table(
 # -- text serialization --------------------------------------------------------------
 
 
+def _digit_texts(p: int, n: int) -> list[str]:
+    """The text "d0,d1,...,d(n-1)," of every residue mod p**n, in residue order."""
+    texts = [""]
+    for _ in range(n):
+        texts = [f"{d},{t}" for t in texts for d in range(p)]
+    return texts
+
+
+def _half_texts(p: int, K: int) -> tuple[int, list[str], list[str]]:
+    """h = K // 2 and the digit texts of the two halves of a canonical entry:
+    "d0,...,d(h-1)," for each residue mod p**h and "dh,...,d(K-1)" for each
+    residue mod p**(K-h).  A table's text costs p**h + p**(K-h) strings of
+    these, not one per residue."""
+    h = K // 2
+    return h, _digit_texts(p, h), [t[:-1] for t in _digit_texts(p, K - h)]
+
+
 def serialize_table_text(obj: ValueTable | VdpSeries) -> str:
-    """Line format: header ``p K kind``, then one residue per line."""
+    """Line format: header ``p K kind``, then one residue per line in the
+    canonical form ``p:K:d0,...,d(K-1)`` of ``core.to_text``, joined from
+    the texts of its low and high digits (``_half_texts``).
+    """
     kind = "table" if isinstance(obj, ValueTable) else "vdp"
     ctx = obj.ctx
+    p, K = ctx.p, ctx.precision
     entries = obj.values if isinstance(obj, ValueTable) else obj.B
-    lines = [f"{ctx.p} {ctx.precision} {kind}"]
-    lines.extend(str(PadicInt(ctx, v)) for v in entries)
+    h, low, high = _half_texts(p, K)
+    ph = p**h
+    low = [f"{p}:{K}:{t}" for t in low]
+    lines = [f"{p} {K} {kind}"]
+    lines += [low[v % ph] + high[v // ph] for v in entries]
     return "\n".join(lines) + "\n"
 
 
 def parse_table_text(text: str) -> ValueTable | VdpSeries:
-    from .core import from_text
-
+    """Inverse of ``serialize_table_text``.  An entry may be any text that
+    ``core.from_text`` reads in the header's context.  A line in the exact
+    canonical spelling is read as its two halves of ``_half_texts``; every
+    other line goes to ``from_text``."""
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise FormatError("empty table file")
@@ -359,7 +415,18 @@ def parse_table_text(text: str) -> ValueTable | VdpSeries:
         raise FormatError(
             f"expected {ctx.modulus} entries, found {len(lines) - 1}"
         )
-    entries = tuple(from_text(ln, ctx).value for ln in lines[1:])
+    p, K = ctx.p, ctx.precision
+    h, low_texts, high_texts = _half_texts(p, K)
+    low = {t: v for v, t in enumerate(low_texts)}
+    high = {t: v * p**h for v, t in enumerate(high_texts)}
+    halves = re.compile(rf"{p}:{K}:((?:[^,]*,){{{h}}})(.*)").fullmatch
+    entries = []
+    for ln in lines[1:]:
+        m = halves(ln)
+        if m and m[1] in low and m[2] in high:
+            entries.append(low[m[1]] + high[m[2]])
+        else:
+            entries.append(from_text(ln, ctx).value)
     if head[2] == "table":
-        return ValueTable(ctx, entries)
-    return VdpSeries(ctx, entries)
+        return ValueTable(ctx, tuple(entries))
+    return VdpSeries(ctx, tuple(entries))

@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -170,6 +171,18 @@ def test_json_roundtrip():
     bad = machine_to_json(m) | {"transition": [0] * 7}
     with pytest.raises(FormatError):
         machine_from_json(bad)
+
+
+def test_machine_json_with_no_states_or_infinite_numbers_is_malformed():
+    from padic_ciphers.core import FormatError
+
+    empty = {"states": 0, "initial": 0, "transition": [], "output": []}
+    start = time.perf_counter()
+    with pytest.raises(FormatError, match="at least one state"):
+        machine_from_json(empty | {"p": 10**7})  # no rows built for a large p
+    assert time.perf_counter() - start < 1
+    with pytest.raises(FormatError):
+        machine_from_json(empty | {"p": float("inf"), "states": 1})
 
 
 def test_run_validates_digits():

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from padic_ciphers import cli
 from padic_ciphers.cli import run_command
 from padic_ciphers.ciphers import key_from_json, encryption_table
 from padic_ciphers.core import PadicContext, PadicInt
@@ -328,6 +329,17 @@ def test_search_rejects_unknown_op(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("first,second", [("ADD", "GLIN"), ("GLIN", "ADD"), ("XOR", "GLIN")])
+def test_search_refuses_glin_before_drawing_a_key(capsys, monkeypatch, first, second):
+    def no_scan(*args, **kwargs):
+        raise AssertionError("a key was drawn")
+
+    monkeypatch.setattr(cli, "intersection_scan", no_scan)
+    code, out, err = run(capsys, "search", first, second, "--p", "5", "--precision", "3")
+    assert code == 3
+    assert "search cannot bind the coefficients of GLIN" in err
+
+
 def test_demo_is_deterministic(capsys):
     code_a, out_a, _ = run(capsys, "demo", "--seed", "7", "--precision", "8")
     code_b, out_b, _ = run(capsys, "demo", "--seed", "7", "--precision", "8")
@@ -363,3 +375,12 @@ def test_usage_errors_exit_2(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert "must be at least" in err
+
+
+def test_p_beyond_the_exact_primality_range_exits_5(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "keygen", "--family", "additive",
+                         "--p", str(2**89 - 1), "--precision", "1")
+    assert code == 5
+    assert "primality is decided exactly only below" in err
+    assert time.perf_counter() - start < 1

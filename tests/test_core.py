@@ -1,10 +1,12 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 from padic_ciphers.core import (
+    PRIME_BOUND,
     ContextMismatchError,
     DomainError,
     FormatError,
@@ -27,6 +29,7 @@ from padic_ciphers.core import (
     unit_decompose,
     valuation,
     xor_p,
+    _is_prime,
 )
 
 C34 = PadicContext(3, 4)
@@ -46,6 +49,61 @@ def test_context_validation():
         PadicContext(5, 65)
     # the bound is configurable
     assert PadicContext(5, 80, max_precision=128).precision == 80
+
+
+def _trial_division(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_agrees_with_trial_division():
+    assert [n for n in range(10**5) if _is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+    assert _is_prime(10**12 + 39)
+
+
+def test_primality_rejects_carmichael_numbers_and_strong_pseudoprimes():
+    carmichael = [561, 1105, 1729, 2465, 2821, 6601, 8911, 41041, 825265]
+    # Chernick's (6k+1)(12k+1)(18k+1) is a Carmichael number when all three
+    # factors are prime; at these k every factor exceeds the 13 witnesses.
+    for k in (35, 45, 51):
+        factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+        assert all(_trial_division(f) and f > 41 for f in factors)
+        carmichael.append(math.prod(factors))
+    for n in carmichael:
+        assert all(pow(a, n - 1, n) == 1 for a in (2, 43, 97) if math.gcd(a, n) == 1)
+        assert not _is_prime(n), n
+    # the least strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n, factors in ((3215031751, (151, 751, 28351)),
+                       (3825123056546413051, (149491, 747451, 34233211)),
+                       (318665857834031151167461, (399165290221, 798330580441))):
+        assert math.prod(factors) == n and not _is_prime(n)
+
+
+def test_primality_of_a_60_bit_prime_is_fast():
+    n = 2**60 - 93
+    start = time.perf_counter()
+    assert _is_prime(n) and n.bit_length() == 60
+    assert time.perf_counter() - start < 0.01
+    assert not _is_prime(n * 3) and not _is_prime((2**30 + 3) * (2**31 - 1))
+
+
+def test_p_beyond_the_exact_primality_range_is_refused():
+    # PRIME_BOUND is itself a strong pseudoprime to all 13 witnesses; 2^89 - 1
+    # is a Mersenne prime
+    for p in (PRIME_BOUND, 2**89 - 1, 10**45 + 7):
+        with pytest.raises(DomainError, match="out of range"):
+            PadicContext(p, 1)
+    for p in (2 * PRIME_BOUND, PRIME_BOUND + 2):  # a witness divides each
+        with pytest.raises(DomainError, match="must be a prime"):
+            PadicContext(p, 1)
 
 
 def test_construct_and_digits():

@@ -1,0 +1,315 @@
+"""Differential test of the level-by-level ``lipschitz`` kernels against the
+per-entry reference implementations they replaced.
+
+The reference functions below are the former bodies of the table-text
+writer and reader, the 1-Lipschitz table check, the series and coordinate
+measure criteria and the two inverse maps: they build a ``PadicInt`` (and a
+digit tuple) per entry, or compute a power of p per entry.  Each new kernel
+must give the identical text, values and verdicts, or raise the identical
+exception with the identical message.
+"""
+
+from __future__ import annotations
+
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from padic_ciphers.ciphers import FAMILIES, encryption_table, keygen
+from padic_ciphers.core import (
+    DomainError,
+    FormatError,
+    PadicContext,
+    PadicError,
+    PadicInt,
+)
+from padic_ciphers.lipschitz import (
+    CoordRep,
+    NotOneLipschitzError,
+    ValueTable,
+    VdpSeries,
+    check_measure_coord,
+    check_measure_vdp,
+    check_one_lipschitz,
+    coord_from_table,
+    parse_table_text,
+    random_one_lipschitz_table,
+    serialize_table_text,
+    table_from_coord,
+    vdp_eval,
+    vdp_interpolate,
+    vdp_to_table,
+)
+
+# -- reference implementations ---------------------------------------------------
+
+
+def ref_vdp_to_table(series: VdpSeries) -> ValueTable:
+    ctx = series.ctx
+    return ValueTable.from_callable(
+        ctx, lambda x: vdp_eval(series, PadicInt(ctx, x)).value
+    )
+
+
+def ref_check_one_lipschitz(obj: ValueTable | VdpSeries) -> bool:
+    """Table: x = y mod p^j implies f(x) = f(y) mod p^j for all j.
+    Series: p**(digits(m)-1) divides B_m for all m."""
+    if isinstance(obj, VdpSeries):
+        p = obj.ctx.p
+        q, pn = 1, p
+        for m, coeff in enumerate(obj.B):
+            if m == pn:
+                q *= p
+                pn *= p
+            if coeff % q:
+                return False
+        return True
+    ctx = obj.ctx
+    p = ctx.p
+    values = obj.values
+    for j in range(1, ctx.precision):
+        pj = p**j
+        for x in range(ctx.modulus):
+            if (values[x] - values[x % pj]) % pj:
+                return False
+    return True
+
+
+def ref_table_from_coord(coord: CoordRep) -> ValueTable:
+    ctx = coord.ctx
+    p = ctx.p
+
+    def fn(x: int) -> int:
+        total, pk = 0, 1
+        for k in range(ctx.precision):
+            pk1 = pk * p
+            total += coord.phi[k][x % pk1] * pk
+            pk = pk1
+        return total
+
+    return ValueTable.from_callable(ctx, fn)
+
+
+def ref_check_measure_vdp(series: VdpSeries, min_level: int = 1) -> bool:
+    if min_level < 1:
+        raise DomainError("min_level must be >= 1")
+    ctx = series.ctx
+    p = ctx.p
+    nonzero = frozenset(range(1, p))
+    if {series.b(m) % p for m in range(p)} != frozenset(range(p)):
+        return False
+    for k in range(min_level, ctx.precision):
+        pk = p**k
+        for m in range(pk):
+            if {series.b(m + i * pk) % p for i in range(1, p)} != nonzero:
+                return False
+    return True
+
+
+def ref_check_measure_coord(coord: CoordRep) -> bool:
+    """Every one-digit sub-function (phi_0 included) must be a bijection."""
+    ctx = coord.ctx
+    p = ctx.p
+    for k in range(ctx.precision):
+        for prefix in range(p**k):
+            if len(set(coord.subfn(k, prefix))) != p:
+                return False
+    return True
+
+
+def ref_serialize_table_text(obj: ValueTable | VdpSeries) -> str:
+    """Line format: header ``p K kind``, then one residue per line."""
+    kind = "table" if isinstance(obj, ValueTable) else "vdp"
+    ctx = obj.ctx
+    entries = obj.values if isinstance(obj, ValueTable) else obj.B
+    lines = [f"{ctx.p} {ctx.precision} {kind}"]
+    lines.extend(str(PadicInt(ctx, v)) for v in entries)
+    return "\n".join(lines) + "\n"
+
+
+def ref_parse_table_text(text: str) -> ValueTable | VdpSeries:
+    from padic_ciphers.core import from_text
+
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise FormatError("empty table file")
+    head = lines[0].split()
+    if len(head) != 3 or head[2] not in ("table", "vdp"):
+        raise FormatError(f"bad header {lines[0]!r}; expected 'p K table' or 'p K vdp'")
+    try:
+        ctx = PadicContext(int(head[0]), int(head[1]))
+    except (ValueError, DomainError) as exc:
+        raise FormatError(f"bad header {lines[0]!r}: {exc}") from exc
+    if len(lines) - 1 != ctx.modulus:
+        raise FormatError(
+            f"expected {ctx.modulus} entries, found {len(lines) - 1}"
+        )
+    entries = tuple(from_text(ln, ctx).value for ln in lines[1:])
+    if head[2] == "table":
+        return ValueTable(ctx, entries)
+    return VdpSeries(ctx, entries)
+
+
+# -- cases -----------------------------------------------------------------------
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type and message of the error it raises."""
+    try:
+        return "ok", fn(*args)
+    except PadicError as exc:
+        return type(exc), str(exc)
+
+
+CONTEXTS = [(2, 1), (2, 3), (2, 6), (3, 1), (3, 2), (3, 4), (5, 1), (5, 3),
+            (7, 1), (7, 3), (11, 1), (11, 2), (13, 1), (13, 2)]
+
+
+def tables(p: int, K: int) -> list[tuple[str, ValueTable]]:
+    """Measure-preserving, random 1-Lipschitz, non-Lipschitz and encryption tables."""
+    ctx = PadicContext(p, K)
+    rng = Random(p * 100 + K)
+    out = [(f"preserving {i}", random_one_lipschitz_table(ctx, rng, 1.0)) for i in range(2)]
+    out += [(f"lipschitz {i}", random_one_lipschitz_table(ctx, rng, 0.6)) for i in range(3)]
+    out += [(f"arbitrary {i}", ValueTable(ctx, tuple(rng.randrange(ctx.modulus)
+                                                     for _ in range(ctx.modulus))))
+            for i in range(2)]
+    for family in FAMILIES:
+        if p == 2 and family in ("multiplicative", "fhe"):
+            continue  # both families need odd p
+        out.append((family, encryption_table(keygen(ctx, family, rng))))
+    return out
+
+
+def corrupted(series: VdpSeries, rng: Random, n: int) -> VdpSeries:
+    """The series with n coefficients redrawn: mixes early False with late raises."""
+    B = list(series.B)
+    for _ in range(n):
+        B[rng.randrange(len(B))] = rng.randrange(series.ctx.modulus)
+    return VdpSeries(series.ctx, tuple(B))
+
+
+@pytest.mark.parametrize("p,K", CONTEXTS)
+def test_kernels_match_the_per_entry_reference(p, K):
+    rng = Random(K * 1000 + p)
+    for what, table in tables(p, K):
+        series = vdp_interpolate(table)
+        for obj in (table, series):
+            text = serialize_table_text(obj)
+            assert text == ref_serialize_table_text(obj), what
+            assert parse_table_text(text) == ref_parse_table_text(text) == obj, what
+            assert check_one_lipschitz(obj) == ref_check_one_lipschitz(obj), what
+        assert vdp_to_table(series) == ref_vdp_to_table(series) == table, what
+        for s in (series, corrupted(series, rng, 1), corrupted(series, rng, 3)):
+            assert vdp_to_table(s) == ref_vdp_to_table(s), what
+            for min_level in (1, 2):
+                got = outcome(check_measure_vdp, s, min_level)
+                assert got == outcome(ref_check_measure_vdp, s, min_level), (what, min_level)
+        if check_one_lipschitz(table):
+            coord = coord_from_table(table)
+            assert check_measure_coord(coord) == ref_check_measure_coord(coord), what
+            assert table_from_coord(coord) == ref_table_from_coord(coord) == table, what
+
+
+def test_measure_vdp_raises_or_returns_in_visiting_order():
+    ctx = PadicContext(3, 3)
+    B = list(vdp_interpolate(random_one_lipschitz_table(ctx, Random(4), 1.0)).B)
+    B[9 + 4] += 1  # level 2, column m = 4: not divisible by 9
+    late_break = list(B)
+    late_break[9 + 5] = late_break[9 + 5 + 9]  # column m = 5 repeats a value
+    early_break = list(B)
+    early_break[9 + 2] = early_break[9 + 2 + 9]  # column m = 2 repeats a value
+    late = VdpSeries(ctx, tuple(late_break))
+    assert outcome(check_measure_vdp, late) == outcome(ref_check_measure_vdp, late) == (
+        NotOneLipschitzError, f"B_13 = {B[13]} is not divisible by 9")
+    early = VdpSeries(ctx, tuple(early_break))
+    assert outcome(check_measure_vdp, early) == outcome(ref_check_measure_vdp, early) == (
+        "ok", False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(2, 4), (3, 3), (5, 2), (11, 2)]), st.data())
+def test_random_coordinate_forms_match(pk, data):
+    p, K = pk
+    ctx = PadicContext(p, K)
+    phi = tuple(
+        tuple(data.draw(st.lists(st.integers(0, p - 1), min_size=p ** (k + 1),
+                                 max_size=p ** (k + 1))))
+        for k in range(K)
+    )
+    coord = CoordRep(ctx, phi)
+    assert table_from_coord(coord) == ref_table_from_coord(coord)
+    assert check_measure_coord(coord) == ref_check_measure_coord(coord)
+
+
+@pytest.mark.parametrize("p,K", [(2, 3), (3, 2), (5, 2)])
+def test_coordinate_criterion_sees_each_single_broken_subfunction(p, K):
+    coord = coord_from_table(random_one_lipschitz_table(PadicContext(p, K), Random(p), 1.0))
+    assert check_measure_coord(coord)
+    for k, row in enumerate(coord.phi):
+        pk = p**k
+        for prefix in range(pk):
+            broken = list(row)
+            broken[prefix + pk] = broken[prefix]  # sub-function maps digits 0 and 1 alike
+            phi = coord.phi[:k] + (tuple(broken),) + coord.phi[k + 1:]
+            one_broken = CoordRep(coord.ctx, phi)
+            assert check_measure_coord(one_broken) is ref_check_measure_coord(one_broken) is False
+
+
+def test_measure_vdp_min_level_below_one_is_refused():
+    series = vdp_interpolate(random_one_lipschitz_table(PadicContext(3, 2), Random(1)))
+    assert outcome(check_measure_vdp, series, 0) == outcome(ref_check_measure_vdp, series, 0)
+
+
+# -- entry lines drawn from a grammar ------------------------------------------
+
+
+LINE_KINDS = ("canonical", "decimal", "leading-zero", "space", "sign", "underscore",
+              "non-ascii", "wrong-context", "digit-count", "two-char")
+
+
+def _entry_line(draw, p: int, K: int, kinds: list[str]) -> str:
+    kind = draw(st.sampled_from(kinds))
+    digits = draw(st.lists(st.integers(0, p - 1), min_size=K, max_size=K))
+    text = [str(d) for d in digits]
+    i = draw(st.integers(0, K - 1))
+    if kind == "decimal":
+        return str(draw(st.integers(0, 3 * p**K)))
+    if kind == "leading-zero":
+        text[i] = "0" + text[i]
+    elif kind == "space":
+        text[i] = draw(st.sampled_from([" ", "\t", " "])) + text[i]
+    elif kind == "sign":
+        text[i] = draw(st.sampled_from(["+", "-"])) + text[i]
+    elif kind == "underscore":
+        text[i] = "1_0"
+    elif kind == "non-ascii":
+        text[i] = "٠١٢٣٤٥٦٧٨٩"[digits[i] % 10]
+    elif kind == "digit-count":
+        text = text[:-1] if draw(st.booleans()) else text + ["0"]
+    elif kind == "two-char":
+        text[i] = str(draw(st.integers(10, 13)))
+    head = f"{p}:{K}:"
+    if kind == "wrong-context":
+        head = draw(st.sampled_from([f"{p}:{K + 1}:", f"{p + 2}:{K}:", f"0{p}:{K}:",
+                                     f"{p}:{K}", f"{p}::{K}:"]))
+    return head + ",".join(text)
+
+
+@st.composite
+def table_texts(draw):
+    p, K = draw(st.sampled_from([(2, 1), (2, 3), (3, 2), (5, 1), (5, 2), (11, 1), (13, 1)]))
+    kind = draw(st.sampled_from(["table", "vdp"]))
+    # Most lines canonical, the rest of a few kinds: many texts parse, mixing
+    # canonical lines with ones only from_text reads.
+    kinds = ["canonical"] * 4 + sorted(draw(st.sets(st.sampled_from(LINE_KINDS), max_size=3)))
+    lines = [_entry_line(draw, p, K, kinds) for _ in range(p**K)]
+    return f"{p} {K} {kind}\n" + "\n".join(lines) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(table_texts())
+def test_parse_matches_reference_on_grammar_lines(text):
+    assert outcome(parse_table_text, text) == outcome(ref_parse_table_text, text)
