@@ -16,10 +16,11 @@ row y of an operation holds op(x, y) for every x, so f(op(x, y)) over all x
 is a gather of row y through the encryption values, op(f(x), f(y)) a gather
 of the encryption values through row f(y), and the first differing x is
 looked up only on a mismatch.  Levels of at most 256 residues read their
-rows from a cached table of bytes; larger levels build each row when it is
-needed, so no level holds p^(2k) entries.  ADD rows are two ranges, MUL
-rows one product each, XOR/AND rows are built from the level k-1 row and the
-digit row, and G rows come from the operation's own kernel
+rows from a cached table of bytes, and each gather there is one
+``bytes.translate``; larger levels build each row when it is needed, so no
+level holds p^(2k) entries.  ADD rows are slices of a doubled ramp, MUL rows
+one product each, XOR/AND rows join per-digit chunks in the order of the
+level k-1 row, and G rows come from the operation's own kernel
 (``ciphers.G1.kernel`` and its kin).  A level of more than PAIR_BUDGET
 pairs is refused with DomainError before any of it is built.
 
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from random import Random
 
 from .ciphers import (  # OpSymbol, ADD, MUL, XOR, AND and g_sym are re-exported
@@ -156,8 +158,9 @@ def _row_builder(sym: OpSymbol, ctx: PadicContext):
     """The function y -> [op(x, y) for x in range(p^k)] at level ctx = (p, k)."""
     p, m = ctx.p, ctx.modulus
     kind = sym.kind
-    if kind == "ADD":
-        return lambda y: [*range(y, m), *range(y)]
+    if kind == "ADD":  # slices of a doubled ramp, of bytes up to 256 residues
+        ramp = (bytes(range(m)) if m <= TABLE_RESIDUES else [*range(m)]) * 2
+        return lambda y: ramp[y:y + m]
     if kind == "MUL":
         return lambda y: [x * y % m for x in range(m)]
     if kind == "G":
@@ -169,12 +172,13 @@ def _row_builder(sym: OpSymbol, ctx: PadicContext):
     if ctx.precision == 1:
         return digit
     lower = _rows(sym, PadicContext(p, ctx.precision - 1))
-
-    def row(y: int) -> list[int]:
-        low = digit(y % p)
-        return [d + p * t for t in lower(y // p) for d in low]
-
-    return row
+    # Row y is the level k-1 row with each entry t replaced by the chunk
+    # d + p*t of the digit row: bytes joined in one call up to 256 residues.
+    if m <= TABLE_RESIDUES:
+        chunks = [[bytes(d + p * t for d in digit(a)) for t in range(m // p)] for a in range(p)]
+        return lambda y: b"".join(map(chunks[y % p].__getitem__, lower(y // p)))
+    chunks = [[[d + p * t for d in digit(a)] for t in range(m // p)] for a in range(p)]
+    return lambda y: [*chain.from_iterable(map(chunks[y % p].__getitem__, lower(y // p)))]
 
 
 def _rows(sym: OpSymbol, ctx: PadicContext):
@@ -241,7 +245,14 @@ def homomorphism_test(
         enc = [f(v) % m for v in range(m)]
         # Row y holds op(x, y) for every x, so f(op(x, y)) for all x is one
         # gather through enc, and op(f(x), f(y)) one gather through row f(y).
-        for y in range(m):
+        ys = range(m)
+        if m <= TABLE_RESIDUES:  # byte rows: each gather is one translate
+            enc_bytes, pad = bytes(enc), bytes(256 - m)
+            enc_tab = enc_bytes + pad
+            bad = next((y for y in ys if row(y).translate(enc_tab)
+                        != enc_bytes.translate(row(enc[y]) + pad)), None)
+            ys = () if bad is None else (bad,)
+        for y in ys:
             lhs = [enc[z] for z in row(y)]
             image = row(enc[y])
             rhs = [image[e] for e in enc]

@@ -307,6 +307,7 @@ def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
         raise DomainError("roots of unity are computed for odd p")
     if d < 1:
         raise DomainError("exponent must be >= 1")
+    _check_draw_budget(ctx.p)
     return frozenset(
         teichmuller(ctx, j) for j in range(1, ctx.p) if pow(j, d, ctx.p) == 1
     )
@@ -715,6 +716,15 @@ FAMILIES = {cls.family: cls for cls in get_args(CipherKey)}  # family name -> ke
 
 # -- key generation ----------------------------------------------------------------
 
+DRAW_BUDGET = 1 << 16  # most digits below p a key draw may enumerate: p - 1 <= this
+
+
+def _check_draw_budget(p: int) -> None:
+    """Refuse to enumerate the exponents coprime to p - 1 or the roots of unity."""
+    if p - 1 > DRAW_BUDGET:
+        raise DomainError(f"a key draw at p = {p} enumerates {p - 1} digits, "
+                          f"over the budget of {DRAW_BUDGET}")
+
 
 def _random_unit(ctx: PadicContext, rng: Random) -> PadicInt:
     return PadicInt(
@@ -724,6 +734,7 @@ def _random_unit(ctx: PadicContext, rng: Random) -> PadicInt:
 
 
 def _coprime_exponents(p: int) -> list[int]:
+    _check_draw_budget(p)
     return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
 
 

@@ -12,8 +12,9 @@ Subcommands::
 
 Exit codes: 0 success, 2 usage, 3 malformed input file or text, 4 formula
 incompatible with the key, 5 any other domain failure (law violation found
-by `check`, invalid parameters, ...).  Key files are written atomically: a
-crash mid-write never leaves a partial key on disk.
+by `check`, invalid parameters, ...), 141 (128 + SIGPIPE) with no traceback
+when the reader of stdout closes it early, as `| head` does.  Key files are
+written atomically: a crash mid-write never leaves a partial key on disk.
 """
 
 from __future__ import annotations
@@ -76,7 +77,9 @@ from .lipschitz import (
     coord_from_table,
     parse_table_text,
     serialize_table_text,
+    VdpSeries,
     vdp_interpolate,
+    vdp_to_table,
 )
 
 _MEASURE_LIMIT = 4096
@@ -252,6 +255,8 @@ def _cmd_check(args) -> int:
     if args.table:
         with open(args.table) as fh:
             table = parse_table_text(fh.read())
+        if isinstance(table, VdpSeries):  # check the map the series interpolates
+            table = vdp_to_table(table)
         results["p"] = table.ctx.p
         results["precision"] = table.ctx.precision
         lip = check_one_lipschitz(table)
@@ -513,7 +518,13 @@ def _report_error(args, exc: Exception) -> None:
 
 
 def main() -> None:
-    sys.exit(run_command(sys.argv[1:]))
+    try:
+        code = run_command(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # as the signal module's documentation advises
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
 
 
 if __name__ == "__main__":

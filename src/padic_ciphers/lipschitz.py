@@ -24,8 +24,8 @@ values[i:i+p^n] with values[:p^n] mod p^n), the series criterion reads level
 k's band as B[p^k:p^(k+1)][m::p^k], and a coordinate sub-function is
 phi_k[prefix::p^k].  The table text writes each canonical entry line from
 the digit texts of the residue's low and high halves, built once per call,
-and reads a line in that exact spelling back through the same halves; any
-other line goes to ``core.from_text``.
+and reads p^K lines in that exact spelling back in one pass through the
+same halves; any other text goes to ``core.from_text`` line by line.
 """
 
 from __future__ import annotations
@@ -179,13 +179,12 @@ def vdp_eval(series: VdpSeries, x: PadicInt) -> PadicInt:
 def vdp_interpolate(table: ValueTable) -> VdpSeries:
     """Coefficients with B_m = t[m] for m < p and
     B_m = t[m] - t[m without its leading digit] otherwise."""
-    ctx = table.ctx
+    ctx, values = table.ctx, table.values
     p, modulus = ctx.p, ctx.modulus
-    B = list(table.values[:p])
+    B = list(values[:p])
     pn = p
     while pn < modulus:
-        for m in range(pn, pn * p):
-            B.append((table.values[m] - table.values[m % pn]) % modulus)
+        B += [(v - a) % modulus for v, a in zip(values[pn:pn * p], values[:pn] * (p - 1))]
         pn *= p
     return VdpSeries(ctx, tuple(B))
 
@@ -246,7 +245,7 @@ def coord_from_table(table: ValueTable) -> CoordRep:
     pk = 1
     for k in range(ctx.precision):
         pk1 = pk * p
-        phi.append(tuple((table.values[a] // pk) % p for a in range(pk1)))
+        phi.append(tuple(v // pk % p for v in table.values[:pk1]))
         pk = pk1
     return CoordRep(ctx, tuple(phi))
 
@@ -270,7 +269,7 @@ def check_measure_bruteforce(table: ValueTable) -> bool:
     ctx = table.ctx
     for k in range(1, ctx.precision + 1):
         pk = ctx.p**k
-        if len({table.values[x] % pk for x in range(pk)}) != pk:
+        if len({v % pk for v in table.values[:pk]}) != pk:
             return False
     return True
 
@@ -396,37 +395,51 @@ def serialize_table_text(obj: ValueTable | VdpSeries) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _canonical_entries(body: str, ctx: PadicContext) -> list[int] | None:
+    """The values of a body of exactly p**K canonical lines, each ending in a
+    newline, read in one pass through ``_half_texts``; None for any other body."""
+    p, K, n = ctx.p, ctx.precision, ctx.modulus
+    if body.count("\n") != n or not body.endswith("\n"):
+        return None
+    h, low, high = _half_texts(p, K)
+    low = {t: v for v, t in enumerate(low)}
+    high = {t: v * p**h for v, t in enumerate(high)}
+    # A match spans one whole line, so n matches cover all n lines.
+    lines = re.finditer(rf"^{p}:{K}:((?:[^,\n]*,){{{h}}})([^\n]*)\n", body, re.M)
+    try:
+        entries = [low[m[1]] + high[m[2]] for m in lines]
+    except KeyError:
+        return None
+    return entries if len(entries) == n else None
+
+
 def parse_table_text(text: str) -> ValueTable | VdpSeries:
     """Inverse of ``serialize_table_text``.  An entry may be any text that
-    ``core.from_text`` reads in the header's context.  A line in the exact
-    canonical spelling is read as its two halves of ``_half_texts``; every
-    other line goes to ``from_text``."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
+    ``core.from_text`` reads in the header's context.  A size over the table
+    limit is refused right after the header.  Canonical entry lines, as they
+    stand or stripped, are read by ``_canonical_entries``; a line in any
+    other form sends every line to ``from_text``."""
+    text = text.lstrip()  # blank lines before the header; line breaks are spaces
+    if not text:
         raise FormatError("empty table file")
-    head = lines[0].split()
+    first, _, body = text.partition("\n")
+    line, *rest = first.splitlines()  # the header ends at the first line break
+    line, body = line.rstrip(), "".join(ln + "\n" for ln in rest) + body
+    head = line.split()
     if len(head) != 3 or head[2] not in ("table", "vdp"):
-        raise FormatError(f"bad header {lines[0]!r}; expected 'p K table' or 'p K vdp'")
+        raise FormatError(f"bad header {line!r}; expected 'p K table' or 'p K vdp'")
     try:
         ctx = PadicContext(int(head[0]), int(head[1]))
     except (ValueError, DomainError) as exc:
-        raise FormatError(f"bad header {lines[0]!r}: {exc}") from exc
-    if len(lines) - 1 != ctx.modulus:
-        raise FormatError(
-            f"expected {ctx.modulus} entries, found {len(lines) - 1}"
-        )
-    p, K = ctx.p, ctx.precision
-    h, low_texts, high_texts = _half_texts(p, K)
-    low = {t: v for v, t in enumerate(low_texts)}
-    high = {t: v * p**h for v, t in enumerate(high_texts)}
-    halves = re.compile(rf"{p}:{K}:((?:[^,]*,){{{h}}})(.*)").fullmatch
-    entries = []
-    for ln in lines[1:]:
-        m = halves(ln)
-        if m and m[1] in low and m[2] in high:
-            entries.append(low[m[1]] + high[m[2]])
-        else:
-            entries.append(from_text(ln, ctx).value)
+        raise FormatError(f"bad header {line!r}: {exc}") from exc
+    _check_table_size(ctx)
+    entries = _canonical_entries(body, ctx)
+    if entries is None:
+        lines = [ln.strip() for ln in body.splitlines() if ln.strip()]
+        if len(lines) != ctx.modulus:
+            raise FormatError(f"expected {ctx.modulus} entries, found {len(lines)}")
+        entries = (_canonical_entries("".join(ln + "\n" for ln in lines), ctx)
+                   or [from_text(ln, ctx).value for ln in lines])
     if head[2] == "table":
         return ValueTable(ctx, tuple(entries))
     return VdpSeries(ctx, tuple(entries))

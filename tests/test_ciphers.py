@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from random import Random
 
@@ -5,6 +7,8 @@ import pytest
 
 from padic_ciphers.ciphers import (
     ALL_UNITS,
+    DRAW_BUDGET,
+    FAMILIES,
     AdditiveKey,
     AndKey,
     FheKey,
@@ -339,6 +343,28 @@ def test_keygen_multiplicative_exponent_choices():
     rng = Random(1)
     seen = {keygen(C52, "multiplicative", rng).s for _ in range(40)}
     assert seen == {1, 3}
+
+
+def test_seeded_keys_are_pinned():
+    # The draw budget must not change a single seeded key: the digest was taken
+    # before the budget existed.  (5, 3) with seed 11 is the README tour's key.
+    digest = hashlib.sha256()
+    for p, K in ((3, 4), (5, 3), (5, 16), (7, 3), (13, 2)):
+        for family in FAMILIES:
+            for seed in (0, 1, 11, 2026):
+                key = keygen(PadicContext(p, K), family, Random(seed))
+                digest.update(json.dumps(key_to_json(key), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "ad511e106d58b4bd9cd0cb4a85f096e48be0b9fd796814aa006fae5a8a08b3e8")
+
+
+def test_draw_budget_bounds_p():
+    assert DRAW_BUDGET == 1 << 16
+    for family in ("multiplicative", "and"):  # p - 1 == DRAW_BUDGET is still drawn
+        keygen(PadicContext(DRAW_BUDGET + 1, 2), family, Random(0))
+    for family in ("multiplicative", "and", "fhe"):
+        with pytest.raises(DomainError, match=f"over the budget of {DRAW_BUDGET}"):
+            keygen(PadicContext(DRAW_BUDGET + 3, 2), family, Random(0))  # 65539 is prime
 
 
 def test_all_families_preserve_measure():

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -12,6 +14,7 @@ from padic_ciphers.lipschitz import (
     ValueTable,
     parse_table_text,
     serialize_table_text,
+    vdp_interpolate,
 )
 
 
@@ -301,6 +304,58 @@ def test_check_table_file(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--table", str(bad))
     assert code == 5
     assert "one-lipschitz: no" in out
+
+
+@pytest.mark.parametrize("json_mode", (False, True))
+def test_check_table_reads_a_vdp_series(tmp_path, capsys, json_mode):
+    # A series file is checked as the table it interpolates.
+    ctx = PadicContext(3, 2)
+    flags = ("--json",) if json_mode else ()
+    for values, want in ((tuple(range(9)), 0), (tuple(x // 3 for x in range(9)), 5)):
+        table = ValueTable(ctx, values)
+        as_table, as_series = tmp_path / "t.txt", tmp_path / "s.txt"
+        as_table.write_text(serialize_table_text(table))
+        as_series.write_text(serialize_table_text(vdp_interpolate(table)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "check", "--table", str(as_series), *flags)
+        assert time.perf_counter() - start < 1
+        assert (code, err) == (want, "")
+        assert (code, out, err) == run(capsys, "check", "--table", str(as_table), *flags)
+
+
+def test_table_over_the_size_limit_exits_5_before_its_lines_are_read(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("2 21 table\n" + "0\n" * (1 << 21))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "check", "--table", str(path))
+    assert time.perf_counter() - start < 1
+    assert code == 5
+    assert "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("argv", (("check", "--key", "k.json", "--json"),
+                                  ("search", "ADD", "MUL", "--json")))
+def test_closed_stdout_ends_without_a_traceback(tmp_path, capsys, argv):
+    run(capsys, "keygen", "--family", "additive", "--p", "3", "--precision", "2",
+        "--seed", "1", "--out", str(tmp_path / "k.json"))
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "padic_ciphers.cli", *argv],
+                            cwd=tmp_path, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()  # before the child writes anything
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=30) == 141
+    assert "Traceback" not in err and "Error" not in err
+
+
+@pytest.mark.parametrize("family", ("multiplicative", "and", "fhe"))
+def test_keygen_over_the_draw_budget_exits_5(capsys, family):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "keygen", "--family", family,
+                         "--p", "1000000007", "--precision", "2")
+    assert time.perf_counter() - start < 1
+    assert code == 5
+    assert "over the budget of 65536" in err
 
 
 def test_check_requires_exactly_one_subject(tmp_path, capsys):

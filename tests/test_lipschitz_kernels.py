@@ -30,6 +30,8 @@ from padic_ciphers.lipschitz import (
     NotOneLipschitzError,
     ValueTable,
     VdpSeries,
+    _canonical_entries,
+    check_measure_bruteforce,
     check_measure_coord,
     check_measure_vdp,
     check_one_lipschitz,
@@ -116,6 +118,41 @@ def ref_check_measure_coord(coord: CoordRep) -> bool:
         for prefix in range(p**k):
             if len(set(coord.subfn(k, prefix))) != p:
                 return False
+    return True
+
+
+def ref_vdp_interpolate(table: ValueTable) -> VdpSeries:
+    ctx = table.ctx
+    p, modulus = ctx.p, ctx.modulus
+    B = list(table.values[:p])
+    pn = p
+    while pn < modulus:
+        for m in range(pn, pn * p):
+            B.append((table.values[m] - table.values[m % pn]) % modulus)
+        pn *= p
+    return VdpSeries(ctx, tuple(B))
+
+
+def ref_coord_from_table(table: ValueTable) -> CoordRep:
+    if not check_one_lipschitz(table):
+        raise NotOneLipschitzError("coordinate form exists only for 1-Lipschitz tables")
+    ctx = table.ctx
+    p = ctx.p
+    phi = []
+    pk = 1
+    for k in range(ctx.precision):
+        pk1 = pk * p
+        phi.append(tuple((table.values[a] // pk) % p for a in range(pk1)))
+        pk = pk1
+    return CoordRep(ctx, tuple(phi))
+
+
+def ref_check_measure_bruteforce(table: ValueTable) -> bool:
+    ctx = table.ctx
+    for k in range(1, ctx.precision + 1):
+        pk = ctx.p**k
+        if len({table.values[x] % pk for x in range(pk)}) != pk:
+            return False
     return True
 
 
@@ -213,6 +250,18 @@ def test_kernels_match_the_per_entry_reference(p, K):
             assert table_from_coord(coord) == ref_table_from_coord(coord) == table, what
 
 
+@pytest.mark.parametrize("p,K", CONTEXTS)
+def test_level_slices_match_the_per_entry_reference(p, K):
+    rng = Random(K * 1000 + p + 1)
+    for what, table in tables(p, K):
+        values = list(table.values)
+        values[0] = values[rng.randrange(1, len(values))]  # a collision at x = 0
+        for t in (table, ValueTable(table.ctx, tuple(values))):
+            assert vdp_interpolate(t) == ref_vdp_interpolate(t), what
+            assert outcome(coord_from_table, t) == outcome(ref_coord_from_table, t), what
+            assert check_measure_bruteforce(t) == ref_check_measure_bruteforce(t), what
+
+
 def test_measure_vdp_raises_or_returns_in_visiting_order():
     ctx = PadicContext(3, 3)
     B = list(vdp_interpolate(random_one_lipschitz_table(ctx, Random(4), 1.0)).B)
@@ -261,6 +310,60 @@ def test_coordinate_criterion_sees_each_single_broken_subfunction(p, K):
 def test_measure_vdp_min_level_below_one_is_refused():
     series = vdp_interpolate(random_one_lipschitz_table(PadicContext(3, 2), Random(1)))
     assert outcome(check_measure_vdp, series, 0) == outcome(ref_check_measure_vdp, series, 0)
+
+
+# -- the one-pass reading of canonical text ------------------------------------
+
+
+def near_canonical(text: str, p: int, K: int) -> list[tuple[str, str]]:
+    """Variants of a canonical text whose entry lines the one-pass reading
+    must refuse."""
+    head, _, body = text.partition("\n")
+    lines = body.splitlines()
+    prefix = f"{p}:{K}:"
+    return [
+        ("crlf", text.replace("\n", "\r\n")),
+        ("leading space", head + "\n " + body),
+        ("trailing space", text[:-1] + " \n"),
+        ("blank line", head + "\n\n" + body),
+        ("no final newline", text[:-1]),
+        ("one line too many", text + lines[0] + "\n"),
+        ("one line too few", head + "\n" + "\n".join(lines[1:]) + "\n"),
+        ("line swapped for a decimal", head + "\n" + "\n".join(["0"] + lines[1:]) + "\n"),
+        ("K + 1 digits", head + "\n" + "\n".join([lines[0] + ",0"] + lines[1:]) + "\n"),
+        ("K - 1 digits", head + "\n" + "\n".join(
+            [lines[0].rpartition(",")[0] or prefix] + lines[1:]) + "\n"),
+        ("form feed", text[:-1] + "\x0c\n"),
+        ("text after the last newline", text + lines[0]),
+        ("carriage returns only", text.replace("\n", "\r")),
+        ("leading zero", head + "\n" + "\n".join(
+            [prefix + "0" + lines[0][len(prefix):]] + lines[1:]) + "\n"),
+        ("digit p", head + "\n" + "\n".join(
+            [prefix + ",".join([str(p)] + ["0"] * (K - 1))] + lines[1:]) + "\n"),
+    ]
+
+
+# The contexts with p >= 11 write two-character digits.
+@pytest.mark.parametrize("p,K", CONTEXTS)
+def test_one_pass_reading_matches_the_per_line_path(p, K):
+    for what, table in tables(p, K)[:3]:
+        for obj in (table, vdp_interpolate(table)):
+            text = serialize_table_text(obj)
+            body = text.partition("\n")[2]
+            values = obj.values if isinstance(obj, ValueTable) else obj.B
+            assert _canonical_entries(body, obj.ctx) == list(values)
+            assert outcome(parse_table_text, text) == outcome(ref_parse_table_text, text)
+            for variant, other in near_canonical(text, p, K):
+                other_body = other.partition("\n")[2]
+                assert _canonical_entries(other_body, obj.ctx) is None, variant
+                got = outcome(parse_table_text, other)
+                assert got == outcome(ref_parse_table_text, other), (what, variant)
+            # Off-spelled headers over canonical entry lines.
+            head = text.partition("\n")[0]
+            for other in (text.replace("\n", "\r\n", 1), text.replace("\n", "\r", 1),
+                          text.replace("\n", "\x0c", 1), "  " + text,
+                          "\n \n" + text, "\x0c" + text, head + "\x0c" + text[len(head):]):
+                assert outcome(parse_table_text, other) == outcome(ref_parse_table_text, other)
 
 
 # -- entry lines drawn from a grammar ------------------------------------------

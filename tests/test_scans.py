@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from padic_ciphers import analysis
 from padic_ciphers.analysis import (
     ADD,
     AND,
@@ -240,6 +241,28 @@ def test_random_scans_match_reference(p, K):
             got = outcome(homomorphism_test, subject, op, trials=300, seed=seed)
             want = outcome(reference_test, subject, op, trials=300, seed=seed)
             assert got == want, (subject, op)
+
+
+# Every level of at most 256 residues, and the first level above, at each p:
+# the rows the scans read (bytes up to 256 residues, lists above) equal the
+# per-pair reference, with the G1-G4 kernels called one pair at a time.
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_rows_match_the_per_pair_reference(p):
+    ops = [ADD, MUL, XOR, AND] + [g_sym(g) for g in (G1(), G2(), G3(), G4())
+                                  if p > 2 or not isinstance(g, G3)]  # G3 needs odd p
+    rng = Random(p)
+    for k in range(1, 10):
+        ctx = PadicContext(p, k)
+        m = ctx.modulus
+        ys = range(m) if m <= 256 else rng.sample(range(m), 4)
+        for op in ops:
+            rows = analysis._rows(op, ctx)
+            pair = analysis._op_int if op.kind == "G" else _op_int
+            for y in ys:
+                want = [pair(op, ctx, x, y) for x in range(m)]
+                assert rows(y) == (bytes(want) if m <= 256 else want), (op, ctx, y)
+        if m > 256:
+            break
 
 
 def test_coefficients_of_another_prime_are_refused():
