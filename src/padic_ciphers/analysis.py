@@ -43,6 +43,7 @@ from random import Random
 from .ciphers import (  # OpSymbol, ADD, MUL, XOR, AND and g_sym are re-exported
     ADD,
     AND,
+    FAMILIES,
     MUL,
     OP_NAMES,
     XOR,
@@ -112,10 +113,6 @@ class SearchReport:
     trials: int
     mode: str
     detail: dict | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.verdict == "pass"
 
     def to_json(self) -> dict:
         return {
@@ -225,7 +222,7 @@ def homomorphism_test(
 
     With exhaustive_k, scan every pair of residues mod p^k; the verdict
     "pass" then certifies the law at that level.  Otherwise sample `trials`
-    random pairs at full precision.
+    random pairs at full precision, at most PAIR_BUDGET of them.
     """
     ctx, f = _subject(subject)
     if op.kind == "G":
@@ -266,6 +263,8 @@ def homomorphism_test(
                     {"level": k, "lhs": lhs[x], "rhs": rhs[x]},
                 )
         return SearchReport("pass", None, m * m, mode)
+    if trials > PAIR_BUDGET:
+        raise DomainError(f"{trials} random pairs are over the budget of {PAIR_BUDGET}")
     r = rng if rng is not None else Random(seed)
     mode = f"random:K={ctx.precision}"
     m = ctx.modulus
@@ -324,9 +323,6 @@ def counterexample_search(
     return SearchReport("exhausted", None, total, f"escalation:k<={max_k}+random")
 
 
-_FAMILY_OF = {"ADD": "additive", "MUL": "multiplicative", "XOR": "xor", "AND": "and"}
-
-
 def _nonidentity_key(ctx: PadicContext, family: str, rng: Random, attempts: int = 1000):
     for _ in range(attempts):
         key = keygen(ctx, family, rng)
@@ -364,13 +360,19 @@ def intersection_scan(
     verdict is a proof of such shared membership; those keys carry no violation
     to find, so the scan redraws instead of reporting them.  At scales the
     escalation cannot exhaust, nothing is redrawn and "exhausted" verdicts
-    surface as-is.
+    surface as-is.  A scan of more than PAIR_BUDGET pairs, counted as n_keys
+    times p^(2k) + random_trials at escalation depth k, is refused up front.
     """
-    if first.kind not in _FAMILY_OF:
+    family = next((name for name, cls in FAMILIES.items() if cls.laws == (first,)), None)
+    if family is None:
         raise DomainError(f"no key family realizes {first.name}")
-    family = _FAMILY_OF[first.kind]
+    depth = _escalation_depth(ctx, max_k)
+    pairs = n_keys * (ctx.p ** (2 * depth) + random_trials)
+    if pairs > PAIR_BUDGET:
+        raise DomainError(f"a scan of {n_keys} keys takes up to {pairs} pairs, "
+                          f"over the budget of {PAIR_BUDGET}")
     r = rng if rng is not None else Random(seed)
-    proves_membership = _escalation_depth(ctx, max_k) >= ctx.precision
+    proves_membership = depth >= ctx.precision
     reports = []
     draws = 0
     while len(reports) < n_keys:

@@ -6,16 +6,16 @@ induced map on digit strings is always 1-Lipschitz.  Conversely every
 1-Lipschitz table unrolls into a finite machine whose states are the input
 prefixes seen so far (one state per residue class mod p^k at each level k,
 plus an echo sink that is only reachable after the working precision is
-exhausted).
+exhausted).  Machines live in memory only; they have no file format.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from random import Random
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .core import DomainError, FormatError, PadicContext, PadicInt
+from .core import DomainError, PadicContext, PadicInt
 from .lipschitz import (
     DEFAULT_TABLE_LIMIT,
     NotOneLipschitzError,
@@ -80,6 +80,7 @@ def run(machine: MealyMachine, digits: Iterable[int]) -> list[int]:
 
 
 def transduce(machine: MealyMachine, x: PadicInt) -> PadicInt:
+    """The 1-Lipschitz map a machine induces on Z_p, at x's precision."""
     if machine.p != x.ctx.p:
         raise DomainError("machine and argument alphabet differ")
     return x.ctx.from_digits(run(machine, x.digits))
@@ -89,7 +90,8 @@ def transduce(machine: MealyMachine, x: PadicInt) -> PadicInt:
 
 
 def unroll_from_function(table: ValueTable) -> MealyMachine:
-    """One state per input-prefix class mod p^k, k < K, plus an echo sink.
+    """The transducer realizing a 1-Lipschitz map (acceptance criterion 8):
+    one state per input-prefix class mod p^k, k < K, plus an echo sink.
 
     State (k, a) means: k digits consumed, their value is a.  On digit d the
     machine emits digit k of the table value at the representative a + d*p^k
@@ -134,64 +136,17 @@ def function_of_automaton(
     ctx = PadicContext(machine.p, precision)
     if ctx.modulus > limit:
         raise DomainError(f"table of size {ctx.modulus} exceeds the limit {limit}")
-
-    def fn(x: int) -> int:
-        digits = []
-        v = x
-        for _ in range(precision):
-            digits.append(v % machine.p)
-            v //= machine.p
-        out = run(machine, digits)
-        total = 0
-        for d in reversed(out):
-            total = total * machine.p + d
-        return total
-
-    return ValueTable.from_callable(ctx, fn)
+    return ValueTable.from_callable(ctx, lambda x: transduce(machine, PadicInt(ctx, x)).value)
 
 
 def check_induced_bijections(machine: MealyMachine, precision: int) -> bool:
-    """True iff the word map is a bijection on length-n words for all n <= precision."""
+    """True iff the word map is a bijection on length-n words for all n <= precision:
+    the machine's map preserves the Haar measure (acceptance criterion 8)."""
     return check_measure_bruteforce(function_of_automaton(machine, precision))
 
 
-# -- serialization ------------------------------------------------------------
-
-
-def machine_to_json(machine: MealyMachine) -> dict:
-    """Row-major flattening: entry for input digit t and state s at t*states + s."""
-    return {
-        "p": machine.p,
-        "states": machine.n_states,
-        "initial": machine.initial,
-        "transition": [v for row in machine.transition for v in row],
-        "output": [v for row in machine.output for v in row],
-    }
-
-
-def machine_from_json(data: dict) -> MealyMachine:
-    try:
-        p = int(data["p"])
-        n_states = int(data["states"])
-        initial = int(data["initial"])
-        flat_t = [int(v) for v in data["transition"]]
-        flat_o = [int(v) for v in data["output"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"malformed machine object: {exc}") from exc
-    if n_states < 1:  # else a large p with empty tables would unflatten p empty rows
-        raise FormatError("at least one state required")
-    if len(flat_t) != p * n_states or len(flat_o) != p * n_states:
-        raise FormatError("transition/output tables have the wrong size")
-    unflatten = lambda flat: tuple(
-        tuple(flat[t * n_states : (t + 1) * n_states]) for t in range(p)
-    )
-    try:
-        return MealyMachine(p, n_states, unflatten(flat_t), unflatten(flat_o), initial)
-    except DomainError as exc:
-        raise FormatError(str(exc)) from exc
-
-
 def random_machine(p: int, n_states: int, rng: Random, initial: int = 0) -> MealyMachine:
+    """Uniform random tables: the random machines of acceptance criterion 8."""
     return MealyMachine(
         p=p,
         n_states=n_states,

@@ -22,11 +22,13 @@ witness.
 For a two-variable operation G whose monomials all have total degree in some
 set N, a unit A commutes with G (A*G(x,y) = G(Ax,Ay)) exactly when A^d = 1
 for d = gcd{n - 1 : n in N}.  For odd p the solutions in Z_p are the
-Teichmuller lifts of the mod-p solutions, so there are at most p-1 usable
-multipliers: small primes make thin fhe key spaces.
+Teichmuller lifts of the mod-p solutions, so there are gcd(d, p-1) usable
+multipliers, A = 1 among them: small primes make thin fhe key spaces.
 
-Each key class carries its own integer kernels, ``enc_int`` and ``dec_int``,
-on residues mod p^K; ``encrypt``/``decrypt`` wrap them in a ``PadicInt``.
+Each key class draws its own random key (``draw``, which ``keygen`` finds
+through ``FAMILIES``) and carries its own integer kernels, ``enc_int`` and
+``dec_int``, on residues mod p^K; ``encrypt``/``decrypt`` wrap them in a
+``PadicInt``.
 What a kernel precomputes from the key (inverse multipliers and exponents,
 the packed columns of the xor matrix and of its inverse over F_p) is built
 on the key's first use, not when the key is made.
@@ -37,6 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, repeat
 from random import Random
 from typing import get_args
 
@@ -47,6 +50,7 @@ from .core import (
     PadicContext,
     PadicError,
     PadicInt,
+    _is_prime,
     from_text,
     is_unit,
     pow_nat,
@@ -268,49 +272,39 @@ def exponent_gcd(op: GOperation, p: int) -> int | None:
     return math.gcd(*[n - 1 for n in degrees])
 
 
-class AllUnits:
-    """Marker: every unit multiplier is admissible (linear G)."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "AllUnits()"
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AllUnits)
-
-    def __hash__(self) -> int:
-        return hash("AllUnits")
-
-
-ALL_UNITS = AllUnits()
-
-
-def admissible_multipliers(
-    ctx: PadicContext, op: GOperation
-) -> frozenset[PadicInt] | AllUnits:
-    """All solutions of A^d = 1 in Z_p at precision K, for d = exponent_gcd.
-
-    For odd p the principal units are torsion free, so the solutions are
-    exactly the Teichmuller lifts of the digits j with j^d = 1 mod p; there
-    are gcd(d, p-1) of them.
-    """
+def admissible_multipliers(ctx: PadicContext, op: GOperation) -> frozenset[PadicInt] | None:
+    """All solutions of A^d = 1 in Z_p at precision K, for d = exponent_gcd;
+    None for a linear G, which every unit commutes with."""
     if ctx.p == 2:
         raise DomainError("admissible multipliers are computed for odd p")
     d = exponent_gcd(op, ctx.p)
-    if d is None:
-        return ALL_UNITS
-    return roots_of_unity(ctx, d)
+    return None if d is None else roots_of_unity(ctx, d)
 
 
 def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
-    """Solutions of A^d = 1 in Z_p at precision K (p odd)."""
-    if ctx.p == 2:
+    """Solutions of A^d = 1 in Z_p at precision K (p odd).
+
+    The principal units are torsion free for odd p, so the solutions are the
+    Teichmuller lifts of the g = gcd(d, p-1) roots of x^d = 1 mod p.  Those
+    form the cyclic subgroup of F_p^* generated by z = r^((p-1)/g), r a
+    primitive root, and w is multiplicative: the lifts are w(z)^i, i < g.
+    """
+    p = ctx.p
+    if p == 2:
         raise DomainError("roots of unity are computed for odd p")
     if d < 1:
         raise DomainError("exponent must be >= 1")
-    _check_draw_budget(ctx.p)
-    return frozenset(
-        teichmuller(ctx, j) for j in range(1, ctx.p) if pow(j, d, ctx.p) == 1
-    )
+    _check_draw_budget(p)
+    g, m = math.gcd(d, p - 1), ctx.modulus
+    w = teichmuller(ctx, pow(_primitive_root(p), (p - 1) // g, p)).value
+    powers = accumulate(repeat(w, g - 1), lambda a, b: a * b % m, initial=1)
+    return frozenset(PadicInt(ctx, a) for a in powers)
+
+
+def _primitive_root(p: int) -> int:
+    """The least r with r^((p-1)/q) != 1 mod p for every prime q dividing p-1."""
+    qs = [q for q in range(2, p) if (p - 1) % q == 0 and _is_prime(q)]
+    return next(r for r in range(2, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
 
 
 # -- key fields in JSON -------------------------------------------------------------
@@ -380,12 +374,32 @@ _OPERATION = (_dump_operation, _load_operation)
 
 # -- key families ----------------------------------------------------------------
 #
-# Each class states the operations its encryption map respects (``laws``) and
-# its fields in JSON (``json_fields``, written and read in that order).
+# Each class states the operations its encryption map respects (``laws``), its
+# fields in JSON (``json_fields``, written and read in that order), and draws
+# its own random key (``draw(ctx, rng, g)``; only fhe reads g).
 #
 # Kernel data is built on a key's first use (a cached_property), so a key that
 # never encrypts costs nothing extra.  No kernel fills a table over all p digit
 # values in advance: that would cost O(p) work per key at a large prime.
+
+
+DRAW_BUDGET = 1 << 16  # most digits below p a key draw may enumerate: p - 1 <= this
+
+
+def _check_draw_budget(p: int) -> None:
+    """Refuse to enumerate the exponents coprime to p - 1 or the roots of unity."""
+    if p - 1 > DRAW_BUDGET:
+        raise DomainError(f"a key draw at p = {p} enumerates {p - 1} digits, "
+                          f"over the budget of {DRAW_BUDGET}")
+
+
+def _random_unit(ctx: PadicContext, rng: Random) -> PadicInt:
+    return PadicInt(ctx, rng.randrange(1, ctx.p) + ctx.p * rng.randrange(ctx.modulus // ctx.p))
+
+
+def _coprime_exponents(p: int) -> list[int]:
+    _check_draw_budget(p)
+    return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
 
 
 class _UnitMultiplier:
@@ -416,6 +430,10 @@ class AdditiveKey(_UnitMultiplier):
         if not is_unit(self.A):
             raise InvalidKeyError("multiplier A must be a unit")
 
+    @classmethod
+    def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "AdditiveKey":
+        return cls(_random_unit(ctx, rng))
+
     @property
     def ctx(self) -> PadicContext:
         return self.A.ctx
@@ -444,6 +462,11 @@ class MultiplicativeKey:
             raise InvalidKeyError(
                 f"digit exponent s must be in [1, {ctx.p - 1}] and coprime to p-1"
             )
+
+    @classmethod
+    def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "MultiplicativeKey":
+        exps = _coprime_exponents(ctx.p)
+        return cls(A=_random_unit(ctx, rng), s=rng.choice(exps), a=_random_unit(ctx, rng))
 
     @property
     def ctx(self) -> PadicContext:
@@ -605,6 +628,13 @@ class XorKey:
             if row[k] % ctx.p == 0:
                 raise InvalidKeyError(f"row {k} has zero diagonal; not invertible")
 
+    @classmethod
+    def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "XorKey":
+        return cls(ctx, tuple(
+            tuple(rng.randrange(ctx.p) for _ in range(k)) + (rng.randrange(1, ctx.p),)
+            for k in range(ctx.precision)
+        ))
+
     @property
     def ctx(self) -> PadicContext:
         return self.key_ctx
@@ -645,6 +675,11 @@ class AndKey:
                 raise InvalidKeyError(
                     f"digit exponent {s} must be in [1, {ctx.p - 1}] and coprime to p-1"
                 )
+
+    @classmethod
+    def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "AndKey":
+        exps = _coprime_exponents(ctx.p)
+        return cls(ctx, tuple(rng.choice(exps) for _ in range(ctx.precision)))
 
     @property
     def ctx(self) -> PadicContext:
@@ -696,6 +731,23 @@ class FheKey(_UnitMultiplier):
         if d is not None and pow_nat(self.A, d).value != 1:
             raise InvalidKeyError(f"A^{d} != 1: multiplier does not commute with G")
 
+    @classmethod
+    def draw(cls, ctx: PadicContext, rng: Random, g: GOperation | None = None) -> "FheKey":
+        """A from the non-trivial solutions of A^d = 1 for g; when only A = 1
+        exists the family offers no secrecy, and this raises instead of
+        returning the identity."""
+        g = G1() if g is None else g
+        admissible = admissible_multipliers(ctx, g)
+        if admissible is None:
+            return cls(_random_unit(ctx, rng), g)
+        candidates = sorted(a.value for a in admissible if a.value != 1)
+        if not candidates:
+            raise InvalidKeyError(
+                "only the trivial multiplier A = 1 commutes with this operation "
+                f"at p = {ctx.p}; pick a different operation or a larger prime"
+            )
+        return cls(PadicInt(ctx, rng.choice(candidates)), g)
+
     @property
     def ctx(self) -> PadicContext:
         return self.A.ctx
@@ -716,71 +768,19 @@ FAMILIES = {cls.family: cls for cls in get_args(CipherKey)}  # family name -> ke
 
 # -- key generation ----------------------------------------------------------------
 
-DRAW_BUDGET = 1 << 16  # most digits below p a key draw may enumerate: p - 1 <= this
-
-
-def _check_draw_budget(p: int) -> None:
-    """Refuse to enumerate the exponents coprime to p - 1 or the roots of unity."""
-    if p - 1 > DRAW_BUDGET:
-        raise DomainError(f"a key draw at p = {p} enumerates {p - 1} digits, "
-                          f"over the budget of {DRAW_BUDGET}")
-
-
-def _random_unit(ctx: PadicContext, rng: Random) -> PadicInt:
-    return PadicInt(
-        ctx,
-        rng.randrange(1, ctx.p) + ctx.p * rng.randrange(ctx.modulus // ctx.p),
-    )
-
-
-def _coprime_exponents(p: int) -> list[int]:
-    _check_draw_budget(p)
-    return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
-
 
 def keygen(
     ctx: PadicContext, family: str, rng: Random, g: GOperation | None = None
 ) -> CipherKey:
-    """Uniformly random valid key of the requested family.
+    """Uniformly random valid key of the requested family, drawn by its class.
 
-    fhe keys draw A from the non-trivial solutions of A^d = 1 for the
-    declared operation; when only A = 1 exists the family offers no secrecy
-    and this raises instead of silently returning the identity.
+    ``g`` is the second operation an fhe key respects (G1 by default); the
+    other families ignore it.
     """
-    if family == "additive":
-        return AdditiveKey(_random_unit(ctx, rng))
-    if family == "multiplicative":
-        exps = _coprime_exponents(ctx.p)
-        return MultiplicativeKey(
-            A=_random_unit(ctx, rng),
-            s=rng.choice(exps),
-            a=_random_unit(ctx, rng),
-        )
-    if family == "xor":
-        rows = []
-        for k in range(ctx.precision):
-            rows.append(
-                tuple(rng.randrange(ctx.p) for _ in range(k))
-                + (rng.randrange(1, ctx.p),)
-            )
-        return XorKey(ctx, tuple(rows))
-    if family == "and":
-        exps = _coprime_exponents(ctx.p)
-        return AndKey(ctx, tuple(rng.choice(exps) for _ in range(ctx.precision)))
-    if family == "fhe":
-        if g is None:
-            g = G1()
-        admissible = admissible_multipliers(ctx, g)
-        if isinstance(admissible, AllUnits):
-            return FheKey(_random_unit(ctx, rng), g)
-        candidates = sorted(a.value for a in admissible if a.value != 1)
-        if not candidates:
-            raise InvalidKeyError(
-                "only the trivial multiplier A = 1 commutes with this operation "
-                f"at p = {ctx.p}; pick a different operation or a larger prime"
-            )
-        return FheKey(PadicInt(ctx, rng.choice(candidates)), g)
-    raise DomainError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    cls = FAMILIES.get(family) if isinstance(family, str) else None
+    if cls is None:
+        raise DomainError(f"unknown family {family!r}; expected one of {tuple(FAMILIES)}")
+    return cls.draw(ctx, rng, g)
 
 
 # -- encryption / decryption ----------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -28,7 +29,6 @@ from random import Random
 
 from .analysis import (
     check_pair_budget,
-    counterexample_search,
     homomorphism_test,
     intersection_scan,
     laws_for_key,
@@ -40,13 +40,11 @@ from .ciphers import (
     G_CHOICES,
     G1,
     LinearG,
-    MultiplicativeKey,
-    admissible_multipliers,
-    AllUnits,
     _random_unit,
     decrypt,
     encrypt,
     encryption_table,
+    exponent_gcd,
     key_from_json,
     key_to_json,
     keygen,
@@ -128,10 +126,6 @@ def _load_key(path: str):
     return key_from_json(data)
 
 
-def _parse_value(text: str, ctx: PadicContext) -> PadicInt:
-    return from_text(text, ctx)
-
-
 def _parse_env(pairs: list[str], ctx: PadicContext) -> dict[str, PadicInt]:
     env = {}
     for pair in pairs:
@@ -139,7 +133,7 @@ def _parse_env(pairs: list[str], ctx: PadicContext) -> dict[str, PadicInt]:
         name = name.strip()
         if not eq or not name.isidentifier():
             raise FormatError(f"environment entries look like name=value, got {pair!r}")
-        env[name] = _parse_value(raw.strip(), ctx)
+        env[name] = from_text(raw, ctx)
     return env
 
 
@@ -158,15 +152,16 @@ def _cmd_keygen(args) -> int:
             g = LinearG(_random_unit(ctx, rng), _random_unit(ctx, rng))
         else:
             g = operation_from_name(name, ctx)
-        admissible = admissible_multipliers(ctx, g)
-        if not isinstance(admissible, AllUnits):
-            usable = sum(1 for a in admissible if a.value != 1)
-            if usable < 3:
-                print(
-                    f"warning: only {usable} non-trivial multiplier(s) commute with "
-                    f"{name} at p = {ctx.p}; the key space is tiny",
-                    file=sys.stderr,
-                )
+        if ctx.p == 2:  # refused before the warning, as keygen refuses it
+            raise DomainError("admissible multipliers are computed for odd p")
+        d = exponent_gcd(g, ctx.p)
+        usable = None if d is None else math.gcd(d, ctx.p - 1) - 1  # A = 1 excluded
+        if usable is not None and usable < 3:
+            print(
+                f"warning: only {usable} non-trivial multiplier(s) commute with "
+                f"{name} at p = {ctx.p}; the key space is tiny",
+                file=sys.stderr,
+            )
     key = keygen(ctx, args.family, rng, g=g)
     payload = json.dumps(key_to_json(key), indent=2, sort_keys=True) + "\n"
     if args.out:
@@ -186,7 +181,7 @@ def _cmd_keygen(args) -> int:
 
 def _cmd_endec(args, forward: bool) -> int:
     key = _load_key(args.key)
-    value = _parse_value(args.value, key.ctx)
+    value = from_text(args.value, key.ctx)
     result = encrypt(key, value) if forward else decrypt(key, value)
     if args.json:
         _emit_json({
@@ -246,7 +241,6 @@ def _measure_block(table) -> dict:
         "coordinate": check_measure_coord(coord_from_table(table)),
     }
 
-
 def _cmd_check(args) -> int:
     if bool(args.key) == bool(args.table):
         raise FormatError("check needs exactly one of --key or --table")
@@ -298,7 +292,7 @@ def _cmd_check(args) -> int:
         else:
             results["measure"] = "skipped"
             if not args.json:
-                print(f"measure: skipped (p^K = {ctx.modulus} exceeds the table limit)")
+                print(f"measure: skipped (p^K exceeds the table limit of {_MEASURE_LIMIT})")
             if args.out:
                 raise DomainError("cannot export a table this large")
         if not args.measure:
@@ -319,7 +313,7 @@ def _cmd_check(args) -> int:
                     if entry["witness"]:
                         line += f" witness={tuple(entry['witness'])}"
                     print(f"{line} ({entry['trials']} pairs)")
-            if isinstance(key, MultiplicativeKey) and ctx.modulus <= _MEASURE_LIMIT:
+            if key.family == "multiplicative" and ctx.modulus <= _MEASURE_LIMIT:
                 probe = vdp_coefficient_probe(key)
                 results["coefficient_probe"] = probe.to_json()
                 ok &= probe.verdict == "pass"

@@ -2,7 +2,7 @@
 
 A value is the canonical residue mod p**K together with its context (p, K).
 Ring operations, digitwise operations and the unit-group maps (Teichmuller
-lift, exp/ln, unit powering) all return the first K digits of the
+lift, unit powering) all return the first K digits of the
 infinite-precision result; this is well defined because every map here is
 1-Lipschitz in the p-adic metric.
 
@@ -10,15 +10,15 @@ Conventions:
 
 * digits are little-endian: x = x0 + p*x1 + ... + p^(K-1)*x_{K-1};
 * ``valuation`` of the zero residue is ``math.inf``;
-* the unit-group maps (pow_unit, teichmuller, exp_p, ln_p) require p odd,
-  because the torsion/convergence facts they rely on fail at p = 2.
+* the unit-group maps (pow_unit, teichmuller) require p odd, because the
+  torsion facts they rely on fail at p = 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 DEFAULT_MAX_PRECISION = 64
 
@@ -161,17 +161,6 @@ class PadicInt:
             v //= p
         return tuple(out)
 
-    def digit(self, k: int) -> int:
-        if not 0 <= k < self.ctx.precision:
-            raise DomainError(f"digit index {k} out of range [0, {self.ctx.precision})")
-        return (self.value // self.ctx.p**k) % self.ctx.p
-
-    def prefix(self, k: int) -> int:
-        """The residue mod p**k (value of the first k digits), 0 <= k <= K."""
-        if not 0 <= k <= self.ctx.precision:
-            raise DomainError(f"prefix length {k} out of range [0, {self.ctx.precision}]")
-        return self.value % self.ctx.p**k
-
     # -- ring structure ----------------------------------------------------
 
     def _check_ctx(self, other: "PadicInt") -> None:
@@ -212,7 +201,8 @@ class PadicInt:
 
 
 def truncate(x: PadicInt, precision: int) -> PadicInt:
-    """Keep the first ``precision`` digits; the result lives in a (p, precision) context."""
+    """Reduction mod p^precision, the map every 1-Lipschitz cipher of the p-adic
+    model commutes with; the result lives in a (p, precision) context."""
     if not 1 <= precision <= x.ctx.precision:
         raise DomainError(
             f"target precision {precision} out of range [1, {x.ctx.precision}]"
@@ -263,27 +253,7 @@ def from_text(text: str, ctx: PadicContext | None = None) -> PadicInt:
     return ctx.integer(n)
 
 
-# -- valuation / unit decomposition ------------------------------------------
-
-
-@dataclass(frozen=True)
-class UnitDecomposition:
-    """x = p^valuation * (unit_digit + p * tail) for nonzero x.
-
-    ``tail`` is carried at full context precision; only its first
-    K - valuation - 1 digits are meaningful.
-    """
-
-    valuation: int | float
-    unit_digit: int
-    tail: PadicInt
-
-    def recompose(self) -> PadicInt:
-        ctx = self.tail.ctx
-        if self.valuation == math.inf:
-            return ctx.zero
-        v = (self.unit_digit + ctx.p * self.tail.value) * ctx.p**self.valuation
-        return PadicInt(ctx, v % ctx.modulus)
+# -- valuation / units --------------------------------------------------------
 
 
 def valuation(x: PadicInt) -> int | float:
@@ -297,19 +267,12 @@ def valuation(x: PadicInt) -> int | float:
     return k
 
 
-def unit_decompose(x: PadicInt) -> UnitDecomposition:
-    k = valuation(x)
-    if k == math.inf:
-        return UnitDecomposition(math.inf, 0, x.ctx.zero)
-    u = x.value // x.ctx.p**k
-    return UnitDecomposition(k, u % x.ctx.p, x.ctx.integer(u // x.ctx.p))
-
-
 def is_unit(x: PadicInt) -> bool:
     return x.value % x.ctx.p != 0
 
 
 def invert_unit(x: PadicInt) -> PadicInt:
+    """The inverse in the unit group Z_p^*, as A^-1 decrypts y = A*x."""
     if not is_unit(x):
         raise NonUnitError(f"residue {x.value} has zero first digit, no inverse")
     return PadicInt(x.ctx, pow(x.value, -1, x.ctx.modulus))
@@ -356,81 +319,6 @@ def teichmuller(ctx: PadicContext, a: int) -> PadicInt:
     return PadicInt(ctx, pow(a, ctx.p ** (ctx.precision - 1), ctx.modulus))
 
 
-# -- exp / ln on the convergence domains -------------------------------------
-
-
-def _strip_p_power(n: int, p: int) -> tuple[int, int]:
-    """n = p**v * m with m coprime to p; returns (v, m)."""
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v, n
-
-
-def exp_p(x: PadicInt) -> PadicInt:
-    """Truncated exponential series; needs p odd and valuation(x) >= 1."""
-    ctx = x.ctx
-    if ctx.p == 2:
-        raise OddPrimeRequiredError("exp_p needs odd p")
-    if x.value == 0:
-        return ctx.one
-    p, K, modulus = ctx.p, ctx.precision, ctx.modulus
-    v = valuation(x)
-    if v < 1:
-        raise DomainError("exp_p argument must have valuation >= 1")
-    # Term n is x^n / n!; v_p(n!) = (n - digitsum(n)) / (p - 1), so the term's
-    # valuation is at least n*v - (n-1)/(p-1) and grows without bound for p odd.
-    total = 1
-    num = 1  # exact integer x.value**n
-    fact_v, fact_unit = 0, 1  # n! = p**fact_v * fact_unit
-    n = 0
-    while (n + 1) * (v * (p - 1) - 1) < K * (p - 1):
-        n += 1
-        num *= x.value
-        dv, dm = _strip_p_power(n, p)
-        fact_v += dv
-        fact_unit = (fact_unit * dm) % modulus
-        term = (num // p**fact_v) % modulus
-        total += term * pow(fact_unit, -1, modulus)
-        total %= modulus
-    return PadicInt(ctx, total)
-
-
-def ln_p(u: PadicInt) -> PadicInt:
-    """Truncated logarithm series; needs p odd and u = 1 mod p."""
-    ctx = u.ctx
-    if ctx.p == 2:
-        raise OddPrimeRequiredError("ln_p needs odd p")
-    if u.value % ctx.p != 1:
-        raise DomainError(f"ln_p argument must be = 1 mod p, got first digit {u.value % ctx.p}")
-    p, K, modulus = ctx.p, ctx.precision, ctx.modulus
-    t = (u.value - 1) % modulus
-    if t == 0:
-        return ctx.zero
-    v, _ = _strip_p_power(t, p)
-    # Term n is (-1)^(n+1) t^n / n with valuation n*v - v_p(n); the lower
-    # bound n*v - floor(log_p n) is non-decreasing in n for v >= 1.
-    total = 0
-    num = 1
-    n = 0
-    plog = 0  # floor(log_p n)
-    pnext = p
-    while True:
-        n += 1
-        if n == pnext:
-            plog += 1
-            pnext *= p
-        if n * v - plog >= K:
-            break
-        num *= t
-        nv, nm = _strip_p_power(n, p)
-        term = (num // p**nv) % modulus * pow(nm, -1, modulus) % modulus
-        total = (total + term) if n % 2 == 1 else (total - term)
-        total %= modulus
-    return PadicInt(ctx, total)
-
-
 # -- digitwise operations -----------------------------------------------------
 
 
@@ -456,7 +344,3 @@ def and_p(x: PadicInt, y: PadicInt) -> PadicInt:
         x.ctx, digitwise(x.value, y.value, x.ctx.p, x.ctx.precision, multiply=True)
     )
 
-
-def all_ones(ctx: PadicContext) -> PadicInt:
-    """Neutral element of and_p: every digit equal to 1."""
-    return PadicInt(ctx, (ctx.modulus - 1) // (ctx.p - 1))

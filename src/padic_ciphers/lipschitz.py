@@ -33,7 +33,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, Iterable
+from typing import Callable
 
 from .core import DomainError, FormatError, PadicContext, PadicInt, PadicError, from_text
 
@@ -86,9 +86,6 @@ class ValueTable:
 
     def __getitem__(self, x: int) -> int:
         return self.values[x]
-
-    def apply(self, x: PadicInt) -> PadicInt:
-        return PadicInt(self.ctx, self.values[x.value])
 
 
 @dataclass(frozen=True)
@@ -152,7 +149,8 @@ class CoordRep:
 
 
 def chi(m: int, x: PadicInt) -> int:
-    """1 iff x = m mod p**n where n is the digit length of m (1 for m = 0)."""
+    """The van der Put indicator basis: 1 iff x = m mod p**n, where n is the
+    digit length of m (1 for m = 0)."""
     p = x.ctx.p
     if not 0 <= m < x.ctx.modulus:
         raise DomainError(f"index {m} out of range [0, {x.ctx.modulus})")
@@ -161,7 +159,8 @@ def chi(m: int, x: PadicInt) -> int:
 
 
 def vdp_eval(series: VdpSeries, x: PadicInt) -> PadicInt:
-    """Sum of B over the distinct digit prefixes of x (the indices with chi = 1)."""
+    """The van der Put series sum of B_m chi(m, x) at x: B summed over the
+    distinct digit prefixes of x, the indices with chi = 1."""
     if series.ctx != x.ctx:
         raise DomainError("series and argument contexts differ")
     ctx = series.ctx
@@ -331,7 +330,8 @@ def check_measure_coord(coord: CoordRep) -> bool:
 def random_one_lipschitz_table(
     ctx: PadicContext, rng: Random, permutation_bias: float = 0.5
 ) -> ValueTable:
-    """Draw each one-digit sub-function independently and compose.
+    """A random 1-Lipschitz map in the coordinate form of the p-adic model:
+    draw each one-digit sub-function independently and compose.
 
     Each sub-function is a random permutation of the digit alphabet with
     probability ``permutation_bias`` and an arbitrary random digit map

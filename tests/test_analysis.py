@@ -224,6 +224,20 @@ def test_level_over_the_pair_budget_is_refused_before_any_work():
         intersection_scan(ADD, MUL, key.ctx, max_k=5)
 
 
+def test_trial_and_key_counts_over_the_pair_budget_are_refused(monkeypatch):
+    key = AdditiveKey(C33.integer(13))
+    with pytest.raises(DomainError, match="over the budget"):
+        homomorphism_test(key, MUL, trials=analysis.PAIR_BUDGET + 1)
+    # A scan of n keys at (3, 3) counts n * (3^6 + 256) pairs: acceptance
+    # criterion 4's 100 keys take 98,500 of them.
+    monkeypatch.setattr(analysis, "keygen", None)  # no key may be drawn
+    n = analysis.PAIR_BUDGET // (3**6 + 256) + 1
+    with pytest.raises(DomainError, match="over the budget"):
+        intersection_scan(ADD, MUL, C33, n_keys=n)
+    with pytest.raises(DomainError, match="over the budget"):
+        intersection_scan(ADD, MUL, C33, n_keys=1, random_trials=analysis.PAIR_BUDGET)
+
+
 def test_operation_tables_hold_a_check_and_search_working_set():
     """The certify and refute work of the laws benchmark, done twice: the
     second pass finds every operation table it needs in the cache."""

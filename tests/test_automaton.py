@@ -1,6 +1,4 @@
-import json
 import random
-import time
 
 import pytest
 
@@ -10,8 +8,6 @@ from padic_ciphers.automaton import (
     TransducerRun,
     check_induced_bijections,
     function_of_automaton,
-    machine_from_json,
-    machine_to_json,
     random_machine,
     run,
     transduce,
@@ -155,34 +151,6 @@ def test_bijectivity_bridge():
     ctx = PadicContext(5, 2)
     t = ValueTable.from_callable(ctx, lambda x: 7 * x)
     assert check_induced_bijections(unroll_from_function(t), 2)
-
-
-def test_json_roundtrip():
-    rng = random.Random(53)
-    m = random_machine(3, 5, rng, initial=2)
-    blob = json.dumps(machine_to_json(m))
-    back = machine_from_json(json.loads(blob))
-    assert back == m
-
-    from padic_ciphers.core import FormatError
-
-    with pytest.raises(FormatError):
-        machine_from_json({"p": 2, "states": 1})
-    bad = machine_to_json(m) | {"transition": [0] * 7}
-    with pytest.raises(FormatError):
-        machine_from_json(bad)
-
-
-def test_machine_json_with_no_states_or_infinite_numbers_is_malformed():
-    from padic_ciphers.core import FormatError
-
-    empty = {"states": 0, "initial": 0, "transition": [], "output": []}
-    start = time.perf_counter()
-    with pytest.raises(FormatError, match="at least one state"):
-        machine_from_json(empty | {"p": 10**7})  # no rows built for a large p
-    assert time.perf_counter() - start < 1
-    with pytest.raises(FormatError):
-        machine_from_json(empty | {"p": float("inf"), "states": 1})
 
 
 def test_run_validates_digits():

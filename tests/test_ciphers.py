@@ -6,7 +6,6 @@ from random import Random
 import pytest
 
 from padic_ciphers.ciphers import (
-    ALL_UNITS,
     DRAW_BUDGET,
     FAMILIES,
     AdditiveKey,
@@ -39,6 +38,7 @@ from padic_ciphers.core import (
     FormatError,
     PadicContext,
     PadicInt,
+    _is_prime,
     and_p,
     pow_nat,
     pow_unit,
@@ -282,10 +282,20 @@ def test_admissible_multipliers():
     assert {a.value for a in got} == {1, 7, 18, 24}
     assert {a.value for a in roots_of_unity(C52, 4)} == {1, 7, 18, 24}
     assert {a.value for a in admissible_multipliers(C52, G3())} == {1}
-    assert admissible_multipliers(C52, LinearG(C52.one, C52.one)) == ALL_UNITS
+    assert admissible_multipliers(C52, LinearG(C52.one, C52.one)) is None  # every unit
     # every admissible multiplier really is a 4th root of 1
     for a in got:
         assert pow_nat(a, 4).value == 1
+
+
+def test_roots_of_unity_match_one_lift_per_root():
+    # The reference lifts every digit j with j^d = 1 mod p on its own.
+    for p in filter(_is_prime, range(3, 60)):
+        for K in (1, 2, 5):
+            ctx = PadicContext(p, K)
+            for d in range(1, 2 * p):
+                expected = {teichmuller(ctx, j) for j in range(1, p) if pow(j, d, p) == 1}
+                assert roots_of_unity(ctx, d) == expected, (p, K, d)
 
 
 # -- fhe ----------------------------------------------------------------------
@@ -356,6 +366,25 @@ def test_seeded_keys_are_pinned():
                 digest.update(json.dumps(key_to_json(key), sort_keys=True).encode())
     assert digest.hexdigest() == (
         "ad511e106d58b4bd9cd0cb4a85f096e48be0b9fd796814aa006fae5a8a08b3e8")
+
+
+def test_seeded_fhe_keys_under_g2_and_g4_are_pinned():
+    # Taken before each family drew its own key and the roots of unity came
+    # from one lifted generator.
+    digest = hashlib.sha256()
+    for p, K in ((5, 3), (7, 3), (13, 2)):
+        for g in (G2(), G4()):
+            for seed in (0, 1, 11):
+                key = keygen(PadicContext(p, K), "fhe", Random(seed), g=g)
+                digest.update(json.dumps(key_to_json(key), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "fa303ffed79c06e9b81b2f5216045bb1b138d96f4a66b8d61f7858472005776f")
+
+
+@pytest.mark.parametrize("family", ["nope", None, 3, ["fhe"], {"family": "fhe"}])
+def test_keygen_refuses_an_unknown_family(family):
+    with pytest.raises(DomainError, match="unknown family"):
+        keygen(C52, family, Random(0))
 
 
 def test_draw_budget_bounds_p():

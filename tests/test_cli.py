@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -66,6 +67,50 @@ def test_keygen_fhe_g3_has_no_usable_keys(capsys):
     )
     assert code == 5
     assert "error" in err
+
+
+# The four thin-key-space cases, taken before the CLI counted the multipliers
+# as gcd(d, p - 1) - 1 instead of enumerating them.
+THIN_KEYGEN = {
+    (2, "G1"): (5, "error: admissible multipliers are computed for odd p\n"),
+    (3, "G1"): (0, "warning: only 1 non-trivial multiplier(s) commute with G1 at p = 3; "
+                   "the key space is tiny\n"),
+    **{(p, "G3"): (5, f"warning: only 0 non-trivial multiplier(s) commute with G3 at p = {p}; "
+                      "the key space is tiny\nerror: only the trivial multiplier A = 1 "
+                      f"commutes with this operation at p = {p}; pick a different operation "
+                      "or a larger prime\n")
+       for p in (5, 7)},
+}
+
+
+@pytest.mark.parametrize("p,g", THIN_KEYGEN)
+def test_keygen_thin_fhe_keyspace_transcript(capsys, p, g):
+    code, out, err = run(capsys, "keygen", "--family", "fhe", "--g", g, "--p", str(p),
+                         "--precision", "3", "--seed", "0")
+    assert (code, err) == THIN_KEYGEN[p, g]
+
+
+def test_seeded_glin_keys_are_pinned(capsys):
+    digest = hashlib.sha256()
+    for p, K in ((5, 3), (7, 3), (13, 2)):
+        for seed in (0, 1, 11):
+            code, out, err = run(capsys, "keygen", "--family", "fhe", "--g", "GLIN",
+                                 "--p", str(p), "--precision", str(K), "--seed", str(seed))
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "c4a00e612829876ed7ab501041211ad7a4a0dd9eac6018914645200893ca3c1b")
+
+
+def test_fhe_keygen_at_a_large_prime_is_fast(capsys):
+    # p - 1 = 2^16 roots of unity, lifted to 16 digits
+    start = time.perf_counter()
+    code, out, err = run(capsys, "keygen", "--family", "fhe", "--p", "65537",
+                         "--precision", "16", "--seed", "1")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and err == ""
+    A = key_from_json(json.loads(out)).A
+    assert A.value != 1 and pow(A.value, 65536, A.ctx.modulus) == 1
 
 
 def test_encrypt_decrypt_roundtrip(tmp_path, capsys):
@@ -249,6 +294,22 @@ def test_exhaustive_levels_over_the_pair_budget_exit_5(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_trial_and_key_counts_over_the_pair_budget_exit_5(tmp_path, capsys, mode):
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "additive", "--p", "5", "--precision", "3",
+        "--seed", "1", "--out", str(path))
+    for argv in (("check", "--key", str(path), "--trials", str(10**12)),
+                 ("search", "ADD", "MUL", "--keys", str(10**9))):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv, *mode)
+        assert time.perf_counter() - start < 1
+        assert code == 5
+        assert "over the budget" in err
+        if mode:
+            assert json.loads(err)["kind"] == "DomainError"
+
+
 def test_check_scans_a_level_of_531441_pairs(tmp_path, capsys):
     path = tmp_path / "k.json"
     run(capsys, "keygen", "--family", "multiplicative", "--p", "3", "--precision", "6",
@@ -277,6 +338,18 @@ def test_check_key_skips_measure_at_scale(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--key", str(path))
     assert code == 0
     assert "skipped" in out
+
+
+def test_skipped_measure_names_the_limit_not_the_modulus(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "additive", "--p", "1000003", "--precision", "30",
+        "--seed", "7", "--out", str(path))
+    code, out, err = run(capsys, "check", "--key", str(path), "--measure")
+    assert code == 0
+    assert "measure: skipped (p^K exceeds the table limit of 4096)\n" in out
+    code, out, err = run(capsys, "check", "--key", str(path), "--measure", "--json")
+    assert code == 0
+    assert json.loads(out)["measure"] == "skipped"
 
 
 def test_check_exports_table(tmp_path, capsys):

@@ -14,23 +14,20 @@ from padic_ciphers.core import (
     OddPrimeRequiredError,
     PadicContext,
     PadicInt,
-    all_ones,
     and_p,
     digitwise,
-    exp_p,
     from_text,
     invert_unit,
-    ln_p,
     pow_nat,
     pow_unit,
     teichmuller,
     to_text,
     truncate,
-    unit_decompose,
     valuation,
     xor_p,
     _is_prime,
 )
+from test_kernels import unit_decompose
 
 C34 = PadicContext(3, 4)
 C32 = PadicContext(3, 2)
@@ -184,8 +181,7 @@ def test_xor_group_laws_exhaustive():
 
 
 def test_and_identity():
-    e = all_ones(C53)
-    assert e.digits == (1, 1, 1)
+    e = C53.from_digits((1, 1, 1))
     for v in [0, 1, 17, 124]:
         x = C53.integer(v)
         assert and_p(x, e) == x
@@ -202,13 +198,13 @@ def test_valuation_and_unit_decompose():
     z = C34.zero
     assert valuation(z) == math.inf
     dz = unit_decompose(z)
-    assert dz.valuation == math.inf and dz.recompose() == z
+    assert (dz.valuation, dz.unit_digit, dz.tail) == (math.inf, 0, C34.zero)
 
 
 def test_unit_decompose_recompose_exhaustive():
-    for v in C33.residues():
-        x = C33.integer(v)
-        assert unit_decompose(x).recompose() == x
+    for v in range(1, C33.modulus):
+        d = unit_decompose(C33.integer(v))
+        assert (d.unit_digit + 3 * d.tail.value) * 3**d.valuation % C33.modulus == v
 
 
 def test_invert_unit_examples():
@@ -313,6 +309,84 @@ def test_teichmuller_multiplicative():
                 lhs = teichmuller(ctx, a) * teichmuller(ctx, b)
                 rhs = teichmuller(ctx, a * b % p)
                 assert lhs == rhs
+
+
+# -- exp / ln: the reference for pow_unit ----------------------------------------
+#
+# pow_unit(u, e) = u^e on 1 + pZ_p is exp(e ln u); the series below compute that
+# the long way, term by term on the convergence domains.
+
+
+def _strip_p_power(n: int, p: int) -> tuple[int, int]:
+    """n = p**v * m with m coprime to p; returns (v, m)."""
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v, n
+
+
+def exp_p(x: PadicInt) -> PadicInt:
+    """Truncated exponential series; needs p odd and valuation(x) >= 1."""
+    ctx = x.ctx
+    if ctx.p == 2:
+        raise OddPrimeRequiredError("exp_p needs odd p")
+    if x.value == 0:
+        return ctx.one
+    p, K, modulus = ctx.p, ctx.precision, ctx.modulus
+    v = valuation(x)
+    if v < 1:
+        raise DomainError("exp_p argument must have valuation >= 1")
+    # Term n is x^n / n!; v_p(n!) = (n - digitsum(n)) / (p - 1), so the term's
+    # valuation is at least n*v - (n-1)/(p-1) and grows without bound for p odd.
+    total = 1
+    num = 1  # exact integer x.value**n
+    fact_v, fact_unit = 0, 1  # n! = p**fact_v * fact_unit
+    n = 0
+    while (n + 1) * (v * (p - 1) - 1) < K * (p - 1):
+        n += 1
+        num *= x.value
+        dv, dm = _strip_p_power(n, p)
+        fact_v += dv
+        fact_unit = (fact_unit * dm) % modulus
+        term = (num // p**fact_v) % modulus
+        total += term * pow(fact_unit, -1, modulus)
+        total %= modulus
+    return PadicInt(ctx, total)
+
+
+def ln_p(u: PadicInt) -> PadicInt:
+    """Truncated logarithm series; needs p odd and u = 1 mod p."""
+    ctx = u.ctx
+    if ctx.p == 2:
+        raise OddPrimeRequiredError("ln_p needs odd p")
+    if u.value % ctx.p != 1:
+        raise DomainError(f"ln_p argument must be = 1 mod p, got first digit {u.value % ctx.p}")
+    p, K, modulus = ctx.p, ctx.precision, ctx.modulus
+    t = (u.value - 1) % modulus
+    if t == 0:
+        return ctx.zero
+    v, _ = _strip_p_power(t, p)
+    # Term n is (-1)^(n+1) t^n / n with valuation n*v - v_p(n); the lower
+    # bound n*v - floor(log_p n) is non-decreasing in n for v >= 1.
+    total = 0
+    num = 1
+    n = 0
+    plog = 0  # floor(log_p n)
+    pnext = p
+    while True:
+        n += 1
+        if n == pnext:
+            plog += 1
+            pnext *= p
+        if n * v - plog >= K:
+            break
+        num *= t
+        nv, nm = _strip_p_power(n, p)
+        term = (num // p**nv) % modulus * pow(nm, -1, modulus) % modulus
+        total = (total + term) if n % 2 == 1 else (total - term)
+        total %= modulus
+    return PadicInt(ctx, total)
 
 
 def test_exp_ln_examples():

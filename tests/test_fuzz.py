@@ -6,7 +6,6 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from padic_ciphers.automaton import machine_from_json
 from padic_ciphers.ciphers import FAMILIES, G_CHOICES, key_from_json
 from padic_ciphers.core import FormatError, PadicContext, from_text
 from padic_ciphers.lipschitz import parse_table_text
@@ -93,18 +92,3 @@ def key_objects(draw):
 def test_key_from_json(data):
     only_format_errors(key_from_json, data)
 
-
-@st.composite
-def machine_objects(draw):
-    data = draw(st.dictionaries(st.text(max_size=8), json_values, max_size=2))
-    for name in draw(st.sets(st.sampled_from(["p", "states", "initial"]))):
-        data[name] = draw(small_ints | json_values)
-    for name in draw(st.sets(st.sampled_from(["transition", "output"]))):
-        data[name] = draw(st.lists(small_ints, max_size=9) | json_values)
-    return data
-
-
-@FUZZ
-@given(machine_objects())
-def test_machine_from_json(data):
-    only_format_errors(machine_from_json, data)

@@ -11,6 +11,7 @@ on zero, and decryption must invert encryption.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -33,10 +34,31 @@ from padic_ciphers.core import (
     pow_nat,
     pow_unit,
     teichmuller,
-    unit_decompose,
+    valuation,
 )
 
 # -- reference implementations ---------------------------------------------------
+
+
+@dataclass(frozen=True)
+class UnitDecomposition:
+    """x = p^valuation * (unit_digit + p * tail) for nonzero x.
+
+    ``tail`` is carried at full context precision; only its first
+    K - valuation - 1 digits are meaningful.
+    """
+
+    valuation: int | float
+    unit_digit: int
+    tail: PadicInt
+
+
+def unit_decompose(x: PadicInt) -> UnitDecomposition:
+    k = valuation(x)
+    if k == math.inf:
+        return UnitDecomposition(math.inf, 0, x.ctx.zero)
+    u = x.value // x.ctx.p**k
+    return UnitDecomposition(k, u % x.ctx.p, x.ctx.integer(u // x.ctx.p))
 
 
 def _multiplicative_encrypt(key: MultiplicativeKey, x: PadicInt) -> PadicInt:
