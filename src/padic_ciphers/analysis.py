@@ -128,6 +128,7 @@ class SearchReport:
 
 PAIR_BUDGET = 1 << 24  # most pairs one exhaustive level may scan: p^(2k) <= this
 TABLE_RESIDUES = 256  # levels this small keep their operation table
+PROBE_LIMIT = 1 << 16  # largest p^K whose table the coefficient probe builds
 
 
 def check_pair_budget(ctx: PadicContext, k: int) -> None:
@@ -396,9 +397,7 @@ def intersection_scan(
 # -- interpolation-series probe -----------------------------------------------
 
 
-def vdp_coefficient_probe(
-    key: MultiplicativeKey, *, limit: int = 1 << 16
-) -> SearchReport:
+def vdp_coefficient_probe(key: MultiplicativeKey) -> SearchReport:
     """Verify the closed congruences for the cipher's interpolation coefficients.
 
     Normalized coefficient at index m, everything mod p:
@@ -409,7 +408,7 @@ def vdp_coefficient_probe(
     """
     if key.family != "multiplicative":
         raise DomainError("the coefficient probe applies to multiplicative keys")
-    table = encryption_table(key, limit)
+    table = encryption_table(key, PROBE_LIMIT)
     return _vdp_probe_table(table, key.A.value, key.s, key.a.value)
 
 

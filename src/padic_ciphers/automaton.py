@@ -17,7 +17,6 @@ from typing import Iterable
 
 from .core import DomainError, PadicContext, PadicInt
 from .lipschitz import (
-    DEFAULT_TABLE_LIMIT,
     NotOneLipschitzError,
     ValueTable,
     check_measure_bruteforce,
@@ -129,13 +128,9 @@ def unroll_from_function(table: ValueTable) -> MealyMachine:
     )
 
 
-def function_of_automaton(
-    machine: MealyMachine, precision: int, limit: int = DEFAULT_TABLE_LIMIT
-) -> ValueTable:
+def function_of_automaton(machine: MealyMachine, precision: int) -> ValueTable:
     """Value table of the induced map on the first ``precision`` digits."""
     ctx = PadicContext(machine.p, precision)
-    if ctx.modulus > limit:
-        raise DomainError(f"table of size {ctx.modulus} exceeds the limit {limit}")
     return ValueTable.from_callable(ctx, lambda x: transduce(machine, PadicInt(ctx, x)).value)
 
 

@@ -808,9 +808,9 @@ def encryption_table(key: CipherKey, limit: int = DEFAULT_TABLE_LIMIT) -> ValueT
     return ValueTable.from_callable(ctx, key.enc_int)
 
 
-def is_identity_key(key: CipherKey, limit: int = DEFAULT_TABLE_LIMIT) -> bool:
+def is_identity_key(key: CipherKey) -> bool:
     """True iff the encryption map equals the identity mod p**K."""
-    table = encryption_table(key, limit)
+    table = encryption_table(key)
     return all(table.values[x] == x for x in key.ctx.residues())
 
 

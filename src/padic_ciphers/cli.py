@@ -28,6 +28,7 @@ import tempfile
 from random import Random
 
 from .analysis import (
+    PAIR_BUDGET,
     check_pair_budget,
     homomorphism_test,
     intersection_scan,
@@ -296,7 +297,10 @@ def _cmd_check(args) -> int:
             if args.out:
                 raise DomainError("cannot export a table this large")
         if not args.measure:
-            top = min(args.exhaustive_k, ctx.precision)
+            top = args.exhaustive_k
+            if top is None:  # levels 1 and 2, as far as the pair budget allows
+                top = next(k for k in (2, 1, 0) if ctx.p ** (2 * k) <= PAIR_BUDGET)
+            top = min(top, ctx.precision)
             check_pair_budget(ctx, top)  # refuse before any level runs
             laws = []
             for law in laws_for_key(key):
@@ -457,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--table", help="value table file to verify")
     sub.add_argument("--measure", action="store_true",
                      help="measure checks only (skip law scans)")
-    sub.add_argument("--exhaustive-k", type=_at_least(0), default=2, dest="exhaustive_k")
+    sub.add_argument("--exhaustive-k", type=_at_least(0), default=None, dest="exhaustive_k")
     sub.add_argument("--trials", type=_at_least(1), default=512)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="with --key: export the encryption table")

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-DEFAULT_MAX_PRECISION = 64
+MAX_PRECISION = 64
 
 
 class PadicError(Exception):
@@ -93,15 +93,14 @@ class PadicContext:
 
     p: int
     precision: int
-    max_precision: int = field(default=DEFAULT_MAX_PRECISION, compare=False, repr=False)
     modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or not _is_prime(self.p):
             raise DomainError(f"p must be a prime integer, got {self.p!r}")
-        if not 1 <= self.precision <= self.max_precision:
+        if not 1 <= self.precision <= MAX_PRECISION:
             raise DomainError(
-                f"precision must be in [1, {self.max_precision}], got {self.precision}"
+                f"precision must be in [1, {MAX_PRECISION}], got {self.precision}"
             )
         object.__setattr__(self, "modulus", self.p**self.precision)
 
@@ -134,9 +133,6 @@ class PadicContext:
     def residues(self) -> range:
         """All canonical residues, as plain integers."""
         return range(self.modulus)
-
-    def with_precision(self, precision: int) -> "PadicContext":
-        return PadicContext(self.p, precision, max_precision=self.max_precision)
 
 
 @dataclass(frozen=True, slots=True)
@@ -207,7 +203,7 @@ def truncate(x: PadicInt, precision: int) -> PadicInt:
         raise DomainError(
             f"target precision {precision} out of range [1, {x.ctx.precision}]"
         )
-    ctx = x.ctx.with_precision(precision)
+    ctx = PadicContext(x.ctx.p, precision)
     return PadicInt(ctx, x.value % ctx.modulus)
 
 

@@ -1,5 +1,12 @@
 import ast
+import os
+import subprocess
+import sys
+import types
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 import padic_ciphers
 
@@ -16,6 +23,41 @@ def test_star_import():
     namespace: dict = {}
     exec("from padic_ciphers import *", namespace)
     assert set(padic_ciphers.__all__) <= set(namespace)
+
+
+def _loaded_after(statement: str) -> list[str]:
+    """The package's submodules a fresh interpreter holds after ``statement``."""
+    code = (f"import sys; {statement}; "
+            "print(sorted(m for m in sys.modules if m.startswith('padic_ciphers.')))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent))).stdout
+    return ast.literal_eval(out)
+
+
+def test_a_bare_import_loads_no_submodule():
+    assert _loaded_after("import padic_ciphers") == []
+
+
+def test_the_cli_does_not_load_the_automaton():
+    loaded = _loaded_after("import padic_ciphers.cli")
+    assert "padic_ciphers.cli" in loaded
+    assert "padic_ciphers.automaton" not in loaded
+
+
+def test_every_export_is_the_object_of_its_defining_module():
+    for name, where in padic_ciphers._EXPORTS.items():
+        module, attr = where if isinstance(where, tuple) else (where, name)
+        obj = getattr(import_module(f"padic_ciphers.{module}"), attr)
+        assert getattr(padic_ciphers, name) is obj
+        if isinstance(obj, (type, types.FunctionType)):
+            assert obj.__module__ == f"padic_ciphers.{module}"
+    assert padic_ciphers.formula_to_text is import_module("padic_ciphers.formula").to_text
+    assert padic_ciphers.to_text is import_module("padic_ciphers.core").to_text
+
+
+def test_an_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        padic_ciphers.no_such_name
 
 
 def test_every_public_name_has_a_caller_or_is_exported():

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -151,6 +152,13 @@ def test_bijectivity_bridge():
     ctx = PadicContext(5, 2)
     t = ValueTable.from_callable(ctx, lambda x: 7 * x)
     assert check_induced_bijections(unroll_from_function(t), 2)
+
+
+def test_function_of_automaton_refuses_a_table_over_the_limit_before_building_it():
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="exceeds the limit"):
+        function_of_automaton(identity_machine(2), 21)  # 2^21 entries
+    assert time.perf_counter() - start < 0.5
 
 
 def test_run_validates_digits():

@@ -294,6 +294,29 @@ def test_exhaustive_levels_over_the_pair_budget_exit_5(tmp_path, capsys):
         assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("p, modes", [
+    (67, ["exhaustive:k=1", "random:K=3"]),  # 67^4 pairs are over the budget, 67^2 are not
+    (4099, ["random:K=3"]),  # 4099^2 pairs are over the budget
+])
+def test_default_check_scans_only_levels_within_the_pair_budget(tmp_path, capsys, p, modes):
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "additive", "--p", str(p), "--precision", "3",
+        "--seed", "1", "--out", str(path))
+    code, out, err = run(capsys, "check", "--key", str(path), "--json")
+    assert code == 0
+    assert [entry["mode"] for entry in json.loads(out)["laws"]] == modes
+
+
+def test_an_explicit_level_over_the_pair_budget_still_exits_5(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "additive", "--p", "67", "--precision", "3",
+        "--seed", "1", "--out", str(path))
+    code, out, err = run(capsys, "check", "--key", str(path), "--exhaustive-k", "2")
+    assert code == 5
+    assert err == ("error: level 2 has 67^4 = 20151121 pairs, "
+                   "over the budget of 16777216\n")
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_trial_and_key_counts_over_the_pair_budget_exit_5(tmp_path, capsys, mode):
     path = tmp_path / "k.json"

@@ -44,8 +44,6 @@ def test_context_validation():
         PadicContext(5, 0)
     with pytest.raises(DomainError):
         PadicContext(5, 65)
-    # the bound is configurable
-    assert PadicContext(5, 80, max_precision=128).precision == 80
 
 
 def _trial_division(n: int) -> bool:
