@@ -59,10 +59,11 @@ from .ciphers import (  # OpSymbol, ADD, MUL, XOR, AND and g_sym are re-exported
     key_to_json,
     keygen,
 )
-from .core import DomainError, FormatError, PadicContext, PadicInt, and_p, digitwise, xor_p
+from .core import DomainError, FormatError, PadicContext, PadicInt, digitwise
 from .lipschitz import (
     NotOneLipschitzError,
     ValueTable,
+    _check_table_size,
     digit_length,
     vdp_interpolate,
 )
@@ -87,14 +88,9 @@ def symbol_from_name(name: str) -> OpSymbol:
 def op_apply(
     sym: OpSymbol, x: PadicInt, y: PadicInt, linear_g: LinearG | None = None
 ) -> PadicInt:
-    if sym.kind == "ADD":
-        return x + y
-    if sym.kind == "MUL":
-        return x * y
-    if sym.kind == "XOR":
-        return xor_p(x, y)
-    if sym.kind == "AND":
-        return and_p(x, y)
+    if sym.kind != "G":
+        x._check_ctx(y)
+        return PadicInt(x.ctx, _op_int(sym, x.ctx, x.value, y.value))
     g = sym.g if sym.g is not None else linear_g
     if g is None:
         raise DomainError("linear operation is unbound; supply its coefficients")
@@ -408,8 +404,8 @@ def vdp_coefficient_probe(key: MultiplicativeKey) -> SearchReport:
     """
     if key.family != "multiplicative":
         raise DomainError("the coefficient probe applies to multiplicative keys")
-    table = encryption_table(key, PROBE_LIMIT)
-    return _vdp_probe_table(table, key.A.value, key.s, key.a.value)
+    _check_table_size(key.ctx, PROBE_LIMIT)
+    return _vdp_probe_table(encryption_table(key), key.A.value, key.s, key.a.value)
 
 
 def _vdp_probe_table(table: ValueTable, A: int, s: int, a: int) -> SearchReport:

@@ -57,7 +57,7 @@ from .core import (
     teichmuller,
     to_text,
 )
-from .lipschitz import DEFAULT_TABLE_LIMIT, ValueTable
+from .lipschitz import ValueTable
 
 
 class InvalidKeyError(PadicError):
@@ -289,6 +289,11 @@ def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
     form the cyclic subgroup of F_p^* generated by z = r^((p-1)/g), r a
     primitive root, and w is multiplicative: the lifts are w(z)^i, i < g.
     """
+    return frozenset(PadicInt(ctx, a) for a in _root_values(ctx, d))
+
+
+def _root_values(ctx: PadicContext, d: int) -> list[int]:
+    """The values of roots_of_unity(ctx, d), 1 first."""
     p = ctx.p
     if p == 2:
         raise DomainError("roots of unity are computed for odd p")
@@ -297,8 +302,7 @@ def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
     _check_draw_budget(p)
     g, m = math.gcd(d, p - 1), ctx.modulus
     w = teichmuller(ctx, pow(_primitive_root(p), (p - 1) // g, p)).value
-    powers = accumulate(repeat(w, g - 1), lambda a, b: a * b % m, initial=1)
-    return frozenset(PadicInt(ctx, a) for a in powers)
+    return [*accumulate(repeat(w, g - 1), lambda a, b: a * b % m, initial=1)]
 
 
 def _primitive_root(p: int) -> int:
@@ -405,6 +409,10 @@ def _coprime_exponents(p: int) -> list[int]:
 class _UnitMultiplier:
     """Kernels of y = A*x mod p^K, shared by the additive and fhe families."""
 
+    @property
+    def ctx(self) -> PadicContext:
+        return self.A.ctx
+
     def enc_int(self, v: int) -> int:
         A, _, m = self._multipliers
         return A * v % m
@@ -433,10 +441,6 @@ class AdditiveKey(_UnitMultiplier):
     @classmethod
     def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "AdditiveKey":
         return cls(_random_unit(ctx, rng))
-
-    @property
-    def ctx(self) -> PadicContext:
-        return self.A.ctx
 
 
 @dataclass(frozen=True)
@@ -737,20 +741,18 @@ class FheKey(_UnitMultiplier):
         exists the family offers no secrecy, and this raises instead of
         returning the identity."""
         g = G1() if g is None else g
-        admissible = admissible_multipliers(ctx, g)
-        if admissible is None:
+        if ctx.p == 2:  # the refusal of admissible_multipliers
+            raise DomainError("admissible multipliers are computed for odd p")
+        d = exponent_gcd(g, ctx.p)
+        if d is None:
             return cls(_random_unit(ctx, rng), g)
-        candidates = sorted(a.value for a in admissible if a.value != 1)
+        candidates = sorted(a for a in _root_values(ctx, d) if a != 1)
         if not candidates:
             raise InvalidKeyError(
                 "only the trivial multiplier A = 1 commutes with this operation "
                 f"at p = {ctx.p}; pick a different operation or a larger prime"
             )
         return cls(PadicInt(ctx, rng.choice(candidates)), g)
-
-    @property
-    def ctx(self) -> PadicContext:
-        return self.A.ctx
 
     @property
     def d(self) -> int | None:
@@ -801,11 +803,8 @@ def decrypt(key: CipherKey, y: PadicInt) -> PadicInt:
 # -- whole-map views ------------------------------------------------------------------
 
 
-def encryption_table(key: CipherKey, limit: int = DEFAULT_TABLE_LIMIT) -> ValueTable:
-    ctx = key.ctx
-    if ctx.modulus > limit:
-        raise DomainError(f"table of size {ctx.modulus} exceeds the limit {limit}")
-    return ValueTable.from_callable(ctx, key.enc_int)
+def encryption_table(key: CipherKey) -> ValueTable:
+    return ValueTable.from_callable(key.ctx, key.enc_int)
 
 
 def is_identity_key(key: CipherKey) -> bool:

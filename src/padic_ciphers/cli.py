@@ -119,9 +119,22 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _load_key(path: str):
+def _read_text(path: str) -> str:
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path} is not readable text: {exc}") from None
+
+
+def _load_key(path: str):
+    text = _read_text(path)
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (ValueError, RecursionError) as exc:  # a number too long for int(), or too deep
+        raise FormatError(f"key file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise FormatError("a key file must hold a single JSON object")
     return key_from_json(data)
@@ -198,20 +211,18 @@ def _cmd_endec(args, forward: bool) -> int:
 # -- eval ---------------------------------------------------------------------------
 
 
+def _plain_report(report: dict) -> dict:
+    """encrypted_eval_demo's report with each residue given as its integer."""
+    return report | {name: report[name].value for name in ("plain", "cipher", "decrypted")}
+
+
 def _cmd_eval(args) -> int:
     if args.key:
         key = _load_key(args.key)
         ctx = key.ctx
         ast = parse_formula(args.formula, ctx)
         env = _parse_env(args.env, ctx)
-        report = encrypted_eval_demo(ast, env, key, seed=args.seed or 0)
-        out = {
-            "plain": report["plain"].value,
-            "cipher": report["cipher"].value,
-            "decrypted": report["decrypted"].value,
-            "match": report["match"],
-            "law_checks": report["law_checks"],
-        }
+        out = _plain_report(encrypted_eval_demo(ast, env, key, seed=args.seed or 0))
         if args.json:
             _emit_json(out)
         else:
@@ -219,7 +230,7 @@ def _cmd_eval(args) -> int:
             print(f"cipher:    {out['cipher']}")
             print(f"decrypted: {out['decrypted']}")
             print(f"match:     {_yn(out['match'])}")
-        return 0 if report["match"] else 5
+        return 0 if out["match"] else 5
     ctx = PadicContext(args.p, args.precision)
     ast = parse_formula(args.formula, ctx)
     env = _parse_env(args.env, ctx)
@@ -248,8 +259,7 @@ def _cmd_check(args) -> int:
     results: dict = {}
     ok = True
     if args.table:
-        with open(args.table) as fh:
-            table = parse_table_text(fh.read())
+        table = parse_table_text(_read_text(args.table))
         if isinstance(table, VdpSeries):  # check the map the series interpolates
             table = vdp_to_table(table)
         results["p"] = table.ctx.p
@@ -383,7 +393,7 @@ def _cmd_demo(args) -> int:
     ast = parse_formula(DEMO_FORMULA, ctx)
     names = sorted(vars_used(ast))
     env = {name: PadicInt(ctx, rng.randrange(ctx.modulus)) for name in names}
-    report = encrypted_eval_demo(ast, env, key, seed=args.seed)
+    report = _plain_report(encrypted_eval_demo(ast, env, key, seed=args.seed))
     if args.json:
         _emit_json({
             "p": ctx.p,
@@ -392,11 +402,7 @@ def _cmd_demo(args) -> int:
             "multiplier": key.A.value,
             "formula": DEMO_FORMULA,
             "env": {name: value.value for name, value in env.items()},
-            "plain": report["plain"].value,
-            "cipher": report["cipher"].value,
-            "decrypted": report["decrypted"].value,
-            "match": report["match"],
-            "law_checks": report["law_checks"],
+            **report,
         })
     else:
         print(f"encrypted evaluation demo (p={ctx.p}, K={ctx.precision}, seed={args.seed})")
@@ -404,9 +410,9 @@ def _cmd_demo(args) -> int:
         print(f"formula: {DEMO_FORMULA}")
         for name in names:
             print(f"  {name} = {env[name].value}")
-        print(f"plain result:     {report['plain'].value}")
-        print(f"cipher result:    {report['cipher'].value}")
-        print(f"decrypted result: {report['decrypted'].value}")
+        print(f"plain result:     {report['plain']}")
+        print(f"cipher result:    {report['cipher']}")
+        print(f"decrypted result: {report['decrypted']}")
         print(f"match: {_yn(report['match'])}")
         checks = " ".join(f"{name}={verdict}" for name, verdict
                           in sorted(report["law_checks"].items()))

@@ -13,11 +13,11 @@ most MAX_NESTING deep; every walk over a parsed tree is iterative, so a
 long flat sum costs no recursion.
 
 A formula built from operations a key respects can be evaluated on
-ciphertexts: encrypt the environment (and any literals), run the same
-formula, decrypt once at the end.  `encrypted_eval_demo` performs the whole
-round trip and reports whether the decrypted result matches the plain one,
-after first refusing formulas that use an operation the key does not
-respect.
+ciphertexts: encrypt the environment, run the same formula with each
+literal encrypted as the walk reaches it, decrypt once at the end.
+`encrypted_eval_demo` performs the whole round trip and reports whether the
+decrypted result matches the plain one, after first refusing formulas that
+use an operation the key does not respect.
 """
 
 from __future__ import annotations
@@ -123,9 +123,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         c = text[i]
         if c.isspace():
             i += 1
-        elif c.isdigit():
+        elif c.isdecimal():  # the digits int() reads
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isdecimal():
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j
@@ -196,7 +196,10 @@ class _Parser:
         kind, text, at = self.peek()
         if kind == "INT":
             self.take("INT")
-            return Lit(PadicInt(self.ctx, int(text) % self.ctx.modulus))
+            try:
+                return Lit(PadicInt(self.ctx, int(text) % self.ctx.modulus))
+            except ValueError:  # more digits than int() converts
+                raise FormulaSyntaxError(f"{len(text)}-digit literal is too long", at) from None
         if kind == "LPAREN":
             self.take("LPAREN")
             node = self.expr()
@@ -288,18 +291,11 @@ def _paren(rendered: tuple[str, int], floor: int) -> str:
 
 
 def vars_used(node: Node) -> frozenset[str]:
-    names: set[str] = set()  # one set: unions of the subtrees' sets cost O(n^2)
-
-    def leaf(n: Node) -> None:
-        if isinstance(n, Var):
-            names.add(n.name)
-
-    _fold(node, leaf, lambda *_: None)
-    return frozenset(names)
+    return frozenset(n.name for n in _preorder(node) if isinstance(n, Var))
 
 
 def ops_used(node: Node) -> frozenset[OpSymbol]:
-    return _fold(node, lambda n: frozenset(), lambda op, left, right: left | right | {op})
+    return frozenset(n for n in _preorder(node) if isinstance(n, OpSymbol))
 
 
 def evaluate(
@@ -340,23 +336,12 @@ def _bind(op: OpSymbol, key: CipherKey) -> OpSymbol | None:
 def compatibility_check(node: Node, key: CipherKey) -> None:
     """Raise IncompatibleFormulaError naming the first unusable operation,
     in pre-order (an App before its operands)."""
-    unusable = _fold(
-        node,
-        lambda n: None,
-        lambda op, left, right: op if _bind(op, key) is None else left or right,
-    )
+    unusable = next((n for n in _preorder(node)
+                     if isinstance(n, OpSymbol) and _bind(n, key) is None), None)
     if unusable is not None:
         raise IncompatibleFormulaError(
             f"a {key.family} key does not respect {unusable.name}"
         )
-
-
-def _encrypt_literals(node: Node, key: CipherKey) -> Node:
-    return _fold(
-        node,
-        lambda n: Lit(encrypt(key, n.value)) if isinstance(n, Lit) else n,
-        App,
-    )
 
 
 def encrypted_eval_demo(
@@ -384,9 +369,13 @@ def encrypted_eval_demo(
                 f"law check failed for {op.name} on this key "
                 f"(witness {report.witness}); refusing to continue"
             )
-    plain = evaluate(node, env, linear_g)
+    plain = evaluate(node, env, linear_g)  # raises on an unbound variable
     enc_env = {name: encrypt(key, value) for name, value in env.items()}
-    cipher = evaluate(_encrypt_literals(node, key), enc_env, linear_g)
+    cipher = _fold(
+        node,
+        lambda n: encrypt(key, n.value) if isinstance(n, Lit) else enc_env[n.name],
+        lambda op, x, y: op_apply(op, x, y, linear_g),
+    )
     decrypted = decrypt(key, cipher)
     return {
         "plain": plain,

@@ -35,7 +35,15 @@ from padic_ciphers.ciphers import (
     key_from_json,
     keygen,
 )
-from padic_ciphers.core import DomainError, FormatError, PadicContext, PadicInt
+from padic_ciphers.core import (
+    ContextMismatchError,
+    DomainError,
+    FormatError,
+    PadicContext,
+    PadicInt,
+    and_p,
+    xor_p,
+)
 from padic_ciphers.lipschitz import ValueTable
 
 C33 = PadicContext(3, 3)
@@ -67,6 +75,29 @@ def test_op_apply():
     assert op_apply(OpSymbol("G"), x, y, linear_g=lin) == op_apply(g_sym(lin), x, y)
     with pytest.raises(DomainError):
         op_apply(OpSymbol("G"), x, y)
+
+
+@pytest.mark.parametrize("p, K", [(2, 8), (3, 4), (5, 3)])
+def test_op_apply_matches_the_operators(p, K):
+    ctx = PadicContext(p, K)
+    rng = Random(p * 100 + K)
+    for _ in range(300):
+        x, y = (PadicInt(ctx, rng.randrange(ctx.modulus)) for _ in range(2))
+        assert op_apply(ADD, x, y) == x + y
+        assert op_apply(MUL, x, y) == x * y
+        assert op_apply(XOR, x, y) == xor_p(x, y)
+        assert op_apply(AND, x, y) == and_p(x, y)
+
+
+def test_op_apply_refuses_mixed_contexts_as_the_operators_do():
+    x, y = C52.integer(7), C53.integer(9)
+    for sym, operator in ((ADD, PadicInt.__add__), (MUL, PadicInt.__mul__),
+                          (XOR, xor_p), (AND, and_p)):
+        with pytest.raises(ContextMismatchError) as want:
+            operator(x, y)
+        with pytest.raises(ContextMismatchError) as got:
+            op_apply(sym, x, y)
+        assert str(got.value) == str(want.value), sym.name
 
 
 def test_laws_for_key():

@@ -5,6 +5,7 @@ from random import Random
 
 import pytest
 
+from padic_ciphers.analysis import vdp_coefficient_probe
 from padic_ciphers.ciphers import (
     DRAW_BUDGET,
     FAMILIES,
@@ -413,9 +414,14 @@ def test_identity_detection():
 
 
 def test_encryption_table_limit():
-    key = AdditiveKey(PadicContext(5, 16).integer(7))
-    with pytest.raises(DomainError):
-        encryption_table(key, limit=1000)
+    key = keygen(PadicContext(2, 21), "additive", Random(1))
+    with pytest.raises(DomainError, match=r"p\*\*K = 2097152 exceeds the limit 1048576$"):
+        encryption_table(key)
+    # The coefficient probe refuses a table over its own limit of 2^16
+    # before it builds one.
+    key = MultiplicativeKey(A=PadicContext(3, 11).one, s=1, a=PadicContext(3, 11).one)
+    with pytest.raises(DomainError, match=r"p\*\*K = 177147 exceeds the limit 65536$"):
+        vdp_coefficient_probe(key)
 
 
 # -- serialization ----------------------------------------------------------------

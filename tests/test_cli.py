@@ -150,6 +150,32 @@ def test_malformed_key_file_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+LONG_INTEGER_KEY = b'{"family": "additive", "p": ' + b"1" * 5000 + b', "precision": 2, "A": "1"}'
+
+
+@pytest.mark.parametrize("json_mode", (False, True))
+@pytest.mark.parametrize("argv, content", [
+    (("check", "--table", "FILE"), b"\xff"),
+    (("check", "--key", "FILE"), b"\xff{}"),
+    (("encrypt", "--key", "FILE", "1"), b"{\xff}"),
+    (("check", "--key", "FILE"), LONG_INTEGER_KEY),
+    (("encrypt", "--key", "FILE", "1"), LONG_INTEGER_KEY),
+    (("encrypt", "--key", "FILE", "1"), b"[" * 100000 + b"]" * 100000),
+], ids=["table-ff", "check-key-ff", "encrypt-key-ff", "check-key-long", "encrypt-key-long",
+        "encrypt-key-deep"])
+def test_unreadable_input_file_exits_3(tmp_path, capsys, argv, content, json_mode):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    argv = [str(path) if a == "FILE" else a for a in argv] + ["--json"] * json_mode
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    if json_mode:
+        assert json.loads(line)["kind"] == "FormatError"
+    else:
+        assert line.startswith(f"error: {path}") or line.startswith(f"error: key file {path}")
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -243,6 +269,14 @@ def test_eval_deep_nesting_exits_3(capsys):
 def test_eval_syntax_error_exits_3(capsys):
     code, out, err = run(capsys, "eval", "--formula", "x +", "--env", "x=1")
     assert code == 3
+
+
+@pytest.mark.parametrize("formula, at", [("x + ²", 4), ("1" * 5000, 0), ("x * ٣" + "1" * 4300, 4)],
+                         ids=["superscript", "5000-digits", "4301-digits-from-arabic-indic"])
+def test_eval_literal_int_cannot_read_exits_3(capsys, formula, at):
+    code, out, err = run(capsys, "eval", "--formula", formula, "--env", "x=1")
+    assert code == 3
+    assert err.startswith("error: ") and err.endswith(f"(at position {at})\n")
 
 
 def test_eval_unbound_variable_exits_5(capsys):

@@ -206,6 +206,16 @@ def test_compatibility_rules():
         compatibility_check(parse("XOR(x, y)", C52), mul_key)
 
 
+def test_compatibility_names_the_first_unusable_operation_in_preorder():
+    add_key = AdditiveKey(C52.integer(7))
+    for text, first in (("XOR(x, y) + x * y", "XOR"),  # left operand before right
+                        ("x * y + XOR(x, y)", "MUL"),
+                        ("XOR(x * y, y)", "XOR")):  # an App before its operands
+        with pytest.raises(IncompatibleFormulaError) as err:
+            compatibility_check(parse(text, C52), add_key)
+        assert str(err.value) == f"a additive key does not respect {first}", text
+
+
 @pytest.mark.parametrize("family", ["additive", "multiplicative", "xor", "and", "fhe"])
 def test_compatibility_agrees_with_laws(family):
     key = keygen(C52, family, Random(11), g=G1() if family == "fhe" else None)

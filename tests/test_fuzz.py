@@ -3,11 +3,12 @@ succeeds or raises ``FormatError``; no other exception escapes."""
 
 from __future__ import annotations
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from padic_ciphers.ciphers import FAMILIES, G_CHOICES, key_from_json
 from padic_ciphers.core import FormatError, PadicContext, from_text
+from padic_ciphers.formula import parse
 from padic_ciphers.lipschitz import parse_table_text
 
 FUZZ = settings(max_examples=60, deadline=None,
@@ -92,3 +93,17 @@ def key_objects(draw):
 def test_key_from_json(data):
     only_format_errors(key_from_json, data)
 
+
+
+# Text over the formula alphabet reaches the parser's deeper branches; the
+# digit forms are those int() reads, those it does not, and a superscript.
+formula_texts = st.text(max_size=60) | st.text(
+    alphabet="xyz_09٣²¹ +*(),XORANDGLINSTA1234", max_size=60)
+
+
+@FUZZ
+@example("x + ²", PadicContext(5, 16))
+@example("1" * 5000, PadicContext(5, 16))
+@given(formula_texts, st.sampled_from([PadicContext(5, 16), PadicContext(2, 1)]))
+def test_parse_formula(text, ctx):
+    only_format_errors(parse, text, ctx)
