@@ -94,9 +94,9 @@ def test_key_from_json(data):
     only_format_errors(key_from_json, data)
 
 
-
-# Text over the formula alphabet reaches the parser's deeper branches; the
-# digit forms are those int() reads, those it does not, and a superscript.
+# Text over the formula alphabet reaches the parser's deeper branches; its
+# digits are decimal ones in two scripts, which int() reads, and
+# superscripts, which it does not.
 formula_texts = st.text(max_size=60) | st.text(
     alphabet="xyz_09٣²¹ +*(),XORANDGLINSTA1234", max_size=60)
 
