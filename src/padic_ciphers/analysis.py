@@ -40,7 +40,7 @@ from functools import lru_cache
 from itertools import chain
 from random import Random
 
-from .ciphers import (  # OpSymbol, ADD, MUL, XOR, AND and g_sym are re-exported
+from .ciphers import (  # OpSymbol, ADD, MUL, XOR and AND are re-exported
     ADD,
     AND,
     FAMILIES,
@@ -54,7 +54,6 @@ from .ciphers import (  # OpSymbol, ADD, MUL, XOR, AND and g_sym are re-exported
     encrypt,
     encryption_table,
     g_eval,
-    g_sym,
     is_identity_key,
     key_to_json,
     keygen,

@@ -57,7 +57,6 @@ from .core import (
     teichmuller,
     to_text,
 )
-from .lipschitz import ValueTable
 
 
 class InvalidKeyError(PadicError):
@@ -804,6 +803,8 @@ def decrypt(key: CipherKey, y: PadicInt) -> PadicInt:
 
 
 def encryption_table(key: CipherKey) -> ValueTable:
+    from .lipschitz import ValueTable  # only here, so encrypting never loads lipschitz
+
     return ValueTable.from_callable(key.ctx, key.enc_int)
 
 

@@ -27,15 +27,6 @@ import sys
 import tempfile
 from random import Random
 
-from .analysis import (
-    PAIR_BUDGET,
-    check_pair_budget,
-    homomorphism_test,
-    intersection_scan,
-    laws_for_key,
-    symbol_from_name,
-    vdp_coefficient_probe,
-)
 from .ciphers import (
     FAMILIES,
     G_CHOICES,
@@ -54,32 +45,16 @@ from .ciphers import (
 from .core import (
     DomainError,
     FormatError,
+    IncompatibleFormulaError,
     PadicContext,
     PadicError,
     PadicInt,
     from_text,
     to_text,
 )
-from .formula import (
-    DEMO_FORMULA,
-    IncompatibleFormulaError,
-    encrypted_eval_demo,
-    evaluate,
-    parse as parse_formula,
-    vars_used,
-)
-from .lipschitz import (
-    check_measure_bruteforce,
-    check_measure_coord,
-    check_measure_vdp,
-    check_one_lipschitz,
-    coord_from_table,
-    parse_table_text,
-    serialize_table_text,
-    VdpSeries,
-    vdp_interpolate,
-    vdp_to_table,
-)
+
+# The analysis, formula and lipschitz layers are imported inside the commands
+# that run them, so keygen, encrypt and decrypt load only core and ciphers.
 
 _MEASURE_LIMIT = 4096
 
@@ -217,6 +192,8 @@ def _plain_report(report: dict) -> dict:
 
 
 def _cmd_eval(args) -> int:
+    from .formula import encrypted_eval_demo, evaluate, parse as parse_formula
+
     if args.key:
         key = _load_key(args.key)
         ctx = key.ctx
@@ -246,6 +223,14 @@ def _cmd_eval(args) -> int:
 
 
 def _measure_block(table) -> dict:
+    from .lipschitz import (
+        check_measure_bruteforce,
+        check_measure_coord,
+        check_measure_vdp,
+        coord_from_table,
+        vdp_interpolate,
+    )
+
     series = vdp_interpolate(table)
     return {
         "bruteforce": check_measure_bruteforce(table),
@@ -254,6 +239,21 @@ def _measure_block(table) -> dict:
     }
 
 def _cmd_check(args) -> int:
+    from .analysis import (
+        PAIR_BUDGET,
+        check_pair_budget,
+        homomorphism_test,
+        laws_for_key,
+        vdp_coefficient_probe,
+    )
+    from .lipschitz import (
+        VdpSeries,
+        check_one_lipschitz,
+        parse_table_text,
+        serialize_table_text,
+        vdp_to_table,
+    )
+
     if bool(args.key) == bool(args.table):
         raise FormatError("check needs exactly one of --key or --table")
     results: dict = {}
@@ -345,6 +345,8 @@ def _cmd_check(args) -> int:
 
 
 def _search_symbol(name: str):
+    from .analysis import symbol_from_name
+
     if name == "GLIN":
         raise FormatError("search cannot bind the coefficients of GLIN; "
                           "name a fixed operation (ADD MUL XOR AND G1..G4)")
@@ -352,6 +354,8 @@ def _search_symbol(name: str):
 
 
 def _cmd_search(args) -> int:
+    from .analysis import intersection_scan
+
     first = _search_symbol(args.first)
     second = _search_symbol(args.second)
     ctx = PadicContext(args.p, args.precision)
@@ -387,6 +391,8 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_demo(args) -> int:
+    from .formula import DEMO_FORMULA, encrypted_eval_demo, parse as parse_formula, vars_used
+
     ctx = PadicContext(args.p, args.precision)
     rng = Random(args.seed)
     key = keygen(ctx, "fhe", rng, g=G1())

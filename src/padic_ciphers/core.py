@@ -47,6 +47,10 @@ class FormatError(PadicError):
     """Malformed textual representation."""
 
 
+class IncompatibleFormulaError(PadicError):
+    """The formula uses an operation the key does not respect."""
+
+
 # Miller-Rabin with the first 13 primes as bases is exact for every n below
 # PRIME_BOUND, the least strong pseudoprime to all of them (Sorenson and
 # Webster, Math. Comp. 86, 2017).

@@ -37,7 +37,7 @@ from .ciphers import (
     encrypt,
     g_sym,
 )
-from .core import DomainError, FormatError, PadicContext, PadicError, PadicInt
+from .core import DomainError, FormatError, IncompatibleFormulaError, PadicContext, PadicInt
 
 
 class FormulaSyntaxError(FormatError):
@@ -56,10 +56,6 @@ class ArityError(FormatError):
 
 class UnboundVariableError(DomainError):
     """Evaluation met a variable missing from the environment."""
-
-
-class IncompatibleFormulaError(PadicError):
-    """The formula uses an operation the key does not respect."""
 
 
 @dataclass(frozen=True)
@@ -129,9 +125,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
                 j += 1
             tokens.append(("INT", text[i:j], i))
             i = j
-        elif c.isalpha() or c == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+        elif c.isidentifier():  # a NAME is what str.isidentifier accepts, as for --env names
+            j = i + 1
+            while j < n and ("_" + text[j]).isidentifier():
                 j += 1
             tokens.append(("NAME", text[i:j], i))
             i = j

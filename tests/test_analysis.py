@@ -11,7 +11,6 @@ from padic_ciphers.analysis import (
     OpSymbol,
     XOR,
     counterexample_search,
-    g_sym,
     homomorphism_test,
     intersection_scan,
     laws_for_key,
@@ -32,6 +31,7 @@ from padic_ciphers.ciphers import (
     MultiplicativeKey,
     XorKey,
     encryption_table,
+    g_sym,
     key_from_json,
     keygen,
 )

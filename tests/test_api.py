@@ -26,12 +26,21 @@ def test_star_import():
 
 
 def _loaded_after(statement: str) -> list[str]:
-    """The package's submodules a fresh interpreter holds after ``statement``."""
+    """The package's submodules a fresh interpreter holds after ``statement``
+    (which may print; the list is the last line of stdout)."""
     code = (f"import sys; {statement}; "
             "print(sorted(m for m in sys.modules if m.startswith('padic_ciphers.')))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=str(SRC.parent))).stdout
-    return ast.literal_eval(out)
+    return ast.literal_eval(out.splitlines()[-1])
+
+
+def _loaded_by_commands(*argvs: list[str]) -> set[str]:
+    """The layers loaded by running each argv through ``cli.run_command``, in
+    one fresh interpreter; every command must exit 0."""
+    statement = ("from padic_ciphers.cli import run_command; "
+                 f"assert [run_command(a) for a in {list(argvs)!r}] == {[0] * len(argvs)!r}")
+    return {name.removeprefix("padic_ciphers.") for name in _loaded_after(statement)}
 
 
 def test_a_bare_import_loads_no_submodule():
@@ -42,6 +51,31 @@ def test_the_cli_does_not_load_the_automaton():
     loaded = _loaded_after("import padic_ciphers.cli")
     assert "padic_ciphers.cli" in loaded
     assert "padic_ciphers.automaton" not in loaded
+    assert loaded == ["padic_ciphers.ciphers", "padic_ciphers.cli", "padic_ciphers.core"]
+
+
+@pytest.mark.parametrize("family", ["additive", "multiplicative", "xor", "and", "fhe"])
+def test_keygen_encrypt_and_decrypt_load_only_core_and_ciphers(tmp_path, family):
+    key = str(tmp_path / "k.json")
+    loaded = _loaded_by_commands(
+        ["keygen", "--family", family, "--p", "5", "--precision", "4", "--seed", "1",
+         "--out", key],
+        ["encrypt", "--key", key, "7"],
+        ["decrypt", "--key", key, "7", "--json"],
+    )
+    assert loaded == {"cli", "ciphers", "core"}
+
+
+def test_check_and_search_do_not_load_the_formula_layer(tmp_path):
+    key, table = str(tmp_path / "k.json"), str(tmp_path / "t.txt")
+    loaded = _loaded_by_commands(
+        ["keygen", "--family", "additive", "--p", "3", "--precision", "2", "--out", key],
+        ["check", "--key", key, "--out", table],
+        ["check", "--table", table],
+        ["search", "ADD", "MUL", "--keys", "2"],
+    )
+    assert "analysis" in loaded and "lipschitz" in loaded
+    assert "formula" not in loaded
 
 
 def test_every_export_is_the_object_of_its_defining_module():

@@ -279,6 +279,20 @@ def test_eval_literal_int_cannot_read_exits_3(capsys, formula, at):
     assert err.startswith("error: ") and err.endswith(f"(at position {at})\n")
 
 
+@pytest.mark.parametrize("env", [[], ["--env", "x²=3"]], ids=["unbound", "bound"])
+def test_eval_name_that_is_no_identifier_exits_3(capsys, env):
+    """A formula names variables as --env does, so ``x²`` is refused at the ``²``."""
+    code, out, err = run(capsys, "eval", "--formula", "x²+1", *env)
+    assert code == 3
+    assert err.startswith("error: ") and err.endswith("(at position 1)\n")
+
+
+def test_eval_binds_any_identifier(capsys):
+    code, out, err = run(capsys, "eval", "--formula", "x\u0301 + ℘", "--env", "x\u0301=3",
+                         "--env", "℘=4", "--p", "5", "--precision", "2")
+    assert (code, out) == (0, "7  (5:2:2,1)\n")
+
+
 def test_eval_unbound_variable_exits_5(capsys):
     code, out, err = run(capsys, "eval", "--formula", "x + y", "--env", "x=1")
     assert code == 5
@@ -519,7 +533,7 @@ def test_search_refuses_glin_before_drawing_a_key(capsys, monkeypatch, first, se
     def no_scan(*args, **kwargs):
         raise AssertionError("a key was drawn")
 
-    monkeypatch.setattr(cli, "intersection_scan", no_scan)
+    monkeypatch.setattr("padic_ciphers.analysis.intersection_scan", no_scan)
     code, out, err = run(capsys, "search", first, second, "--p", "5", "--precision", "3")
     assert code == 3
     assert "search cannot bind the coefficients of GLIN" in err

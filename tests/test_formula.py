@@ -1,8 +1,12 @@
+import re
+import string
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from padic_ciphers.analysis import ADD, AND, MUL, XOR, g_sym, homomorphism_test
+from padic_ciphers.analysis import ADD, AND, MUL, XOR, homomorphism_test
 from padic_ciphers.ciphers import (
     AdditiveKey,
     AndKey,
@@ -12,6 +16,7 @@ from padic_ciphers.ciphers import (
     MultiplicativeKey,
     XorKey,
     encrypt,
+    g_sym,
     keygen,
 )
 from padic_ciphers.core import PadicContext, PadicInt
@@ -26,6 +31,7 @@ from padic_ciphers.formula import (
     UnboundVariableError,
     UnknownOperationError,
     Var,
+    _tokenize,
     compatibility_check,
     encrypted_eval_demo,
     evaluate,
@@ -38,6 +44,10 @@ from padic_ciphers.formula import (
 C32 = PadicContext(3, 2)
 C33 = PadicContext(3, 3)
 C52 = PadicContext(5, 2)
+
+# The tokens of ASCII text as read before NAME meant str.isidentifier.
+_FORMER_TOKEN = re.compile(r"(?P<SPACE>\s+)|(?P<INT>[0-9]+)|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
+                           r"|(?P<PLUS>\+)|(?P<TIMES>\*)|(?P<LPAREN>\()|(?P<RPAREN>\))|(?P<COMMA>,)")
 
 
 def test_parse_precedence():
@@ -85,6 +95,25 @@ def test_parse_errors():
         parse("XOR(x)", C52)
     with pytest.raises(ArityError):
         parse("XOR(x, y, z)", C52)
+
+
+def test_names_are_exactly_identifiers():
+    with pytest.raises(FormulaSyntaxError) as info:
+        parse("x²+1", C52)
+    assert info.value.position == 1
+    assert parse("x\u0301 + ℘", C52) == App(ADD, Var("x\u0301"), Var("℘"))
+    for name in ("x\u0301", "℘", "_1", "é2"):
+        assert name.isidentifier() and parse(name, C52) == Var(name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet=string.ascii_letters + string.digits + "_ +*(),", max_size=30))
+def test_ascii_tokens_are_the_former_names(text):
+    """On ASCII text a NAME is [A-Za-z_][A-Za-z0-9_]*, as when names were read
+    with str.isalpha/str.isalnum."""
+    former = [(m.lastgroup, m.group(), m.start()) for m in _FORMER_TOKEN.finditer(text)
+              if m.lastgroup != "SPACE"]
+    assert _tokenize(text) == former + [("END", "", len(text))]
 
 
 def test_nesting_limit():

@@ -28,7 +28,6 @@ from padic_ciphers.analysis import (
     OpSymbol,
     SearchReport,
     _subject,
-    g_sym,
     homomorphism_test,
 )
 from padic_ciphers.ciphers import (
@@ -41,6 +40,7 @@ from padic_ciphers.ciphers import (
     LinearG,
     SeriesG,
     g_eval,
+    g_sym,
     keygen,
 )
 from padic_ciphers.core import (
