@@ -48,17 +48,16 @@ from .ciphers import (  # OpSymbol, ADD, MUL, XOR and AND are re-exported
     OP_NAMES,
     XOR,
     CipherKey,
-    LinearG,
     MultiplicativeKey,
     OpSymbol,
     encrypt,
     encryption_table,
-    g_eval,
     is_identity_key,
     key_to_json,
     keygen,
+    _op_int,
 )
-from .core import DomainError, FormatError, PadicContext, PadicInt, digitwise
+from .core import DomainError, FormatError, PadicContext, PadicInt
 from .lipschitz import (
     NotOneLipschitzError,
     ValueTable,
@@ -82,18 +81,6 @@ def symbol_from_name(name: str) -> OpSymbol:
         return OP_NAMES[name]
     except KeyError:
         raise FormatError(f"unknown operation {name!r}") from None
-
-
-def op_apply(
-    sym: OpSymbol, x: PadicInt, y: PadicInt, linear_g: LinearG | None = None
-) -> PadicInt:
-    if sym.kind != "G":
-        x._check_ctx(y)
-        return PadicInt(x.ctx, _op_int(sym, x.ctx, x.value, y.value))
-    g = sym.g if sym.g is not None else linear_g
-    if g is None:
-        raise DomainError("linear operation is unbound; supply its coefficients")
-    return g_eval(g, x, y)
 
 
 def laws_for_key(key: CipherKey) -> tuple[OpSymbol, ...]:
@@ -134,17 +121,6 @@ def check_pair_budget(ctx: PadicContext, k: int) -> None:
             f"level {k} has {ctx.p}^{2 * k} = {pairs} pairs, "
             f"over the budget of {PAIR_BUDGET}"
         )
-
-
-def _op_int(sym: OpSymbol, ctx: PadicContext, x: int, y: int) -> int:
-    kind = sym.kind
-    if kind == "ADD":
-        return (x + y) % ctx.modulus
-    if kind == "MUL":
-        return (x * y) % ctx.modulus
-    if kind == "G":
-        return sym.g.kernel((x,), y, ctx.p, ctx.modulus)[0]
-    return digitwise(x, y, ctx.p, ctx.precision, multiply=kind == "AND")
 
 
 def _row_builder(sym: OpSymbol, ctx: PadicContext):

@@ -30,15 +30,16 @@ through ``FAMILIES``) and carries its own integer kernels, ``enc_int`` and
 ``dec_int``, on residues mod p^K; ``encrypt``/``decrypt`` wrap them in a
 ``PadicInt``.
 What a kernel precomputes from the key (inverse multipliers and exponents,
-the packed columns of the xor matrix and of its inverse over F_p) is built
-on the key's first use, not when the key is made.
+the packed columns of the xor matrix and of its inverse over F_p, and for
+p <= 7 the xor and and block tables of at most 64 entries each) is built on
+the key's first use, not when the key is made.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate, repeat
 from random import Random
 from typing import get_args
@@ -51,6 +52,7 @@ from .core import (
     PadicError,
     PadicInt,
     _is_prime,
+    digitwise,
     from_text,
     is_unit,
     pow_nat,
@@ -241,6 +243,29 @@ OP_NAMES = {
 }
 
 
+def op_apply(
+    sym: OpSymbol, x: PadicInt, y: PadicInt, linear_g: LinearG | None = None
+) -> PadicInt:
+    if sym.kind != "G":
+        x._check_ctx(y)
+        return PadicInt(x.ctx, _op_int(sym, x.ctx, x.value, y.value))
+    g = sym.g if sym.g is not None else linear_g
+    if g is None:
+        raise DomainError("linear operation is unbound; supply its coefficients")
+    return g_eval(g, x, y)
+
+
+def _op_int(sym: OpSymbol, ctx: PadicContext, x: int, y: int) -> int:
+    kind = sym.kind
+    if kind == "ADD":
+        return (x + y) % ctx.modulus
+    if kind == "MUL":
+        return (x * y) % ctx.modulus
+    if kind == "G":
+        return sym.g.kernel((x,), y, ctx.p, ctx.modulus)[0]
+    return digitwise(x, y, ctx.p, ctx.precision, multiply=kind == "AND")
+
+
 def g_eval(op: GOperation, x: PadicInt, y: PadicInt) -> PadicInt:
     if x.ctx != y.ctx:
         raise DomainError("operands live in different contexts")
@@ -382,8 +407,10 @@ _OPERATION = (_dump_operation, _load_operation)
 # its own random key (``draw(ctx, rng, g)``; only fhe reads g).
 #
 # Kernel data is built on a key's first use (a cached_property), so a key that
-# never encrypts costs nothing extra.  No kernel fills a table over all p digit
-# values in advance: that would cost O(p) work per key at a large prime.
+# never encrypts costs nothing extra.  Only the xor and and kernels fill tables
+# over digit values, and only for p <= 7, where a block table has at most 64
+# entries; from p = 11 on they read one digit at a time, so no key does work
+# that grows with p.
 
 
 DRAW_BUDGET = 1 << 16  # most digits below p a key draw may enumerate: p - 1 <= this
@@ -609,6 +636,103 @@ class _SlotMatrix:
         return _SlotMatrix(inverse, p, width)
 
 
+# -- block kernels -----------------------------------------------------------------
+#
+# For p <= 7 the xor and and kernels read v in blocks of h digits, h the most
+# with p^h <= 64 (radix conversion by blocks, Knuth, TAOCP vol. 2, 4.4): one
+# divmod and one lookup in a table of p^h entries per block.  From p = 11 on
+# h would be 1, and the kernels keep their per-digit loops.
+
+_BLOCK_DIGITS = {2: 6, 3: 3, 5: 2, 7: 2}  # p -> h
+
+
+@cache
+def _slot_bytes(p: int) -> tuple[bytes, bytes]:
+    """Byte tables taking an 8-bit slot s to s mod p, and to the text of s mod p."""
+    return bytes(s % p for s in range(256)), bytes(48 + s % p for s in range(256))
+
+
+@cache
+def _block_texts(p: int) -> tuple[str, ...]:
+    """The h-digit base-p text of every value of a block."""
+    texts = ("",)
+    for _ in range(_BLOCK_DIGITS[p]):
+        texts = tuple(str(d) + t for d in range(p) for t in texts)
+    return texts
+
+
+class _DigitBlocks:
+    """Table j maps each value of block j to its share of the output.  The
+    shares are prepended, low block first, and ``finish`` reads the result."""
+
+    def __init__(self, tables: list[list], q: int, start, finish) -> None:
+        self.tables, self.q, self.start, self.finish = tables, q, start, finish
+
+    def apply(self, v: int) -> int:
+        acc, q = self.start, self.q
+        for t in self.tables:
+            v, b = divmod(v, q)
+            acc = t[b] + acc
+        return self.finish(acc)
+
+
+def _block_sums(shares: list[list[int]], h: int):
+    """For each block of h positions, the list over the block's values of the
+    sum of shares[i][digit i], shares[i][d] being what digit d adds at i."""
+    for j in range(0, len(shares), h):
+        sums = [0]
+        for share in shares[j:j + h]:
+            sums = [s + c for c in share for s in sums]
+        yield sums
+
+
+def _matrix_kernel(m: _SlotMatrix) -> _SlotMatrix | _DigitBlocks:
+    """m itself for p >= 11, else block tables.  An entry is the block's
+    column sum with each slot reduced mod p, in 8-bit slots with output digit
+    k at byte K-1-k, so high blocks have small entries.  A slot of the sum of
+    the shares is at most ceil(K/h)(p-1) <= 192."""
+    p, K = m.p, len(m.columns)
+    h = _BLOCK_DIGITS.get(p)
+    if h is None:
+        return m
+    reduce, text = _slot_bytes(p)
+    columns = [sum(m.slot(col, k) << 8 * (K - 1 - k) for k in range(i, K))
+               for i, col in enumerate(m.columns)]
+    # before the reduction a slot holds at most h(p-1)^2 <= 72
+    tables = [[int.from_bytes(s.to_bytes(K, "little").translate(reduce), "little")
+               for s in sums]
+              for sums in _block_sums([[d * col for d in range(p)] for col in columns], h)]
+    return _DigitBlocks(tables, p**h, 0,
+                        lambda acc: int(acc.to_bytes(K, "little").translate(text), p))
+
+
+class _DigitPowers:
+    """Digit k of v maps to its s_k-th power mod p, one divmod per digit."""
+
+    def __init__(self, p: int, exponents: tuple[int, ...]) -> None:
+        self.p, self.steps = p, tuple((s, p**k) for k, s in enumerate(exponents))
+
+    def apply(self, v: int) -> int:
+        p, out = self.p, 0
+        for s, pk in self.steps:
+            v, d = divmod(v, p)
+            out += pow(d, s, p) * pk
+        return out
+
+
+def _powers_kernel(p: int, exponents: tuple[int, ...]) -> _DigitPowers | _DigitBlocks:
+    """Per digit for p >= 11, else block tables whose entries are the output
+    block's text from ``_block_texts`` (a short top block reads with leading
+    zeros)."""
+    h = _BLOCK_DIGITS.get(p)
+    if h is None:
+        return _DigitPowers(p, exponents)
+    texts = _block_texts(p)
+    shares = [[pow(d, s, p) * p ** (k % h) for d in range(p)] for k, s in enumerate(exponents)]
+    return _DigitBlocks([[texts[s] for s in sums] for sums in _block_sums(shares, h)],
+                        p**h, "", partial(int, base=p))
+
+
 @dataclass(frozen=True)
 class XorKey:
     """Row k holds the coefficients of output digit k over input digits 0..k."""
@@ -649,12 +773,12 @@ class XorKey:
         return self._backward.apply(v)
 
     @cached_property
-    def _forward(self) -> _SlotMatrix:
-        return _SlotMatrix.from_rows(self.rows, self.key_ctx.p)
+    def _forward(self) -> _SlotMatrix | _DigitBlocks:
+        return _matrix_kernel(_SlotMatrix.from_rows(self.rows, self.key_ctx.p))
 
     @cached_property
-    def _backward(self) -> _SlotMatrix:
-        return self._forward.inverse()
+    def _backward(self) -> _SlotMatrix | _DigitBlocks:
+        return _matrix_kernel(_SlotMatrix.from_rows(self.rows, self.key_ctx.p).inverse())
 
 
 @dataclass(frozen=True)
@@ -689,33 +813,22 @@ class AndKey:
         return self.key_ctx
 
     def enc_int(self, v: int) -> int:
-        return _digit_powers(v, self.key_ctx.p, self._enc_steps)
+        return self._forward.apply(v)
 
     def dec_int(self, v: int) -> int:
-        return _digit_powers(v, self.key_ctx.p, self._dec_steps)
+        return self._backward.apply(v)
 
     @cached_property
-    def _enc_steps(self) -> tuple[tuple[int, int], ...]:
-        p = self.key_ctx.p
-        return tuple((s, p**k) for k, s in enumerate(self.exponents))
+    def _forward(self) -> _DigitPowers | _DigitBlocks:
+        return _powers_kernel(self.key_ctx.p, self.exponents)
 
     @cached_property
-    def _dec_steps(self) -> tuple[tuple[int, int], ...]:
+    def _backward(self) -> _DigitPowers | _DigitBlocks:
         # x -> x^s permutes F_p exactly when s is a unit mod p - 1; at p = 2
         # the only exponent is 1, its own inverse.
         p = self.key_ctx.p
-        return tuple(
-            (pow(s, -1, p - 1) if p > 2 else 1, pk) for s, pk in self._enc_steps
-        )
-
-
-def _digit_powers(v: int, p: int, steps: tuple[tuple[int, int], ...]) -> int:
-    """Sum of (digit k of v)^s_k mod p, times p^k, over steps (s_k, p^k)."""
-    out = 0
-    for s, pk in steps:
-        v, d = divmod(v, p)
-        out += pow(d, s, p) * pk
-    return out
+        return _powers_kernel(p, tuple(pow(s, -1, p - 1) if p > 2 else 1
+                                       for s in self.exponents))
 
 
 @dataclass(frozen=True)

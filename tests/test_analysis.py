@@ -14,7 +14,6 @@ from padic_ciphers.analysis import (
     homomorphism_test,
     intersection_scan,
     laws_for_key,
-    op_apply,
     symbol_from_name,
     vdp_coefficient_probe,
     _vdp_probe_table,
@@ -34,6 +33,7 @@ from padic_ciphers.ciphers import (
     g_sym,
     key_from_json,
     keygen,
+    op_apply,
 )
 from padic_ciphers.core import (
     ContextMismatchError,

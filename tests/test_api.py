@@ -78,6 +78,11 @@ def test_check_and_search_do_not_load_the_formula_layer(tmp_path):
     assert "formula" not in loaded
 
 
+def test_a_plain_eval_loads_no_scans():
+    assert _loaded_by_commands(["eval", "--formula", "1+2"]) == {
+        "cli", "ciphers", "core", "formula"}
+
+
 def test_every_export_is_the_object_of_its_defining_module():
     for name, where in padic_ciphers._EXPORTS.items():
         module, attr = where if isinstance(where, tuple) else (where, name)

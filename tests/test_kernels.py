@@ -12,11 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from random import Random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from padic_ciphers import ciphers
 from padic_ciphers.ciphers import (
     AdditiveKey,
     AndKey,
@@ -25,6 +27,7 @@ from padic_ciphers.ciphers import (
     LinearG,
     MultiplicativeKey,
     XorKey,
+    keygen,
     roots_of_unity,
 )
 from padic_ciphers.core import (
@@ -219,3 +222,86 @@ def test_kernels_match_reference(family, ctx, data):
         assert y == reference_encrypt(key, PadicInt(ctx, x)).value
         assert key.dec_int(y) == x
         assert key.dec_int(z) == reference_decrypt(key, PadicInt(ctx, z)).value
+
+
+# -- the block kernels of xor and and ------------------------------------------------
+#
+# For p <= 7 the xor and and kernels read h digits at a time through tables;
+# from p = 11 on they keep one step per digit.  Both sides of that gate, at
+# block-boundary precisions, must agree with the per-digit reference.
+
+
+def _block_digits(p: int) -> int:
+    return ciphers._BLOCK_DIGITS.get(p, 1)
+
+
+def test_the_block_sizes_fill_64_entries_without_overflowing_a_slot():
+    for p, h in ciphers._BLOCK_DIGITS.items():
+        assert p**h <= 64 < p ** (h + 1)
+        assert h * (p - 1) ** 2 < 256  # an unreduced xor entry
+        assert math.ceil(64 / h) * (p - 1) < 256  # a sum of reduced entries
+    assert all(p**2 > 64 for p in (11, 13))
+
+
+def _boundary_precisions(p: int) -> list[int]:
+    h = _block_digits(p)
+    return sorted({1, h - 1, h, h + 1, 63, 64} - {0})
+
+
+BLOCK_CASES = [
+    (family, PadicContext(p, K))
+    for p in (2, 3, 5, 7, 11, 13)
+    for K in _boundary_precisions(p)
+    for family in ("xor", "and")
+]
+
+
+def _check_both_directions(key, ctx, rng) -> None:
+    top = ctx.modulus - 1  # every digit p - 1
+    for x, z in zip(plaintexts(ctx, rng) + [top], plaintexts(ctx, rng) + [top]):
+        y = key.enc_int(x)
+        assert y == reference_encrypt(key, PadicInt(ctx, x)).value
+        assert key.dec_int(y) == x
+        assert key.dec_int(z) == reference_decrypt(key, PadicInt(ctx, z)).value
+
+
+@pytest.mark.parametrize(
+    "family,ctx", BLOCK_CASES, ids=[f"{f}-{c.p}^{c.precision}" for f, c in BLOCK_CASES]
+)
+def test_block_kernels_match_the_per_digit_reference(family, ctx):
+    rng = Random(ctx.p * 100 + ctx.precision)
+    for _ in range(3):
+        _check_both_directions(keygen(ctx, family, rng), ctx, rng)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_xor_keys_with_every_coefficient_p_minus_1(p):
+    ctx = PadicContext(p, 64)
+    key = XorKey(ctx, tuple((p - 1,) * (k + 1) for k in range(64)))
+    _check_both_directions(key, ctx, Random(p))
+
+
+def test_block_tables_stay_small_and_large_primes_build_none():
+    for p, h in ciphers._BLOCK_DIGITS.items():
+        for K in range(1, 65):
+            ctx = PadicContext(p, K)
+            for family in ("xor", "and"):
+                key = keygen(ctx, family, Random(K))
+                key.dec_int(key.enc_int(ctx.modulus - 1))
+                for kernel in (key._forward, key._backward):
+                    assert isinstance(kernel, ciphers._DigitBlocks)
+                    assert len(kernel.tables) == math.ceil(K / h)
+                    assert all(len(table) <= 64 for table in kernel.tables)
+    # the byte tables and digit texts are kept per p, never per key
+    assert ciphers._slot_bytes.cache_info().currsize <= len(ciphers._BLOCK_DIGITS)
+    assert ciphers._block_texts.cache_info().currsize <= len(ciphers._BLOCK_DIGITS)
+    caches = (ciphers._slot_bytes.cache_info(), ciphers._block_texts.cache_info())
+    for p, K in ((11, 64), (13, 5), (65537, 2)):
+        ctx = PadicContext(p, K)
+        for family in ("xor", "and"):
+            key = keygen(ctx, family, Random(p))
+            key.dec_int(key.enc_int(ctx.modulus - 1))
+            assert not isinstance(key._forward, ciphers._DigitBlocks)
+            assert not isinstance(key._backward, ciphers._DigitBlocks)
+    assert (ciphers._slot_bytes.cache_info().currsize,
+            ciphers._block_texts.cache_info().currsize) == tuple(c.currsize for c in caches)

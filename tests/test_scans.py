@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_ciphers import analysis
+from padic_ciphers import analysis, ciphers
 from padic_ciphers.analysis import (
     ADD,
     AND,
@@ -257,7 +257,7 @@ def test_rows_match_the_per_pair_reference(p):
         ys = range(m) if m <= 256 else rng.sample(range(m), 4)
         for op in ops:
             rows = analysis._rows(op, ctx)
-            pair = analysis._op_int if op.kind == "G" else _op_int
+            pair = ciphers._op_int if op.kind == "G" else _op_int
             for y in ys:
                 want = [pair(op, ctx, x, y) for x in range(m)]
                 assert rows(y) == (bytes(want) if m <= 256 else want), (op, ctx, y)
