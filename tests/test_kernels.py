@@ -231,10 +231,6 @@ def test_kernels_match_reference(family, ctx, data):
 # block-boundary precisions, must agree with the per-digit reference.
 
 
-def _block_digits(p: int) -> int:
-    return ciphers._BLOCK_DIGITS.get(p, 1)
-
-
 def test_the_block_sizes_fill_64_entries_without_overflowing_a_slot():
     for p, h in ciphers._BLOCK_DIGITS.items():
         assert p**h <= 64 < p ** (h + 1)
@@ -244,7 +240,7 @@ def test_the_block_sizes_fill_64_entries_without_overflowing_a_slot():
 
 
 def _boundary_precisions(p: int) -> list[int]:
-    h = _block_digits(p)
+    h = ciphers._BLOCK_DIGITS.get(p, 1)
     return sorted({1, h - 1, h, h + 1, 63, 64} - {0})
 
 
@@ -293,9 +289,11 @@ def test_block_tables_stay_small_and_large_primes_build_none():
                     assert len(kernel.tables) == math.ceil(K / h)
                     assert all(len(table) <= 64 for table in kernel.tables)
     # the byte tables and digit texts are kept per p, never per key
-    assert ciphers._slot_bytes.cache_info().currsize <= len(ciphers._BLOCK_DIGITS)
-    assert ciphers._block_texts.cache_info().currsize <= len(ciphers._BLOCK_DIGITS)
-    caches = (ciphers._slot_bytes.cache_info(), ciphers._block_texts.cache_info())
+    def cached() -> list[int]:
+        return [f.cache_info().currsize for f in (ciphers._slot_bytes, ciphers._block_texts)]
+
+    assert max(cached()) <= len(ciphers._BLOCK_DIGITS)
+    before = cached()
     for p, K in ((11, 64), (13, 5), (65537, 2)):
         ctx = PadicContext(p, K)
         for family in ("xor", "and"):
@@ -303,5 +301,4 @@ def test_block_tables_stay_small_and_large_primes_build_none():
             key.dec_int(key.enc_int(ctx.modulus - 1))
             assert not isinstance(key._forward, ciphers._DigitBlocks)
             assert not isinstance(key._backward, ciphers._DigitBlocks)
-    assert (ciphers._slot_bytes.cache_info().currsize,
-            ciphers._block_texts.cache_info().currsize) == tuple(c.currsize for c in caches)
+    assert cached() == before
