@@ -123,6 +123,12 @@ def check_pair_budget(ctx: PadicContext, k: int) -> None:
         )
 
 
+def check_trial_budget(trials: int) -> None:
+    """Refuse a random phase of more than PAIR_BUDGET pairs."""
+    if trials > PAIR_BUDGET:
+        raise DomainError(f"{trials} random pairs are over the budget of {PAIR_BUDGET}")
+
+
 def _row_builder(sym: OpSymbol, ctx: PadicContext):
     """The function y -> [op(x, y) for x in range(p^k)] at level ctx = (p, k)."""
     p, m = ctx.p, ctx.modulus
@@ -235,8 +241,7 @@ def homomorphism_test(
                     {"level": k, "lhs": lhs[x], "rhs": rhs[x]},
                 )
         return SearchReport("pass", None, m * m, mode)
-    if trials > PAIR_BUDGET:
-        raise DomainError(f"{trials} random pairs are over the budget of {PAIR_BUDGET}")
+    check_trial_budget(trials)
     r = rng if rng is not None else Random(seed)
     mode = f"random:K={ctx.precision}"
     m = ctx.modulus

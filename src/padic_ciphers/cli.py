@@ -10,11 +10,17 @@ Subcommands::
     search    hunt counterexamples showing two families only share the identity
     demo      seeded end-to-end encrypted evaluation of the showcase formula
 
-Exit codes: 0 success, 2 usage, 3 malformed input file or text, 4 formula
-incompatible with the key, 5 any other domain failure (law violation found
-by `check`, invalid parameters, ...), 141 (128 + SIGPIPE) with no traceback
-when the reader of stdout closes it early, as `| head` does.  Key files are
-written atomically: a crash mid-write never leaves a partial key on disk.
+Each command returns its exit code and its report, a dict.  `--json` prints
+the dict; otherwise the command's text renderer prints the same facts from
+it.  So stdout holds a command's whole report or nothing: a command that
+raises prints only its error, on stderr.
+
+Exit codes: 0 success, 2 usage, 3 malformed input file or text, or a path
+that cannot be read or written, 4 formula incompatible with the key, 5 any
+other domain failure (law violation found by `check`, invalid parameters,
+...), 141 (128 + SIGPIPE) with no traceback when the reader of stdout closes
+it early, as `| head` does.  Key files are written atomically: a crash
+mid-write never leaves a partial key on disk.
 """
 
 from __future__ import annotations
@@ -75,8 +81,8 @@ def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+def _json_text(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True)
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -129,7 +135,7 @@ def _parse_env(pairs: list[str], ctx: PadicContext) -> dict[str, PadicInt]:
 # -- keygen ---------------------------------------------------------------------
 
 
-def _cmd_keygen(args) -> int:
+def _cmd_keygen(args) -> tuple[int, dict]:
     ctx = PadicContext(args.p, args.precision)
     rng = Random(args.seed)
     g = None
@@ -152,71 +158,58 @@ def _cmd_keygen(args) -> int:
                 file=sys.stderr,
             )
     key = keygen(ctx, args.family, rng, g=g)
-    payload = json.dumps(key_to_json(key), indent=2, sort_keys=True) + "\n"
-    if args.out:
-        _write_atomic(args.out, payload)
-        if args.json:
-            _emit_json({"written": args.out, "family": key.family,
-                        "p": ctx.p, "precision": ctx.precision})
-        else:
-            print(f"wrote {key.family} key (p={ctx.p}, K={ctx.precision}) to {args.out}")
-    else:
-        print(payload, end="")
-    return 0
+    if not args.out:  # the key itself is the report
+        return 0, key_to_json(key)
+    _write_atomic(args.out, _json_text(key_to_json(key)) + "\n")
+    return 0, {"written": args.out, "family": key.family,
+               "p": ctx.p, "precision": ctx.precision}
+
+
+def _keygen_text(r: dict, args) -> str:
+    if not args.out:
+        return _json_text(r)
+    return f"wrote {r['family']} key (p={r['p']}, K={r['precision']}) to {r['written']}"
 
 
 # -- encrypt / decrypt -------------------------------------------------------------
 
 
-def _cmd_endec(args, forward: bool) -> int:
+def _cmd_endec(args, forward: bool) -> tuple[int, dict]:
     key = _load_key(args.key)
     value = from_text(args.value, key.ctx)
     result = encrypt(key, value) if forward else decrypt(key, value)
-    if args.json:
-        _emit_json({
-            "input": value.value,
-            "output": result.value,
-            "output_text": to_text(result),
-        })
-    else:
-        print(f"{result.value}  ({to_text(result)})")
-    return 0
+    return 0, {"input": value.value, "output": result.value, "output_text": to_text(result)}
 
 
 # -- eval ---------------------------------------------------------------------------
 
 
-def _plain_report(report: dict) -> dict:
-    """encrypted_eval_demo's report with each residue given as its integer."""
+def _round_trip(ast, env: dict, key, seed: int) -> dict:
+    """encrypted_eval_demo's report, with each residue given as its integer."""
+    from .formula import encrypted_eval_demo
+
+    report = encrypted_eval_demo(ast, env, key, seed=seed)
     return report | {name: report[name].value for name in ("plain", "cipher", "decrypted")}
 
 
-def _cmd_eval(args) -> int:
-    from .formula import encrypted_eval_demo, evaluate, parse as parse_formula
+def _cmd_eval(args) -> tuple[int, dict]:
+    from .formula import evaluate, parse as parse_formula
 
     if args.key:
         key = _load_key(args.key)
-        ctx = key.ctx
-        ast = parse_formula(args.formula, ctx)
-        env = _parse_env(args.env, ctx)
-        out = _plain_report(encrypted_eval_demo(ast, env, key, seed=args.seed or 0))
-        if args.json:
-            _emit_json(out)
-        else:
-            print(f"plain:     {out['plain']}")
-            print(f"cipher:    {out['cipher']}")
-            print(f"decrypted: {out['decrypted']}")
-            print(f"match:     {_yn(out['match'])}")
-        return 0 if out["match"] else 5
+        ast = parse_formula(args.formula, key.ctx)
+        report = _round_trip(ast, _parse_env(args.env, key.ctx), key, args.seed)
+        return (0 if report["match"] else 5), report
     ctx = PadicContext(args.p, args.precision)
-    ast = parse_formula(args.formula, ctx)
-    env = _parse_env(args.env, ctx)
-    value = evaluate(ast, env)
-    if args.json:
-        _emit_json({"value": value.value, "text": to_text(value)})
-    else:
-        print(f"{value.value}  ({to_text(value)})")
-    return 0
+    value = evaluate(parse_formula(args.formula, ctx), _parse_env(args.env, ctx))
+    return 0, {"value": value.value, "text": to_text(value)}
+
+
+def _eval_text(r: dict, args) -> str:
+    if not args.key:
+        return f"{r['value']}  ({r['text']})"
+    return (f"plain:     {r['plain']}\ncipher:    {r['cipher']}\n"
+            f"decrypted: {r['decrypted']}\nmatch:     {_yn(r['match'])}")
 
 
 # -- check ------------------------------------------------------------------------------
@@ -238,10 +231,23 @@ def _measure_block(table) -> dict:
         "coordinate": check_measure_coord(coord_from_table(table)),
     }
 
-def _cmd_check(args) -> int:
+
+def _overall(results: dict) -> tuple[int, dict]:
+    """A finished check report with its overall verdict, and the exit code."""
+    measure = results.get("measure")
+    scans = [*results.get("laws", ()), results.get("coefficient_probe", {"verdict": "pass"})]
+    ok = (results.get("one_lipschitz", True)
+          and all(measure.values() if isinstance(measure, dict) else ())
+          and all(scan["verdict"] == "pass" for scan in scans))
+    results["overall"] = "pass" if ok else "fail"
+    return (0 if ok else 5), results
+
+
+def _cmd_check(args) -> tuple[int, dict]:
     from .analysis import (
         PAIR_BUDGET,
         check_pair_budget,
+        check_trial_budget,
         homomorphism_test,
         laws_for_key,
         vdp_coefficient_probe,
@@ -256,89 +262,72 @@ def _cmd_check(args) -> int:
 
     if bool(args.key) == bool(args.table):
         raise FormatError("check needs exactly one of --key or --table")
-    results: dict = {}
-    ok = True
     if args.table:
         table = parse_table_text(_read_text(args.table))
         if isinstance(table, VdpSeries):  # check the map the series interpolates
             table = vdp_to_table(table)
-        results["p"] = table.ctx.p
-        results["precision"] = table.ctx.precision
-        lip = check_one_lipschitz(table)
-        results["one_lipschitz"] = lip
-        ok &= lip
-        if lip:
-            measure = _measure_block(table)
-            results["measure"] = measure
-            ok &= all(measure.values())
-        if not args.json:
-            print(f"table: p={table.ctx.p} K={table.ctx.precision} "
-                  f"({len(table.values)} entries)")
-            print(f"one-lipschitz: {_yn(lip)}")
-            if lip:
-                m = results["measure"]
-                print(f"measure: bruteforce={_yn(m['bruteforce'])} "
-                      f"vdp={_yn(m['vdp'])} coordinate={_yn(m['coordinate'])}")
+        results = {"p": table.ctx.p, "precision": table.ctx.precision,
+                   "one_lipschitz": check_one_lipschitz(table)}
+        if results["one_lipschitz"]:
+            results["measure"] = _measure_block(table)
+        return _overall(results)
+    key = _load_key(args.key)
+    ctx = key.ctx
+    small = ctx.modulus <= _MEASURE_LIMIT
+    # Every refusal comes before any table or scan.
+    if args.out and not small:
+        raise DomainError("cannot export a table this large")
+    if not args.measure:
+        top = args.exhaustive_k
+        if top is None:  # levels 1 and 2, as far as the pair budget allows
+            top = next(k for k in (2, 1, 0) if ctx.p ** (2 * k) <= PAIR_BUDGET)
+        top = min(top, ctx.precision)
+        check_pair_budget(ctx, top)
+        check_trial_budget(args.trials)
+    results = {"family": key.family, "p": ctx.p, "precision": ctx.precision,
+               "measure": "skipped"}
+    if small:
+        table = encryption_table(key)
+        results["measure"] = _measure_block(table)
+        if args.out:
+            _write_atomic(args.out, serialize_table_text(table))
+            results["table_written"] = args.out
+    if not args.measure:
+        laws = []
+        for law in laws_for_key(key):
+            reports = [homomorphism_test(key, law, exhaustive_k=k) for k in range(1, top + 1)]
+            reports.append(homomorphism_test(key, law, seed=args.seed, trials=args.trials))
+            laws += [{"law": law.name} | rep.to_json() for rep in reports]
+        results["laws"] = laws
+        if key.family == "multiplicative" and small:
+            results["coefficient_probe"] = vdp_coefficient_probe(key).to_json()
+    return _overall(results)
+
+
+def _check_text(r: dict, args) -> str:
+    if args.table:
+        lines = [f"table: p={r['p']} K={r['precision']} ({r['p'] ** r['precision']} entries)",
+                 f"one-lipschitz: {_yn(r['one_lipschitz'])}"]
     else:
-        key = _load_key(args.key)
-        ctx = key.ctx
-        results["family"] = key.family
-        results["p"] = ctx.p
-        results["precision"] = ctx.precision
-        if not args.json:
-            print(f"key: {key.family} p={ctx.p} K={ctx.precision}")
-        if ctx.modulus <= _MEASURE_LIMIT:
-            table = encryption_table(key)
-            measure = _measure_block(table)
-            results["measure"] = measure
-            ok &= all(measure.values())
-            if not args.json:
-                print(f"measure: bruteforce={_yn(measure['bruteforce'])} "
-                      f"vdp={_yn(measure['vdp'])} coordinate={_yn(measure['coordinate'])}")
-            if args.out:
-                _write_atomic(args.out, serialize_table_text(table))
-                results["table_written"] = args.out
-                if not args.json:
-                    print(f"wrote encryption table to {args.out}")
-        else:
-            results["measure"] = "skipped"
-            if not args.json:
-                print(f"measure: skipped (p^K exceeds the table limit of {_MEASURE_LIMIT})")
-            if args.out:
-                raise DomainError("cannot export a table this large")
-        if not args.measure:
-            top = args.exhaustive_k
-            if top is None:  # levels 1 and 2, as far as the pair budget allows
-                top = next(k for k in (2, 1, 0) if ctx.p ** (2 * k) <= PAIR_BUDGET)
-            top = min(top, ctx.precision)
-            check_pair_budget(ctx, top)  # refuse before any level runs
-            laws = []
-            for law in laws_for_key(key):
-                for k in range(1, top + 1):
-                    rep = homomorphism_test(key, law, exhaustive_k=k)
-                    laws.append({"law": law.name} | rep.to_json())
-                rep = homomorphism_test(key, law, seed=args.seed, trials=args.trials)
-                laws.append({"law": law.name} | rep.to_json())
-            results["laws"] = laws
-            ok &= all(entry["verdict"] == "pass" for entry in laws)
-            if not args.json:
-                for entry in laws:
-                    line = f"law {entry['law']} {entry['mode']}: {entry['verdict']}"
-                    if entry["witness"]:
-                        line += f" witness={tuple(entry['witness'])}"
-                    print(f"{line} ({entry['trials']} pairs)")
-            if key.family == "multiplicative" and ctx.modulus <= _MEASURE_LIMIT:
-                probe = vdp_coefficient_probe(key)
-                results["coefficient_probe"] = probe.to_json()
-                ok &= probe.verdict == "pass"
-                if not args.json:
-                    print(f"coefficient probe: {probe.verdict} ({probe.trials} indices)")
-    results["overall"] = "pass" if ok else "fail"
-    if args.json:
-        _emit_json(results)
-    else:
-        print(f"overall: {results['overall']}")
-    return 0 if ok else 5
+        lines = [f"key: {r['family']} p={r['p']} K={r['precision']}"]
+    m = r.get("measure")
+    if m == "skipped":
+        lines.append(f"measure: skipped (p^K exceeds the table limit of {_MEASURE_LIMIT})")
+    elif m:
+        lines.append(f"measure: bruteforce={_yn(m['bruteforce'])} "
+                     f"vdp={_yn(m['vdp'])} coordinate={_yn(m['coordinate'])}")
+    if "table_written" in r:
+        lines.append(f"wrote encryption table to {r['table_written']}")
+    for entry in r.get("laws", ()):
+        line = f"law {entry['law']} {entry['mode']}: {entry['verdict']}"
+        if entry["witness"]:
+            line += f" witness={tuple(entry['witness'])}"
+        lines.append(f"{line} ({entry['trials']} pairs)")
+    if "coefficient_probe" in r:
+        probe = r["coefficient_probe"]
+        lines.append(f"coefficient probe: {probe['verdict']} ({probe['trials']} indices)")
+    lines.append(f"overall: {r['overall']}")
+    return "\n".join(lines)
 
 
 # -- search -------------------------------------------------------------------------------
@@ -353,7 +342,7 @@ def _search_symbol(name: str):
     return symbol_from_name(name)
 
 
-def _cmd_search(args) -> int:
+def _cmd_search(args) -> tuple[int, dict]:
     from .analysis import intersection_scan
 
     first = _search_symbol(args.first)
@@ -363,67 +352,66 @@ def _cmd_search(args) -> int:
         first, second, ctx,
         n_keys=args.keys, seed=args.seed, max_k=args.exhaustive_k,
     )
-    found = sum(1 for r in reports if r.verdict == "counterexample")
-    if args.json:
-        _emit_json({
-            "first": first.name,
-            "second": second.name,
-            "p": ctx.p,
-            "precision": ctx.precision,
-            "reports": [r.to_json() for r in reports],
-            "counterexamples": found,
-        })
-    else:
-        print(f"scanning {args.keys} non-identity {first.name} keys for "
-              f"{second.name} violations (p={ctx.p}, K={ctx.precision}, seed={args.seed})")
-        for i, rep in enumerate(reports, 1):
-            if rep.verdict == "counterexample":
-                x, y = rep.witness
-                print(f"key {i}: counterexample x={x} y={y} via {rep.mode} "
-                      f"({rep.trials} pairs)")
-            else:
-                print(f"key {i}: exhausted after {rep.trials} pairs ({rep.mode})")
-        print(f"counterexamples: {found}/{len(reports)}")
-    return 0
+    return 0, {
+        "first": first.name,
+        "second": second.name,
+        "p": ctx.p,
+        "precision": ctx.precision,
+        "reports": [r.to_json() for r in reports],
+        "counterexamples": sum(r.verdict == "counterexample" for r in reports),
+    }
+
+
+def _search_text(r: dict, args) -> str:
+    lines = [f"scanning {args.keys} non-identity {r['first']} keys for {r['second']} "
+             f"violations (p={r['p']}, K={r['precision']}, seed={args.seed})"]
+    for i, rep in enumerate(r["reports"], 1):
+        if rep["verdict"] == "counterexample":
+            x, y = rep["witness"]
+            lines.append(f"key {i}: counterexample x={x} y={y} via {rep['mode']} "
+                         f"({rep['trials']} pairs)")
+        else:
+            lines.append(f"key {i}: exhausted after {rep['trials']} pairs ({rep['mode']})")
+    lines.append(f"counterexamples: {r['counterexamples']}/{len(r['reports'])}")
+    return "\n".join(lines)
 
 
 # -- demo ------------------------------------------------------------------------------------
 
 
-def _cmd_demo(args) -> int:
-    from .formula import DEMO_FORMULA, encrypted_eval_demo, parse as parse_formula, vars_used
+def _cmd_demo(args) -> tuple[int, dict]:
+    from .formula import DEMO_FORMULA, parse as parse_formula, vars_used
 
     ctx = PadicContext(args.p, args.precision)
     rng = Random(args.seed)
     key = keygen(ctx, "fhe", rng, g=G1())
     ast = parse_formula(DEMO_FORMULA, ctx)
-    names = sorted(vars_used(ast))
-    env = {name: PadicInt(ctx, rng.randrange(ctx.modulus)) for name in names}
-    report = _plain_report(encrypted_eval_demo(ast, env, key, seed=args.seed))
-    if args.json:
-        _emit_json({
-            "p": ctx.p,
-            "precision": ctx.precision,
-            "seed": args.seed,
-            "multiplier": key.A.value,
-            "formula": DEMO_FORMULA,
-            "env": {name: value.value for name, value in env.items()},
-            **report,
-        })
-    else:
-        print(f"encrypted evaluation demo (p={ctx.p}, K={ctx.precision}, seed={args.seed})")
-        print(f"key: fhe multiplier A = {key.A.value}, operation G1")
-        print(f"formula: {DEMO_FORMULA}")
-        for name in names:
-            print(f"  {name} = {env[name].value}")
-        print(f"plain result:     {report['plain']}")
-        print(f"cipher result:    {report['cipher']}")
-        print(f"decrypted result: {report['decrypted']}")
-        print(f"match: {_yn(report['match'])}")
-        checks = " ".join(f"{name}={verdict}" for name, verdict
-                          in sorted(report["law_checks"].items()))
-        print(f"law checks: {checks}")
-    return 0 if report["match"] else 5
+    env = {name: PadicInt(ctx, rng.randrange(ctx.modulus)) for name in sorted(vars_used(ast))}
+    report = _round_trip(ast, env, key, args.seed)
+    return (0 if report["match"] else 5), {
+        "p": ctx.p,
+        "precision": ctx.precision,
+        "seed": args.seed,
+        "multiplier": key.A.value,
+        "formula": DEMO_FORMULA,
+        "env": {name: value.value for name, value in env.items()},
+        **report,
+    }
+
+
+def _demo_text(r: dict, args) -> str:
+    checks = " ".join(f"{name}={verdict}" for name, verdict in sorted(r["law_checks"].items()))
+    return "\n".join([
+        f"encrypted evaluation demo (p={r['p']}, K={r['precision']}, seed={r['seed']})",
+        f"key: fhe multiplier A = {r['multiplier']}, operation G1",
+        f"formula: {r['formula']}",
+        *(f"  {name} = {value}" for name, value in sorted(r["env"].items())),
+        f"plain result:     {r['plain']}",
+        f"cipher result:    {r['cipher']}",
+        f"decrypted result: {r['decrypted']}",
+        f"match: {_yn(r['match'])}",
+        f"law checks: {checks}",
+    ])
 
 
 # -- wiring -----------------------------------------------------------------------------------
@@ -449,15 +437,14 @@ def build_parser() -> argparse.ArgumentParser:
                      help="operation for the fhe family (default G1)")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--out", help="write the key here (atomic); default stdout")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_keygen)
+    sub.set_defaults(func=_cmd_keygen, render=_keygen_text)
 
     for name, forward in (("encrypt", True), ("decrypt", False)):
         sub = subs.add_parser(name, help=f"{name} one value")
         sub.add_argument("--key", required=True, help="key file (JSON)")
         sub.add_argument("value", help="decimal or p:K:d0,...,dK-1")
-        sub.add_argument("--json", action="store_true")
-        sub.set_defaults(func=lambda a, fwd=forward: _cmd_endec(a, fwd))
+        sub.set_defaults(func=lambda a, fwd=forward: _cmd_endec(a, fwd),
+                         render=lambda r, a: f"{r['output']}  ({r['output_text']})")
 
     sub = subs.add_parser("eval", help="evaluate a formula")
     _add_context_args(sub)
@@ -465,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--formula", required=True)
     sub.add_argument("--env", action="append", default=[], metavar="NAME=VALUE")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_eval)
+    sub.set_defaults(func=_cmd_eval, render=_eval_text)
 
     sub = subs.add_parser("check", help="verify a key or a value table")
     sub.add_argument("--key", help="key file to verify")
@@ -477,8 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--trials", type=_at_least(1), default=512)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", help="with --key: export the encryption table")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_check)
+    sub.set_defaults(func=_cmd_check, render=_check_text)
 
     sub = subs.add_parser("search", help="intersection counterexample scan")
     _add_context_args(sub, default_p=3, default_precision=3)
@@ -487,15 +472,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--keys", type=_at_least(1), default=10)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--exhaustive-k", type=_at_least(0), default=None, dest="exhaustive_k")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_search)
+    sub.set_defaults(func=_cmd_search, render=_search_text)
 
     sub = subs.add_parser("demo", help="seeded encrypted-evaluation walkthrough")
     _add_context_args(sub)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_demo)
+    sub.set_defaults(func=_cmd_demo, render=_demo_text)
 
+    for sub in subs.choices.values():  # last, where each command's help lists it
+        sub.add_argument("--json", action="store_true")
     return parser
 
 
@@ -506,25 +491,26 @@ def run_command(argv: list[str]) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code, report = args.func(args)
+    except BrokenPipeError:  # main ends the run quietly with 141
+        raise
     except IncompatibleFormulaError as exc:
-        _report_error(args, exc)
-        return 4
-    except (FormatError, FileNotFoundError, IsADirectoryError,
-            json.JSONDecodeError) as exc:
-        _report_error(args, exc)
-        return 3
+        return _report_error(args, exc, 4)
+    except (FormatError, OSError, json.JSONDecodeError) as exc:
+        return _report_error(args, exc, 3)
     except PadicError as exc:
-        _report_error(args, exc)
-        return 5
+        return _report_error(args, exc, 5)
+    print(_json_text(report) if args.json else args.render(report, args))
+    return code
 
 
-def _report_error(args, exc: Exception) -> None:
-    if getattr(args, "json", False):
+def _report_error(args, exc: Exception, code: int) -> int:
+    if args.json:
         print(json.dumps({"error": str(exc), "kind": type(exc).__name__}),
               file=sys.stderr)
     else:
         print(f"error: {exc}", file=sys.stderr)
+    return code
 
 
 def main() -> None:

@@ -583,3 +583,136 @@ def test_p_beyond_the_exact_primality_range_exits_5(capsys):
     assert code == 5
     assert "primality is decided exactly only below" in err
     assert time.perf_counter() - start < 1
+
+
+# -- complete reports ------------------------------------------------------------------
+#
+# stdout holds a command's whole report or nothing.  The golden texts pin the text
+# renderers byte for byte.
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch, capsys):
+    """A working directory with keys, a table that is not 1-Lipschitz and a plain file."""
+    monkeypatch.chdir(tmp_path)
+    for family, p, K, seed, name in (("multiplicative", 5, 2, 4, "m.key"),
+                                      ("additive", 5, 16, 7, "a.key"),
+                                      ("multiplicative", 7, 10, 1, "big.key")):
+        assert run(capsys, "keygen", "--family", family, "--p", str(p), "--precision", str(K),
+                   "--seed", str(seed), "--out", name)[0] == 0
+    table = ValueTable.from_callable(PadicContext(3, 2), lambda x: x // 3)
+    (tmp_path / "bad.txt").write_text(serialize_table_text(table))
+    (tmp_path / "plain.txt").write_text("a file, not a directory\n")
+    return tmp_path
+
+
+GOLDEN = {
+    "check-multiplicative": (("check", "--key", "m.key"), 0, (
+        "key: multiplicative p=5 K=2\n"
+        "measure: bruteforce=yes vdp=yes coordinate=yes\n"
+        "law MUL exhaustive:k=1: pass (25 pairs)\n"
+        "law MUL exhaustive:k=2: pass (625 pairs)\n"
+        "law MUL random:K=2: pass (512 pairs)\n"
+        "coefficient probe: pass (24 indices)\n"
+        "overall: pass\n")),
+    "check-table-fails": (("check", "--table", "bad.txt"), 5, (
+        "table: p=3 K=2 (9 entries)\n"
+        "one-lipschitz: no\n"
+        "overall: fail\n")),
+    "check-measure-skipped": (("check", "--key", "a.key"), 0, (
+        "key: additive p=5 K=16\n"
+        "measure: skipped (p^K exceeds the table limit of 4096)\n"
+        "law ADD exhaustive:k=1: pass (25 pairs)\n"
+        "law ADD exhaustive:k=2: pass (625 pairs)\n"
+        "law ADD random:K=16: pass (512 pairs)\n"
+        "overall: pass\n")),
+    "search": (("search", "ADD", "XOR", "--p", "3", "--precision", "3", "--keys", "3",
+                "--seed", "5"), 0, (
+        "scanning 3 non-identity ADD keys for XOR violations (p=3, K=3, seed=5)\n"
+        "key 1: counterexample x=1 y=1 via exhaustive:k=2 (20 pairs)\n"
+        "key 2: counterexample x=4 y=1 via exhaustive:k=3 (122 pairs)\n"
+        "key 3: counterexample x=4 y=1 via exhaustive:k=3 (122 pairs)\n"
+        "counterexamples: 3/3\n")),
+    "keygen-out": (("keygen", "--family", "additive", "--p", "5", "--precision", "3",
+                    "--seed", "11", "--out", "add.key"), 0,
+                   "wrote additive key (p=5, K=3) to add.key\n"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN)
+def test_text_reports_are_pinned(workdir, capsys, name):
+    argv, code, text = GOLDEN[name]
+    assert run(capsys, *argv) == (code, text, "")
+
+
+def _no_match(monkeypatch):
+    """Make the encrypted round trip decrypt one off, so eval reports no match."""
+    from padic_ciphers import formula
+
+    real = formula.decrypt
+    monkeypatch.setattr(formula, "decrypt", lambda key, c: real(key, c) + PadicInt(c.ctx, 1))
+
+
+REPORTS = {
+    # name: (argv, exit code, (last text line, JSON field, its value)) or None for no report
+    "failing-table": (("check", "--table", "bad.txt"), 5, ("overall: fail", "overall", "fail")),
+    "eval-no-match": (("eval", "--key", "m.key", "--formula", "x * y", "--env", "x=2",
+                       "--env", "y=3"), 5, ("match:     no", "match", False)),
+    "trials-over-budget": (("check", "--key", "m.key", "--trials", str(10**12)), 5, None),
+    "incompatible-formula": (("eval", "--key", "m.key", "--formula", "x + y", "--env", "x=2",
+                              "--env", "y=3"), 4, None),
+    "malformed-key": (("encrypt", "--key", "bad.txt", "1"), 3, None),
+}
+
+
+@pytest.mark.parametrize("json_mode", (False, True))
+@pytest.mark.parametrize("name", REPORTS)
+def test_stdout_holds_the_whole_report_or_nothing(workdir, capsys, monkeypatch, name, json_mode):
+    argv, want, report = REPORTS[name]
+    if name == "eval-no-match":
+        _no_match(monkeypatch)
+    code, out, err = run(capsys, *argv, *["--json"] * json_mode)
+    assert code == want
+    if report is None:
+        assert out == "" and len(err.splitlines()) == 1
+    elif json_mode:
+        assert json.loads(out)[report[1]] == report[2]
+    else:
+        assert out.endswith(report[0] + "\n")
+
+
+@pytest.mark.parametrize("json_mode", (False, True))
+@pytest.mark.parametrize("argv", [
+    ("encrypt", "--key", "plain.txt/k.json", "1"),
+    ("encrypt", "--key", "k" * 5000, "1"),
+    ("check", "--table", "plain.txt/t.txt"),
+    ("keygen", "--family", "additive", "--out", "plain.txt/k.json"),
+    ("check", "--key", "m.key", "--measure", "--out", "plain.txt/t.txt"),
+], ids=["key-under-a-file", "key-name-too-long", "table-under-a-file", "keygen-out-under-a-file",
+        "check-out-under-a-file"])
+def test_unusable_paths_exit_3(workdir, capsys, argv, json_mode):
+    code, out, err = run(capsys, *argv, *["--json"] * json_mode)
+    assert (code, out) == (3, "")
+    [line] = err.splitlines()
+    if json_mode:
+        assert json.loads(line)["kind"] in ("NotADirectoryError", "OSError")
+    else:
+        assert line.startswith("error: [Errno ")
+
+
+@pytest.mark.parametrize("json_mode", (False, True))
+@pytest.mark.parametrize("key, flags, message", [
+    ("m.key", ("--trials", str(10**12)), "over the budget"),
+    ("big.key", ("--exhaustive-k", "9"), "over the budget"),
+    ("big.key", ("--out", "t.txt"), "cannot export a table this large"),
+], ids=["trials", "level", "out"])
+def test_check_refuses_before_any_table_or_scan(workdir, capsys, monkeypatch, key, flags,
+                                                message, json_mode):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before the refusal")
+
+    monkeypatch.setattr(cli, "encryption_table", no_work)
+    monkeypatch.setattr("padic_ciphers.analysis.homomorphism_test", no_work)
+    code, out, err = run(capsys, "check", "--key", key, *flags, *["--json"] * json_mode)
+    assert (code, out) == (5, "")
+    assert message in err
