@@ -26,18 +26,20 @@ Teichmuller lifts of the mod-p solutions, so there are gcd(d, p-1) usable
 multipliers, A = 1 among them: small primes make thin fhe key spaces.
 
 Each key class draws its own random key (``draw``, which ``keygen`` finds
-through ``FAMILIES``) and carries its own integer kernels, ``enc_int`` and
-``dec_int``, on residues mod p^K; ``encrypt``/``decrypt`` wrap them in a
-``PadicInt``.
+through ``FAMILIES``), and its ``enc_int`` and ``dec_int`` are the integer
+kernels themselves: callables on residues mod p^K that ``encrypt``/``decrypt``
+wrap in a ``PadicInt``.  An fhe key is an additive key whose multiplier also
+commutes with G, so it shares the additive kernels.
 What a kernel precomputes from the key (inverse multipliers and exponents,
 the packed columns of the xor matrix and of its inverse over F_p, and for
 p <= 7 the xor and and block tables of at most 64 entries each) is built on
-the key's first use, not when the key is made.
+the kernel's first use, not when the key is made.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property, partial
 from itertools import accumulate, repeat
@@ -403,14 +405,14 @@ _OPERATION = (_dump_operation, _load_operation)
 # -- key families ----------------------------------------------------------------
 #
 # Each class states the operations its encryption map respects (``laws``), its
-# fields in JSON (``json_fields``, written and read in that order), and draws
-# its own random key (``draw(ctx, rng, g)``; only fhe reads g).
-#
-# Kernel data is built on a key's first use (a cached_property), so a key that
-# never encrypts costs nothing extra.  Only the xor and and kernels fill tables
-# over digit values, and only for p <= 7, where a block table has at most 64
-# entries; from p = 11 on they read one digit at a time, so no key does work
-# that grows with p.
+# fields in JSON (``json_fields``, written and read in that order), draws its
+# own random key (``draw(ctx, rng, g)``; only fhe reads g) and has a context
+# ``ctx``.  Its ``enc_int`` and ``dec_int`` are cached_properties whose values
+# are the kernels, each built on its first use, so a key that never encrypts
+# costs nothing extra.  FheKey is an AdditiveKey with the further constraint
+# A^d = 1.  Only the xor and and kernels fill tables over digit values, and
+# only for p <= 7, where a block table has at most 64 entries; from p = 11 on
+# they read one digit at a time, so no key does work that grows with p.
 
 
 DRAW_BUDGET = 1 << 16  # most digits below p a key draw may enumerate: p - 1 <= this
@@ -432,29 +434,8 @@ def _coprime_exponents(p: int) -> list[int]:
     return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
 
 
-class _UnitMultiplier:
-    """Kernels of y = A*x mod p^K, shared by the additive and fhe families."""
-
-    @property
-    def ctx(self) -> PadicContext:
-        return self.A.ctx
-
-    def enc_int(self, v: int) -> int:
-        A, _, m = self._multipliers
-        return A * v % m
-
-    def dec_int(self, v: int) -> int:
-        _, A_inv, m = self._multipliers
-        return A_inv * v % m
-
-    @cached_property
-    def _multipliers(self) -> tuple[int, int, int]:
-        m = self.A.ctx.modulus
-        return self.A.value, pow(self.A.value, -1, m), m
-
-
 @dataclass(frozen=True)
-class AdditiveKey(_UnitMultiplier):
+class AdditiveKey:
     family = "additive"
     laws = (ADD,)
     json_fields = {"A": _RESIDUE}
@@ -467,6 +448,21 @@ class AdditiveKey(_UnitMultiplier):
     @classmethod
     def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "AdditiveKey":
         return cls(_random_unit(ctx, rng))
+
+    @property
+    def ctx(self) -> PadicContext:
+        return self.A.ctx
+
+    @cached_property
+    def enc_int(self) -> Callable[[int], int]:
+        A, m = self.A.value, self.ctx.modulus
+        return lambda v: A * v % m
+
+    @cached_property
+    def dec_int(self) -> Callable[[int], int]:
+        m = self.ctx.modulus
+        A_inv = pow(self.A.value, -1, m)
+        return lambda v: A_inv * v % m
 
 
 @dataclass(frozen=True)
@@ -502,11 +498,13 @@ class MultiplicativeKey:
     def ctx(self) -> PadicContext:
         return self.A.ctx
 
-    def enc_int(self, v: int) -> int:
-        return self._kernel.enc(v)
+    @cached_property
+    def enc_int(self) -> Callable[[int], int]:
+        return self._kernel.enc
 
-    def dec_int(self, v: int) -> int:
-        return self._kernel.dec(v)
+    @cached_property
+    def dec_int(self) -> Callable[[int], int]:
+        return self._kernel.dec
 
     @cached_property
     def _kernel(self) -> "_MultiplicativeKernel":
@@ -739,12 +737,12 @@ class XorKey:
 
     family = "xor"
     laws = (XOR,)
-    json_fields = {"key_ctx": _CONTEXT, "rows": _ROWS}
-    key_ctx: PadicContext
+    json_fields = {"ctx": _CONTEXT, "rows": _ROWS}
+    ctx: PadicContext
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        ctx = self.key_ctx
+        ctx = self.ctx
         if len(self.rows) != ctx.precision:
             raise InvalidKeyError(f"need {ctx.precision} rows, got {len(self.rows)}")
         for k, row in enumerate(self.rows):
@@ -762,23 +760,13 @@ class XorKey:
             for k in range(ctx.precision)
         ))
 
-    @property
-    def ctx(self) -> PadicContext:
-        return self.key_ctx
-
-    def enc_int(self, v: int) -> int:
-        return self._forward.apply(v)
-
-    def dec_int(self, v: int) -> int:
-        return self._backward.apply(v)
+    @cached_property
+    def enc_int(self) -> Callable[[int], int]:
+        return _matrix_kernel(_SlotMatrix.from_rows(self.rows, self.ctx.p)).apply
 
     @cached_property
-    def _forward(self) -> _SlotMatrix | _DigitBlocks:
-        return _matrix_kernel(_SlotMatrix.from_rows(self.rows, self.key_ctx.p))
-
-    @cached_property
-    def _backward(self) -> _SlotMatrix | _DigitBlocks:
-        return _matrix_kernel(_SlotMatrix.from_rows(self.rows, self.key_ctx.p).inverse())
+    def dec_int(self) -> Callable[[int], int]:
+        return _matrix_kernel(_SlotMatrix.from_rows(self.rows, self.ctx.p).inverse()).apply
 
 
 @dataclass(frozen=True)
@@ -787,12 +775,12 @@ class AndKey:
 
     family = "and"
     laws = (AND,)
-    json_fields = {"key_ctx": _CONTEXT, "exponents": _INTEGERS}
-    key_ctx: PadicContext
+    json_fields = {"ctx": _CONTEXT, "exponents": _INTEGERS}
+    ctx: PadicContext
     exponents: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        ctx = self.key_ctx
+        ctx = self.ctx
         if len(self.exponents) != ctx.precision:
             raise InvalidKeyError(
                 f"need {ctx.precision} exponents, got {len(self.exponents)}"
@@ -808,41 +796,29 @@ class AndKey:
         exps = _coprime_exponents(ctx.p)
         return cls(ctx, tuple(rng.choice(exps) for _ in range(ctx.precision)))
 
-    @property
-    def ctx(self) -> PadicContext:
-        return self.key_ctx
-
-    def enc_int(self, v: int) -> int:
-        return self._forward.apply(v)
-
-    def dec_int(self, v: int) -> int:
-        return self._backward.apply(v)
+    @cached_property
+    def enc_int(self) -> Callable[[int], int]:
+        return _powers_kernel(self.ctx.p, self.exponents).apply
 
     @cached_property
-    def _forward(self) -> _DigitPowers | _DigitBlocks:
-        return _powers_kernel(self.key_ctx.p, self.exponents)
-
-    @cached_property
-    def _backward(self) -> _DigitPowers | _DigitBlocks:
+    def dec_int(self) -> Callable[[int], int]:
         # x -> x^s permutes F_p exactly when s is a unit mod p - 1; at p = 2
         # the only exponent is 1, its own inverse.
-        p = self.key_ctx.p
+        p = self.ctx.p
         return _powers_kernel(p, tuple(pow(s, -1, p - 1) if p > 2 else 1
-                                       for s in self.exponents))
+                                       for s in self.exponents)).apply
 
 
 @dataclass(frozen=True)
-class FheKey(_UnitMultiplier):
+class FheKey(AdditiveKey):
     """Additive key constrained to A^d = 1 so that a chosen G also commutes."""
 
     family = "fhe"
     json_fields = {"A": _RESIDUE, "g": _OPERATION}
-    A: PadicInt
     g: GOperation
 
     def __post_init__(self) -> None:
-        if not is_unit(self.A):
-            raise InvalidKeyError("multiplier A must be a unit")
+        super().__post_init__()
         d = exponent_gcd(self.g, self.A.ctx.p)
         if d is not None and pow_nat(self.A, d).value != 1:
             raise InvalidKeyError(f"A^{d} != 1: multiplier does not commute with G")
@@ -922,9 +898,13 @@ def encryption_table(key: CipherKey) -> ValueTable:
 
 
 def is_identity_key(key: CipherKey) -> bool:
-    """True iff the encryption map equals the identity mod p**K."""
-    table = encryption_table(key)
-    return all(table.values[x] == x for x in key.ctx.residues())
+    """True iff the encryption map equals the identity mod p**K (a context
+    over the table limit is refused, as ``encryption_table`` refuses it)."""
+    from .lipschitz import _check_table_size
+
+    _check_table_size(key.ctx)
+    enc = key.enc_int
+    return all(enc(x) == x for x in key.ctx.residues())
 
 
 # -- serialization ----------------------------------------------------------------------

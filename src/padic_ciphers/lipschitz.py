@@ -205,18 +205,11 @@ def vdp_to_table(series: VdpSeries) -> ValueTable:
 
 
 def check_one_lipschitz(obj: ValueTable | VdpSeries) -> bool:
-    """Table: x = y mod p^j implies f(x) = f(y) mod p^j for all j.
-    Series: p**(digits(m)-1) divides B_m for all m."""
+    """Table: x = y mod p^j implies f(x) = f(y) mod p^j for all j.  A series
+    is checked as its table: B_m = t[m] - t[m without its lead digit], so
+    p**(digits(m)-1) divides B_m exactly when the table passes that level."""
     if isinstance(obj, VdpSeries):
-        p = obj.ctx.p
-        q, pn = 1, p
-        for m, coeff in enumerate(obj.B):
-            if m == pn:
-                q *= p
-                pn *= p
-            if coeff % q:
-                return False
-        return True
+        obj = vdp_to_table(obj)
     # Comparing each level with its parent suffices: given f(x) = f(x mod p^n)
     # mod p^n for every n and every x < p^(n+1), the congruences chain from x
     # down through x mod p^(K-1), ..., x mod p^j for every j.

@@ -413,6 +413,54 @@ def test_identity_detection():
     assert not is_identity_key(AdditiveKey(C52.integer(7)))
 
 
+IDENTITY_KEYS = {
+    "additive": lambda ctx: AdditiveKey(ctx.one),
+    "multiplicative": lambda ctx: MultiplicativeKey(ctx.one, 1, ctx.one),
+    "xor": lambda ctx: XorKey(ctx, tuple((0,) * k + (1,) for k in range(ctx.precision))),
+    "and": lambda ctx: AndKey(ctx, (1,) * ctx.precision),
+    "fhe": lambda ctx: FheKey(ctx.one, G1()),
+}
+
+
+def _verdict(fn, key):
+    try:
+        return fn(key)
+    except DomainError as exc:  # a context over the table limit
+        return str(exc)
+
+
+@pytest.mark.parametrize("p, K", [(5, 3), (7, 64)])
+@pytest.mark.parametrize("family", FAMILIES)
+def test_key_protocol(monkeypatch, family, p, K):
+    ctx = PadicContext(p, K)
+    key = keygen(ctx, family, Random(p * K + 1))
+    assert isinstance(key, FAMILIES[family]) and key.ctx == ctx
+    assert not {"enc_int", "dec_int"} & set(vars(key))  # each kernel is built on first use
+    enc, dec = key.enc_int, key.dec_int
+    assert key.enc_int is enc and key.dec_int is dec
+    rng = Random(K)
+    xs = [0, ctx.modulus - 1] + [
+        p**v * (rng.randrange(1, p) + p * rng.randrange(p ** (K - v - 1))) for v in range(K)
+    ]
+    assert [dec(enc(x)) for x in xs] == xs
+    assert issubclass(FheKey, AdditiveKey)
+
+    def table_verdict(k) -> bool:  # the whole-table comparison
+        table = encryption_table(k)
+        return all(table.values[x] == x for x in ctx.residues())
+
+    keys = (IDENTITY_KEYS[family](ctx), key)
+    want = [_verdict(table_verdict, k) for k in keys]
+    if ctx.modulus <= 1 << 20:
+        assert want == [True, False]
+
+    def no_table(k):
+        raise AssertionError("is_identity_key built a table")
+
+    monkeypatch.setattr("padic_ciphers.ciphers.encryption_table", no_table)
+    assert [_verdict(is_identity_key, k) for k in keys] == want
+
+
 def test_encryption_table_limit():
     key = keygen(PadicContext(2, 21), "additive", Random(1))
     with pytest.raises(DomainError, match=r"p\*\*K = 2097152 exceeds the limit 1048576$"):

@@ -701,6 +701,26 @@ def test_unusable_paths_exit_3(workdir, capsys, argv, json_mode):
 
 
 @pytest.mark.parametrize("json_mode", (False, True))
+@pytest.mark.parametrize("target, kind, message", [
+    ("adir", "IsADirectoryError", "[Errno 21] Is a directory: 'adir'"),
+    ("plain.txt/out", "NotADirectoryError", "[Errno 20] Not a directory: 'plain.txt/out'"),
+], ids=["directory", "under-a-file"])
+@pytest.mark.parametrize("argv", [
+    ("keygen", "--family", "additive", "--out"),
+    ("check", "--key", "m.key", "--out"),
+], ids=["keygen", "check"])
+def test_unwritable_out_names_the_given_path(workdir, capsys, argv, target, kind, message,
+                                             json_mode):
+    (workdir / "adir").mkdir()
+    want = (json.dumps({"error": message, "kind": kind}) if json_mode
+            else f"error: {message}") + "\n"
+    for _ in range(2):  # the same stderr on every run
+        code, out, err = run(capsys, *argv, target, *["--json"] * json_mode)
+        assert (code, out, err) == (3, "", want)
+    assert not list(workdir.rglob(".key-*"))
+
+
+@pytest.mark.parametrize("json_mode", (False, True))
 @pytest.mark.parametrize("key, flags, message", [
     ("m.key", ("--trials", str(10**12)), "over the budget"),
     ("big.key", ("--exhaustive-k", "9"), "over the budget"),

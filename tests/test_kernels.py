@@ -111,7 +111,7 @@ def _xor_apply(rows: tuple[tuple[int, ...], ...], x: PadicInt) -> PadicInt:
 
 
 def _xor_solve(key: XorKey, y: PadicInt) -> PadicInt:
-    ctx = key.key_ctx
+    ctx = key.ctx
     p = ctx.p
     ydig = y.digits
     xdig: list[int] = []
@@ -139,7 +139,7 @@ def reference_encrypt(key, x: PadicInt) -> PadicInt:
         return _multiplicative_encrypt(key, x)
     if isinstance(key, XorKey):
         return _xor_apply(key.rows, x)
-    return _and_apply(key.key_ctx, key.exponents, x)
+    return _and_apply(key.ctx, key.exponents, x)
 
 
 def reference_decrypt(key, y: PadicInt) -> PadicInt:
@@ -149,9 +149,9 @@ def reference_decrypt(key, y: PadicInt) -> PadicInt:
         return _multiplicative_decrypt(key, y)
     if isinstance(key, XorKey):
         return _xor_solve(key, y)
-    p = key.key_ctx.p
+    p = key.ctx.p
     inverse = tuple(pow(s, -1, p - 1) if p > 2 else 1 for s in key.exponents)
-    return _and_apply(key.key_ctx, inverse, y)
+    return _and_apply(key.ctx, inverse, y)
 
 
 # -- keys and plaintexts -----------------------------------------------------------
@@ -286,7 +286,7 @@ def test_block_tables_stay_small_and_large_primes_build_none():
             for family in ("xor", "and"):
                 key = keygen(ctx, family, Random(K))
                 key.dec_int(key.enc_int(ctx.modulus - 1))
-                for kernel in (key._forward, key._backward):
+                for kernel in (key.enc_int.__self__, key.dec_int.__self__):
                     assert isinstance(kernel, ciphers._DigitBlocks)
                     assert len(kernel.tables) == math.ceil(K / h)
                     assert all(len(table) <= 64 for table in kernel.tables)
@@ -301,6 +301,6 @@ def test_block_tables_stay_small_and_large_primes_build_none():
         for family in ("xor", "and"):
             key = keygen(ctx, family, Random(p))
             key.dec_int(key.enc_int(ctx.modulus - 1))
-            assert not isinstance(key._forward, ciphers._DigitBlocks)
-            assert not isinstance(key._backward, ciphers._DigitBlocks)
+            assert not isinstance(key.enc_int.__self__, ciphers._DigitBlocks)
+            assert not isinstance(key.dec_int.__self__, ciphers._DigitBlocks)
     assert cached() == before
