@@ -124,7 +124,9 @@ def check_pair_budget(ctx: PadicContext, k: int) -> None:
 
 
 def check_trial_budget(trials: int) -> None:
-    """Refuse a random phase of more than PAIR_BUDGET pairs."""
+    """Refuse a random phase of a negative count or of more than PAIR_BUDGET pairs."""
+    if trials < 0:
+        raise DomainError(f"a count of random pairs cannot be negative, got {trials}")
     if trials > PAIR_BUDGET:
         raise DomainError(f"{trials} random pairs are over the budget of {PAIR_BUDGET}")
 
@@ -273,18 +275,19 @@ def counterexample_search(
     *,
     max_k: int | None = None,
     random_trials: int = 512,
-    seed: int = 0,
     rng: Random | None = None,
 ) -> SearchReport:
     """Escalate exhaustive levels k = 1, 2, ... then fall back to random pairs.
 
-    Levels stay exhaustive while p^k <= 256 unless max_k says otherwise; a
-    max_k whose level has more than PAIR_BUDGET pairs is refused before any
-    scan.  The witness (x, y) reported for level k consists of residues mod
-    p^k, scanned in order of y then x.
+    Levels stay exhaustive while p^k <= 256 unless max_k says otherwise.  A
+    level over PAIR_BUDGET pairs or a random_trials outside [0, PAIR_BUDGET]
+    is refused before any scan.  The witness (x, y) reported for level k holds
+    residues mod p^k, scanned in order of y then x.  Random pairs come from
+    rng, or from Random(0) when none is given.
     """
     ctx, _ = _subject(subject)
     max_k = _escalation_depth(ctx, max_k)
+    check_trial_budget(random_trials)
     total = 0
     for k in range(1, max_k + 1):
         rep = homomorphism_test(subject, op, exhaustive_k=k)
@@ -292,7 +295,7 @@ def counterexample_search(
         if rep.verdict == "counterexample":
             return SearchReport(rep.verdict, rep.witness, total, rep.mode, rep.detail)
     rep = homomorphism_test(
-        subject, op, trials=random_trials, rng=rng if rng is not None else Random(seed)
+        subject, op, trials=random_trials, rng=rng if rng is not None else Random(0)
     )
     total += rep.trials
     if rep.verdict == "counterexample":
@@ -300,8 +303,8 @@ def counterexample_search(
     return SearchReport("exhausted", None, total, f"escalation:k<={max_k}+random")
 
 
-def _nonidentity_key(ctx: PadicContext, family: str, rng: Random, attempts: int = 1000):
-    for _ in range(attempts):
+def _nonidentity_key(ctx: PadicContext, family: str, rng: Random):
+    for _ in range(1000):
         key = keygen(ctx, family, rng)
         if ctx.modulus <= 4096:
             if not is_identity_key(key):
@@ -321,7 +324,6 @@ def intersection_scan(
     *,
     n_keys: int = 10,
     seed: int = 0,
-    rng: Random | None = None,
     max_k: int | None = None,
     random_trials: int = 256,
 ) -> list[SearchReport]:
@@ -338,17 +340,22 @@ def intersection_scan(
     to find, so the scan redraws instead of reporting them.  At scales the
     escalation cannot exhaust, nothing is redrawn and "exhausted" verdicts
     surface as-is.  A scan of more than PAIR_BUDGET pairs, counted as n_keys
-    times p^(2k) + random_trials at escalation depth k, is refused up front.
+    times p^(2k) + random_trials at escalation depth k, is refused up front,
+    as is a negative n_keys or random_trials.  One Random(seed) drives every
+    draw: the keys, and the random pairs of each key's search.
     """
     family = next((name for name, cls in FAMILIES.items() if cls.laws == (first,)), None)
     if family is None:
         raise DomainError(f"no key family realizes {first.name}")
     depth = _escalation_depth(ctx, max_k)
+    if n_keys < 0:
+        raise DomainError(f"a count of keys cannot be negative, got {n_keys}")
+    check_trial_budget(random_trials)
     pairs = n_keys * (ctx.p ** (2 * depth) + random_trials)
     if pairs > PAIR_BUDGET:
         raise DomainError(f"a scan of {n_keys} keys takes up to {pairs} pairs, "
                           f"over the budget of {PAIR_BUDGET}")
-    r = rng if rng is not None else Random(seed)
+    r = Random(seed)
     proves_membership = depth >= ctx.precision
     reports = []
     draws = 0

@@ -55,27 +55,15 @@ class MealyMachine:
                         raise DomainError(f"{name} entry {v} out of range")
 
 
-class TransducerRun:
-    """Stepping cursor over a machine: feed one digit, get one digit."""
-
-    def __init__(self, machine: MealyMachine, state: int | None = None):
-        self.machine = machine
-        self.state = machine.initial if state is None else state
-        self.consumed = 0
-
-    def step(self, digit: int) -> int:
-        m = self.machine
-        if not 0 <= digit < m.p:
-            raise DomainError(f"input digit {digit} out of range [0, {m.p})")
-        out = m.output[digit][self.state]
-        self.state = m.transition[digit][self.state]
-        self.consumed += 1
-        return out
-
-
 def run(machine: MealyMachine, digits: Iterable[int]) -> list[int]:
-    cursor = TransducerRun(machine)
-    return [cursor.step(d) for d in digits]
+    """One output digit per input digit, from the initial state; digits must be in [0, p)."""
+    state, out = machine.initial, []
+    for digit in digits:
+        if not 0 <= digit < machine.p:
+            raise DomainError(f"input digit {digit} out of range [0, {machine.p})")
+        out.append(machine.output[digit][state])
+        state = machine.transition[digit][state]
+    return out
 
 
 def transduce(machine: MealyMachine, x: PadicInt) -> PadicInt:
@@ -140,8 +128,8 @@ def check_induced_bijections(machine: MealyMachine, precision: int) -> bool:
     return check_measure_bruteforce(function_of_automaton(machine, precision))
 
 
-def random_machine(p: int, n_states: int, rng: Random, initial: int = 0) -> MealyMachine:
-    """Uniform random tables: the random machines of acceptance criterion 8."""
+def random_machine(p: int, n_states: int, rng: Random) -> MealyMachine:
+    """Uniform random tables from state 0: the random machines of acceptance criterion 8."""
     return MealyMachine(
         p=p,
         n_states=n_states,
@@ -151,5 +139,5 @@ def random_machine(p: int, n_states: int, rng: Random, initial: int = 0) -> Meal
         output=tuple(
             tuple(rng.randrange(p) for _ in range(n_states)) for _ in range(p)
         ),
-        initial=initial,
+        initial=0,
     )

@@ -842,10 +842,6 @@ class FheKey(AdditiveKey):
             )
         return cls(PadicInt(ctx, rng.choice(candidates)), g)
 
-    @property
-    def d(self) -> int | None:
-        return exponent_gcd(self.g, self.A.ctx.p)
-
     @cached_property
     def laws(self) -> tuple[OpSymbol, ...]:
         return (ADD, g_sym(self.g))

@@ -213,8 +213,8 @@ def test_intersection_scan_redraws_keys_shared_with_second_family(monkeypatch):
     drawn = []
     real = analysis._nonidentity_key
 
-    def recording(ctx, family, rng, attempts=1000):
-        key = real(ctx, family, rng, attempts)
+    def recording(ctx, family, rng):
+        key = real(ctx, family, rng)
         drawn.append(key.A.value)
         return key
 
@@ -267,6 +267,18 @@ def test_trial_and_key_counts_over_the_pair_budget_are_refused(monkeypatch):
         intersection_scan(ADD, MUL, C33, n_keys=n)
     with pytest.raises(DomainError, match="over the budget"):
         intersection_scan(ADD, MUL, C33, n_keys=1, random_trials=analysis.PAIR_BUDGET)
+
+
+def test_negative_trial_and_key_counts_are_refused(monkeypatch):
+    key = AdditiveKey(C53.integer(2))
+    with pytest.raises(DomainError, match="cannot be negative"):
+        homomorphism_test(key, MUL, trials=-5, seed=0)
+    with pytest.raises(DomainError, match="cannot be negative"):
+        counterexample_search(key, ADD, random_trials=-7)
+    monkeypatch.setattr(analysis, "keygen", None)  # no key may be drawn
+    for counts in ({"n_keys": -1}, {"random_trials": -1}):
+        with pytest.raises(DomainError, match="cannot be negative"):
+            intersection_scan(ADD, MUL, C33, **counts)
 
 
 def test_operation_tables_hold_a_check_and_search_working_set():

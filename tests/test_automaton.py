@@ -6,7 +6,6 @@ import pytest
 from padic_ciphers.core import DomainError, PadicContext
 from padic_ciphers.automaton import (
     MealyMachine,
-    TransducerRun,
     check_induced_bijections,
     function_of_automaton,
     random_machine,
@@ -80,15 +79,6 @@ def test_binary_increment_example():
     assert run(m, [1, 1, 0]) == [0, 0, 1]
     table = function_of_automaton(m, 4)
     assert all(table.values[x] == (x + 1) % 16 for x in range(16))
-
-
-def test_stepping_cursor():
-    m = identity_machine(3)
-    cur = TransducerRun(m)
-    assert cur.step(2) == 2
-    assert cur.consumed == 1
-    with pytest.raises(DomainError):
-        cur.step(3)
 
 
 def test_unroll_identity_and_replay():

@@ -736,3 +736,61 @@ def test_check_refuses_before_any_table_or_scan(workdir, capsys, monkeypatch, ke
     code, out, err = run(capsys, "check", "--key", key, *flags, *["--json"] * json_mode)
     assert (code, out) == (5, "")
     assert message in err
+
+
+# -- the pinned transcript ---------------------------------------------------------------
+#
+# One digest over about 230 commands: every family at every context that admits it, each
+# command in text and JSON, the searches, the demo and one command per error exit.  Any
+# change to any byte of any output changes the digest.
+
+TRANSCRIPT_FORMULAS = {"additive": "x + y + 3", "multiplicative": "x * y * 2",
+                       "xor": "XOR(x, y)", "and": "AND(x, 3)", "fhe": "G1(x, y) + x"}
+
+
+def _transcript() -> list[tuple[str, ...]]:
+    commands = []
+    for family, formula in TRANSCRIPT_FORMULAS.items():
+        for p, K in ((3, 3), (5, 4), (7, 2), (2, 5)):
+            if p == 2 and family in ("multiplicative", "fhe"):  # both need odd p
+                continue
+            key, table = f"{family}-{p}-{K}.key", f"{family}-{p}-{K}.txt"
+            commands.append(("keygen", "--family", family, "--p", str(p),
+                             "--precision", str(K), "--seed", str(p + K), "--out", key))
+            for argv in (("encrypt", "--key", key, "7"), ("decrypt", "--key", key, "7"),
+                         ("check", "--key", key),
+                         ("eval", "--key", key, "--formula", formula,
+                          "--env", "x=2", "--env", "y=5")):
+                commands += [argv, (*argv, "--json")]
+            commands += [("check", "--key", key, "--measure", "--out", table),
+                         ("check", "--table", table), ("check", "--table", table, "--json")]
+    commands += [
+        ("search", "ADD", "XOR", "--p", "3", "--precision", "3", "--keys", "3", "--seed", "5"),
+        ("search", "MUL", "ADD", "--p", "5", "--precision", "2", "--keys", "2", "--json"),
+        ("search", "XOR", "AND", "--p", "3", "--precision", "4", "--keys", "2",
+         "--exhaustive-k", "2", "--seed", "3"),
+        ("search", "AND", "G1", "--p", "7", "--precision", "2", "--keys", "3", "--json"),
+        ("demo", "--p", "5", "--precision", "6", "--seed", "3"),
+        ("demo", "--p", "7", "--precision", "4", "--seed", "1", "--json"),
+        ("demo", "--bogus"),  # 2
+        ("encrypt", "--key", "missing.key", "1"),  # 3
+        ("eval", "--key", "additive-5-4.key", "--formula", "x * y",
+         "--env", "x=2", "--env", "y=5"),  # 4
+        ("keygen", "--family", "multiplicative", "--p", "2", "--precision", "5"),  # 5
+    ]
+    return commands
+
+
+TRANSCRIPT_DIGEST = "4c12592381beb1b617aae5ee923ba1b3a7ecfc389b64cd19436c7221721ae414"
+
+
+def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal
+    digest, codes = hashlib.sha256(), set()
+    for argv in _transcript():
+        code, out, err = run(capsys, *argv)
+        codes.add(code)
+        digest.update(json.dumps([argv, code, out, err]).encode() + b"\n")
+    assert codes == {0, 2, 3, 4, 5}
+    assert digest.hexdigest() == TRANSCRIPT_DIGEST

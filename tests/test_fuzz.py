@@ -1,12 +1,20 @@
-"""Fuzz test of the text and JSON entry points: on any input, parsing either
-succeeds or raises ``FormatError``; no other exception escapes."""
+"""Fuzz tests of the entry points.  On any input, parsing text or JSON either
+succeeds or raises ``FormatError``, and a CLI command on small p and K ends
+quickly with a documented exit code; no other exception escapes."""
 
 from __future__ import annotations
+
+import contextlib
+import io
+import os
+import tempfile
+import time
 
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from padic_ciphers.ciphers import FAMILIES, G_CHOICES, key_from_json
+from padic_ciphers.cli import run_command
 from padic_ciphers.core import FormatError, PadicContext, from_text
 from padic_ciphers.formula import parse
 from padic_ciphers.lipschitz import parse_table_text
@@ -107,3 +115,78 @@ formula_texts = st.text(max_size=60) | st.text(
 @given(formula_texts, st.sampled_from([PadicContext(5, 16), PadicContext(2, 1)]))
 def test_parse_formula(text, ctx):
     only_format_errors(parse, text, ctx)
+
+
+# -- the CLI -------------------------------------------------------------------------------
+
+FORMULAS = ["x + y", "x * y + 2", "XOR(x, y)", "AND(x, 3)", "G1(x, y) + x", "STAR(x, y)",
+            "G2(x, G3(y, x))", "GLIN(x, y)", "x + z", "x +", "1" * 40]
+OPERATIONS = ["ADD", "MUL", "XOR", "AND", "G1", "G2", "G3", "G4", "GLIN", "NAND"]
+
+
+@st.composite
+def cli_sessions(draw):
+    """A keygen under a random family, p <= 13 and K <= 6, then one command of a
+    random kind with flags from ranges that keep each run small."""
+    # Mostly primes and admitted precisions, so that most keys are drawn.
+    p = draw(st.sampled_from([2, 3, 5, 7, 11, 13, 9, 1, -3]))
+    K = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 0]))
+    context = ["--p", str(p), "--precision", str(K)]
+    seed = ["--seed", str(draw(st.integers(-2, 99)))]
+    family = draw(st.sampled_from(sorted(FAMILIES)))
+    g = []
+    if family == "fhe" and draw(st.booleans()):
+        g = ["--g", draw(st.sampled_from(G_CHOICES))]
+    keygen = ["keygen", "--family", family, *context, *seed, *g, "--out", "k.key"]
+    kind = draw(st.sampled_from(["keygen", "encrypt", "decrypt", "eval", "check",
+                                 "check-table", "search", "demo"]))
+    if kind == "keygen":
+        commands = [keygen]
+    elif kind in ("encrypt", "decrypt"):
+        value = draw(st.integers(-3, 10**6).map(str) | st.sampled_from(["5:2:1,4", "x"]))
+        commands = [keygen, [kind, "--key", "k.key", value]]
+    elif kind == "eval":
+        subject = ["--key", "k.key"] if draw(st.booleans()) else context
+        formula = draw(st.sampled_from(FORMULAS))
+        env = [arg for name in draw(st.lists(st.sampled_from("xyz"), unique=True))
+               for arg in ("--env", f"{name}={draw(st.integers(-3, 10**4))}")]
+        commands = [keygen, ["eval", *subject, "--formula", formula, *env, *seed]]
+    elif kind.startswith("check"):
+        flags = {
+            "--measure": [], "--out": ["t.txt"], "--seed": seed[1:],
+            "--trials": [str(draw(st.integers(1, 2000)))],
+            "--exhaustive-k": [str(draw(st.integers(0, 2)))],
+        }
+        chosen = draw(st.lists(st.sampled_from(sorted(flags)), unique=True, max_size=3))
+        commands = [keygen, ["check", "--key", "k.key",
+                             *(arg for flag in chosen for arg in (flag, *flags[flag]))]]
+        if kind == "check-table":
+            commands.append(["check", "--table", "t.txt"])
+    elif kind == "search":
+        first, second = draw(st.lists(st.sampled_from(OPERATIONS), min_size=2, max_size=2))
+        depth = (["--exhaustive-k", str(draw(st.integers(0, 2)))]
+                 if draw(st.booleans()) else [])
+        commands = [["search", first, second, *context, *seed, *depth,
+                     "--keys", str(draw(st.integers(1, 3)))]]
+    else:
+        commands = [["demo", *context, *seed]]
+    json_mode = draw(st.booleans())
+    return [[*argv, *["--json"] * json_mode] for argv in commands]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(cli_sessions())
+def test_cli_commands_end_quickly_with_a_documented_exit_code(session):
+    with tempfile.TemporaryDirectory() as directory:
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            for argv in session:
+                start = time.perf_counter()
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    code = run_command(argv)
+                assert code in (0, 2, 3, 4, 5), argv
+                assert time.perf_counter() - start < 2, argv
+        finally:
+            os.chdir(cwd)
