@@ -60,13 +60,12 @@ _EXPORTS = {
     "encryption_table": "ciphers",
     "key_to_json": "ciphers",
     "key_from_json": "ciphers",
-    "OpSymbol": "ciphers",
     "ADD": "ciphers",
     "MUL": "ciphers",
     "XOR": "ciphers",
     "AND": "ciphers",
-    "g_sym": "ciphers",
     "SearchReport": "analysis",
+    "CANONICAL_PAIRS": "analysis",
     "homomorphism_test": "analysis",
     "counterexample_search": "analysis",
     "intersection_scan": "analysis",

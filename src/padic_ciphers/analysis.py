@@ -18,11 +18,12 @@ of the encryption values through row f(y), and the first differing x is
 looked up only on a mismatch.  Levels of at most 256 residues read their
 rows from a cached table of bytes, and each gather there is one
 ``bytes.translate``; larger levels build each row when it is needed, so no
-level holds p^(2k) entries.  ADD rows are slices of a doubled ramp, MUL rows
-one product each, XOR/AND rows join per-digit chunks in the order of the
-level k-1 row, and G rows come from the operation's own kernel
-(``ciphers.G1.kernel`` and its kin).  A level of more than PAIR_BUDGET
-pairs is refused with DomainError before any of it is built.
+level holds p^(2k) entries.  Each operation has one integer kernel
+(``ciphers.Operation``): rows of MUL and of every G come from ``op.kernel``,
+and random pairs from ``op.pair``.  Two rows are built faster from their
+structure: ADD rows are slices of a doubled ramp, and XOR/AND rows join
+per-digit chunks in the order of the level k-1 row.  A level of more than
+PAIR_BUDGET pairs is refused with DomainError before any of it is built.
 
 The coefficient probe cross-checks the multiplicative cipher against its
 interpolation series: the normalized coefficients must reduce mod p to
@@ -40,22 +41,22 @@ from functools import lru_cache
 from itertools import chain
 from random import Random
 
-from .ciphers import (  # OpSymbol, ADD, MUL, XOR and AND are re-exported
+from .ciphers import (  # ADD, MUL, XOR and AND are re-exported
     ADD,
     AND,
     FAMILIES,
+    GLIN,
     MUL,
     OP_NAMES,
     XOR,
     CipherKey,
     MultiplicativeKey,
-    OpSymbol,
+    Operation,
     encrypt,
     encryption_table,
     is_identity_key,
     key_to_json,
     keygen,
-    _op_int,
 )
 from .core import DomainError, FormatError, PadicContext, PadicInt
 from .lipschitz import (
@@ -76,14 +77,14 @@ CANONICAL_PAIRS = (
 )
 
 
-def symbol_from_name(name: str) -> OpSymbol:
+def symbol_from_name(name: str) -> Operation:
     try:
         return OP_NAMES[name]
     except KeyError:
         raise FormatError(f"unknown operation {name!r}") from None
 
 
-def laws_for_key(key: CipherKey) -> tuple[OpSymbol, ...]:
+def laws_for_key(key: CipherKey) -> tuple[Operation, ...]:
     """The operations a key's encryption map is supposed to respect."""
     return key.laws
 
@@ -131,24 +132,22 @@ def check_trial_budget(trials: int) -> None:
         raise DomainError(f"{trials} random pairs are over the budget of {PAIR_BUDGET}")
 
 
-def _row_builder(sym: OpSymbol, ctx: PadicContext):
-    """The function y -> [op(x, y) for x in range(p^k)] at level ctx = (p, k)."""
+def _row_builder(op: Operation, ctx: PadicContext):
+    """The function y -> [op(x, y) for x in range(p^k)] at level ctx = (p, k):
+    the operation's kernel, but for the ADD ramp and the XOR/AND join."""
     p, m = ctx.p, ctx.modulus
-    kind = sym.kind
-    if kind == "ADD":  # slices of a doubled ramp, of bytes up to 256 residues
+    if op is ADD:  # slices of a doubled ramp, of bytes up to 256 residues
         ramp = (bytes(range(m)) if m <= TABLE_RESIDUES else [*range(m)]) * 2
         return lambda y: ramp[y:y + m]
-    if kind == "MUL":
-        return lambda y: [x * y % m for x in range(m)]
-    if kind == "G":
-        kernel, xs = sym.g.kernel, range(m)
+    if op is not XOR and op is not AND:
+        kernel, xs = op.kernel, range(m)
         return lambda y: kernel(xs, y, p, m)
     # Digitwise: x = x0 + p*x' takes digit 0 from the level-1 ADD or MUL row
     # and the rest from the level k-1 row, in the order of x.
-    digit = _rows(ADD if kind == "XOR" else MUL, PadicContext(p, 1))
+    digit = _rows(ADD if op is XOR else MUL, PadicContext(p, 1))
     if ctx.precision == 1:
         return digit
-    lower = _rows(sym, PadicContext(p, ctx.precision - 1))
+    lower = _rows(op, PadicContext(p, ctx.precision - 1))
     # Row y is the level k-1 row with each entry t replaced by the chunk
     # d + p*t of the digit row: bytes joined in one call up to 256 residues.
     if m <= TABLE_RESIDUES:
@@ -158,23 +157,23 @@ def _row_builder(sym: OpSymbol, ctx: PadicContext):
     return lambda y: [*chain.from_iterable(map(chunks[y % p].__getitem__, lower(y // p)))]
 
 
-def _rows(sym: OpSymbol, ctx: PadicContext):
+def _rows(op: Operation, ctx: PadicContext):
     """Row function of an operation at a level: read from the cached table
     when the level has at most TABLE_RESIDUES residues, else built per call."""
     if ctx.modulus <= TABLE_RESIDUES:
-        return _op_table(sym, ctx).__getitem__
-    return _row_builder(sym, ctx)
+        return _op_table(op, ctx).__getitem__
+    return _row_builder(op, ctx)
 
 
 @lru_cache(maxsize=128)
-def _op_table(sym: OpSymbol, ctx: PadicContext) -> tuple[bytes, ...]:
+def _op_table(op: Operation, ctx: PadicContext) -> tuple[bytes, ...]:
     """Row y of op at a level of at most 256 residues, one byte per entry.
 
     A table takes at most 256 * (256 + 33) + 2088 bytes (76 KB) and the cache
     at most 128 of them (9.7 MB).  Certifying keys at (3,5), (5,3), (7,3) and
     refuting at (3,3), (3,4), (5,2), (7,2) use 74 distinct tables.
     """
-    build = _row_builder(sym, ctx)
+    build = _row_builder(op, ctx)
     return tuple(bytes(build(y)) for y in range(ctx.modulus))
 
 
@@ -191,7 +190,7 @@ def _subject(subject):
 
 def homomorphism_test(
     subject,
-    op: OpSymbol,
+    op: Operation,
     *,
     exhaustive_k: int | None = None,
     trials: int = 2000,
@@ -205,11 +204,10 @@ def homomorphism_test(
     random pairs at full precision, at most PAIR_BUDGET of them.
     """
     ctx, f = _subject(subject)
-    if op.kind == "G":
-        if op.g is None:
-            raise DomainError("bind the linear operation to coefficients before testing")
-        if any(v.ctx.p != ctx.p for v in op.g.coefficients):
-            raise DomainError("operation coefficients use a different prime")
+    if op is GLIN:
+        raise DomainError("bind the linear operation to coefficients before testing")
+    if any(v.ctx.p != ctx.p for v in op.coefficients):
+        raise DomainError("operation coefficients use a different prime")
     if exhaustive_k is not None:
         k = exhaustive_k
         if not 1 <= k <= ctx.precision:
@@ -246,12 +244,11 @@ def homomorphism_test(
     check_trial_budget(trials)
     r = rng if rng is not None else Random(seed)
     mode = f"random:K={ctx.precision}"
-    m = ctx.modulus
+    pair, p, m = op.pair, ctx.p, ctx.modulus
     for i in range(trials):
         xv, yv = r.randrange(m), r.randrange(m)
-        z = _op_int(op, ctx, xv, yv)
-        lhs = f(z)
-        rhs = _op_int(op, ctx, f(xv), f(yv))
+        lhs = f(pair(xv, yv, p, m))
+        rhs = pair(f(xv), f(yv), p, m)
         if lhs != rhs:
             return SearchReport(
                 "counterexample", (xv, yv), i + 1, mode, {"lhs": lhs, "rhs": rhs}
@@ -271,7 +268,7 @@ def _escalation_depth(ctx: PadicContext, max_k: int | None) -> int:
 
 def counterexample_search(
     subject,
-    op: OpSymbol,
+    op: Operation,
     *,
     max_k: int | None = None,
     random_trials: int = 512,
@@ -318,8 +315,8 @@ def _nonidentity_key(ctx: PadicContext, family: str, rng: Random):
 
 
 def intersection_scan(
-    first: OpSymbol,
-    second: OpSymbol,
+    first: Operation,
+    second: Operation,
     ctx: PadicContext,
     *,
     n_keys: int = 10,

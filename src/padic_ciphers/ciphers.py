@@ -69,17 +69,73 @@ class InvalidKeyError(PadicError):
 
 # -- two-variable operations ---------------------------------------------------
 #
-# Each operation has one integer kernel, ``kernel(xs, y, p, m)``: the list of
-# G(x, y) mod m for every x in ``xs``, for residues mod m = p^k.  A kernel
+# Every operation, ADD, MUL, XOR and AND as much as the paper's G (G1-G4,
+# LinearG, SeriesG), is one Operation with one integer kernel on residues mod
+# m = p^k, in two forms: ``kernel(xs, y, p, m)`` is the list of op(x, y) mod m
+# for every x in ``xs``, and ``pair(x, y, p, m)`` a single value.  A G kernel
 # computes what depends on y alone once per call, so one call gives a whole
-# row of an operation table; ``g_eval`` calls it with a single x.  A
-# coefficient stored at precision K reads at level k <= K as its value mod
-# p^k, which the final reduction mod m does, so kernels use ``value`` as is.
-# ``coefficients`` lists the PadicInt coefficients, for the context checks.
+# row of an operation table.  A coefficient stored at precision K reads at
+# level k <= K as its value mod p^k, which the final reduction mod m does, so
+# kernels use ``value`` as is.  ``coefficients`` lists the PadicInt
+# coefficients, for the context checks.
+
+
+class Operation:
+    """A named two-argument operation on residues mod p^k.
+
+    A subclass states ``pair`` or ``kernel``, or both where deriving either
+    costs time (MUL).  An Operation stating neither is a name alone: GLIN.
+    """
+
+    coefficients = ()
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        pair = self.pair
+        return [pair(x, y, p, m) for x in xs]
+
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return self.kernel((x,), y, p, m)[0]
+
+
+class _Add(Operation):
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return (x + y) % m
+
+
+class _Mul(Operation):
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return x * y % m
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        return [x * y % m for x in xs]
+
+
+class _Xor(Operation):
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return digitwise(x, y, p, m)
+
+
+class _And(Operation):
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return digitwise(x, y, p, m, multiply=True)
+
+
+ADD, MUL, XOR, AND = _Add("ADD"), _Mul("MUL"), _Xor("XOR"), _And("AND")
+GLIN = Operation("GLIN")  # a LinearG whose coefficients a key supplies at use
+
+
+class GOperation(Operation):
+    """A G of the paper: an operation that an fhe key respects besides +."""
 
 
 @dataclass(frozen=True)
-class LinearG:
+class LinearG(GOperation):
     """G(x, y) = a*x + b*y."""
 
     name = "GLIN"
@@ -97,11 +153,10 @@ class LinearG:
 
 
 @dataclass(frozen=True)
-class G1:
+class G1(GOperation):
     """G(x, y) = x * y**(p-1)."""
 
     name = "G1"
-    coefficients = ()
 
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
         yy = pow(y, p - 1, m)
@@ -109,11 +164,10 @@ class G1:
 
 
 @dataclass(frozen=True)
-class G2:
+class G2(GOperation):
     """G(x, y) = x**(p-1) * y + x * y**(p-1)."""
 
     name = "G2"
-    coefficients = ()
 
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
         yy = pow(y, p - 1, m)
@@ -121,11 +175,10 @@ class G2:
 
 
 @dataclass(frozen=True)
-class G3:
+class G3(GOperation):
     """G(x, y) = x**((p-1)/2) * y**((p-1)/2); p odd."""
 
     name = "G3"
-    coefficients = ()
 
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
         if p == 2:
@@ -136,12 +189,11 @@ class G3:
 
 
 @dataclass(frozen=True)
-class G4:
+class G4(GOperation):
     """G(x, y) = x/(1 - p x**(p-1)) + y/(1 - p y**(p-1))
     = sum over s >= 0 of p^s (x**((p-1)s+1) + y**((p-1)s+1))."""
 
     name = "G4"
-    coefficients = ()
 
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
         def half(v: int) -> int:  # v/(1 - p v^(p-1)); the divisor is 1 mod p
@@ -152,7 +204,7 @@ class G4:
 
 
 @dataclass(frozen=True)
-class SeriesG:
+class SeriesG(GOperation):
     """G(x, y) = c + a*x + b*y + sum c_ij x^i y^j over a finite term list.
 
     Terms are ((i, j), coefficient) pairs with i + j >= 2.  A nonzero c
@@ -190,88 +242,34 @@ class SeriesG:
         ]
 
 
-GOperation = LinearG | G1 | G2 | G3 | G4 | SeriesG
-_G_CLASSES = get_args(GOperation)
-
 NAMED_G = {g.name: g for g in (G1(), G2(), G3(), G4())}
 
 G_CHOICES = (*NAMED_G, "GLIN")
 
-
-# -- named operations and laws ---------------------------------------------------
-
-_KINDS = ("ADD", "MUL", "XOR", "AND", "G")
-
-
-@dataclass(frozen=True)
-class OpSymbol:
-    """A named two-argument operation.
-
-    kind "G" carries a concrete operation, or None for a linear placeholder
-    to be bound at use (a key file supplies the coefficients).
-    """
-
-    kind: str
-    g: GOperation | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise DomainError(f"unknown operation kind {self.kind!r}")
-        if self.kind != "G" and self.g is not None:
-            raise DomainError(f"{self.kind} does not take an operation parameter")
-
-    @property
-    def name(self) -> str:
-        if self.kind != "G":
-            return self.kind
-        return "GLIN" if self.g is None else self.g.name
-
-
-ADD = OpSymbol("ADD")
-MUL = OpSymbol("MUL")
-XOR = OpSymbol("XOR")
-AND = OpSymbol("AND")
-
-
-def g_sym(op: GOperation) -> OpSymbol:
-    return OpSymbol("G", op)
-
-
 # Every operation by the name the CLI and formulas use for it.
-OP_NAMES = {
-    **{op.name: op for op in (ADD, MUL, XOR, AND)},
-    **{name: g_sym(g) for name, g in NAMED_G.items()},
-    "GLIN": OpSymbol("G"),
-}
+OP_NAMES = {op.name: op for op in (ADD, MUL, XOR, AND, *NAMED_G.values(), GLIN)}
 
 
 def op_apply(
-    sym: OpSymbol, x: PadicInt, y: PadicInt, linear_g: LinearG | None = None
+    op: Operation, x: PadicInt, y: PadicInt, linear_g: LinearG | None = None
 ) -> PadicInt:
-    if sym.kind != "G":
-        x._check_ctx(y)
-        return PadicInt(x.ctx, _op_int(sym, x.ctx, x.value, y.value))
-    g = sym.g if sym.g is not None else linear_g
-    if g is None:
-        raise DomainError("linear operation is unbound; supply its coefficients")
-    return g_eval(g, x, y)
-
-
-def _op_int(sym: OpSymbol, ctx: PadicContext, x: int, y: int) -> int:
-    kind = sym.kind
-    if kind == "ADD":
-        return (x + y) % ctx.modulus
-    if kind == "MUL":
-        return (x * y) % ctx.modulus
-    if kind == "G":
-        return sym.g.kernel((x,), y, ctx.p, ctx.modulus)[0]
-    return digitwise(x, y, ctx.p, ctx.precision, multiply=kind == "AND")
+    """op(x, y); GLIN stands for ``linear_g``.  A G raises the context errors
+    of ``g_eval``, the other operations those of the PadicInt operators."""
+    if op is GLIN:
+        if linear_g is None:
+            raise DomainError("linear operation is unbound; supply its coefficients")
+        op = linear_g
+    if isinstance(op, GOperation):
+        return g_eval(op, x, y)
+    x._check_ctx(y)
+    ctx = x.ctx
+    return PadicInt(ctx, op.pair(x.value, y.value, ctx.p, ctx.modulus))
 
 
 def g_eval(op: GOperation, x: PadicInt, y: PadicInt) -> PadicInt:
     if x.ctx != y.ctx:
         raise DomainError("operands live in different contexts")
-    if not isinstance(op, _G_CLASSES):
+    if not isinstance(op, GOperation):
         raise DomainError(f"unknown operation {op!r}")
     ctx = x.ctx
     stray = next((v for v in op.coefficients if v.ctx != ctx), None)
@@ -279,7 +277,7 @@ def g_eval(op: GOperation, x: PadicInt, y: PadicInt) -> PadicInt:
         if isinstance(op, LinearG):
             raise DomainError("linear coefficients live in a different context")
         raise ContextMismatchError(f"mixed contexts {stray.ctx} and {ctx}")
-    return PadicInt(ctx, op.kernel((x.value,), y.value, ctx.p, ctx.modulus)[0])
+    return PadicInt(ctx, op.pair(x.value, y.value, ctx.p, ctx.modulus))
 
 
 def exponent_gcd(op: GOperation, p: int) -> int | None:
@@ -843,8 +841,8 @@ class FheKey(AdditiveKey):
         return cls(PadicInt(ctx, rng.choice(candidates)), g)
 
     @cached_property
-    def laws(self) -> tuple[OpSymbol, ...]:
-        return (ADD, g_sym(self.g))
+    def laws(self) -> tuple[Operation, ...]:
+        return (ADD, self.g)
 
 
 CipherKey = AdditiveKey | MultiplicativeKey | XorKey | AndKey | FheKey

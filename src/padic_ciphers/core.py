@@ -127,10 +127,6 @@ class PadicContext:
         return PadicInt(self, value)
 
     @property
-    def zero(self) -> "PadicInt":
-        return PadicInt(self, 0)
-
-    @property
     def one(self) -> "PadicInt":
         return PadicInt(self, 1)
 
@@ -322,10 +318,10 @@ def teichmuller(ctx: PadicContext, a: int) -> PadicInt:
 # -- digitwise operations -----------------------------------------------------
 
 
-def digitwise(x: int, y: int, p: int, precision: int, multiply: bool = False) -> int:
-    """Digitwise sum (or product) mod p of two residues mod p**precision."""
+def digitwise(x: int, y: int, p: int, m: int, multiply: bool = False) -> int:
+    """Digitwise sum (or product) mod p of two residues mod m = p**k."""
     out, shift = 0, 1
-    for _ in range(precision):
+    while shift < m:
         out += (x * y if multiply else x + y) % p * shift
         x, y, shift = x // p, y // p, shift * p
     return out
@@ -334,13 +330,13 @@ def digitwise(x: int, y: int, p: int, precision: int, multiply: bool = False) ->
 def xor_p(x: PadicInt, y: PadicInt) -> PadicInt:
     """Digitwise addition mod p (no carries); classical xor at p = 2."""
     x._check_ctx(y)
-    return PadicInt(x.ctx, digitwise(x.value, y.value, x.ctx.p, x.ctx.precision))
+    return PadicInt(x.ctx, digitwise(x.value, y.value, x.ctx.p, x.ctx.modulus))
 
 
 def and_p(x: PadicInt, y: PadicInt) -> PadicInt:
     """Digitwise multiplication mod p (no carries); classical and at p = 2."""
     x._check_ctx(y)
     return PadicInt(
-        x.ctx, digitwise(x.value, y.value, x.ctx.p, x.ctx.precision, multiply=True)
+        x.ctx, digitwise(x.value, y.value, x.ctx.p, x.ctx.modulus, multiply=True)
     )
 

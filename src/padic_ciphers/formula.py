@@ -26,15 +26,15 @@ from dataclasses import dataclass
 
 from .ciphers import (
     ADD,
+    GLIN,
     MUL,
     NAMED_G,
     OP_NAMES,
     CipherKey,
     LinearG,
-    OpSymbol,
+    Operation,
     decrypt,
     encrypt,
-    g_sym,
     op_apply,
 )
 from .core import DomainError, FormatError, IncompatibleFormulaError, PadicContext, PadicInt
@@ -76,7 +76,7 @@ class App:
     long flat sum costs no recursion; equality is structural.
     """
 
-    op: OpSymbol
+    op: Operation
     left: "Node"
     right: "Node"
 
@@ -104,7 +104,7 @@ class App:
 Node = Var | Lit | App
 
 _CALL_NAMES = {name: op for name, op in OP_NAMES.items() if op not in (ADD, MUL)}
-_CALL_NAMES["STAR"] = g_sym(NAMED_G["G1"])
+_CALL_NAMES["STAR"] = NAMED_G["G1"]
 
 MAX_NESTING = 200  # parenthesis and call depth; the parser recurses per level
 
@@ -239,7 +239,7 @@ def _fold(node: Node, leaf, app):
         n = stack.pop()
         if isinstance(n, App):
             stack += (n.op, n.right, n.left)  # the op marks its App as done
-        elif isinstance(n, OpSymbol):
+        elif isinstance(n, Operation):
             right = values.pop()
             values[-1] = app(n, values[-1], right)
         else:
@@ -260,7 +260,7 @@ def _preorder(node: Node):
             yield n
 
 
-_INFIX = {"ADD": (" + ", 1), "MUL": (" * ", 2)}  # kind -> (sign, precedence)
+_INFIX = {ADD: (" + ", 1), MUL: (" * ", 2)}  # op -> (sign, precedence)
 
 
 def to_text(node: Node) -> str:
@@ -269,10 +269,11 @@ def to_text(node: Node) -> str:
     def leaf(n: Node) -> tuple[str, int]:
         return (n.name if isinstance(n, Var) else str(n.value.value)), 3
 
-    def app(op: OpSymbol, left, right) -> tuple[str, int]:
-        if op.kind not in _INFIX:
+    def app(op: Operation, left, right) -> tuple[str, int]:
+        infix = _INFIX.get(op)
+        if infix is None:
             return f"{op.name}({left[0]}, {right[0]})", 3
-        sign, prec = _INFIX[op.kind]  # both operators are left associative
+        sign, prec = infix  # both operators are left associative
         return f"{_paren(left, prec)}{sign}{_paren(right, prec + 1)}", prec
 
     return _fold(node, leaf, app)[0]
@@ -290,8 +291,8 @@ def vars_used(node: Node) -> frozenset[str]:
     return frozenset(n.name for n in _preorder(node) if isinstance(n, Var))
 
 
-def ops_used(node: Node) -> frozenset[OpSymbol]:
-    return frozenset(n for n in _preorder(node) if isinstance(n, OpSymbol))
+def ops_used(node: Node) -> frozenset[Operation]:
+    return frozenset(n for n in _preorder(node) if isinstance(n, Operation))
 
 
 def evaluate(
@@ -310,10 +311,7 @@ def evaluate(
 
 # -- key compatibility --------------------------------------------------------------
 
-_GLIN = OpSymbol("G")
-
-
-def _bind(op: OpSymbol, key: CipherKey) -> OpSymbol | None:
+def _bind(op: Operation, key: CipherKey) -> Operation | None:
     """The operation ``op`` stands for under ``key``; None if the key does not
     respect it.
 
@@ -322,9 +320,9 @@ def _bind(op: OpSymbol, key: CipherKey) -> OpSymbol | None:
     Z/p^K is x -> f(1)*x, which commutes with every a*x + b*y.
     """
     laws = key.laws
-    if op == _GLIN:
-        return next((law for law in laws if isinstance(law.g, LinearG)), None)
-    if op in laws or (isinstance(op.g, LinearG) and ADD in laws):
+    if op is GLIN:
+        return next((law for law in laws if isinstance(law, LinearG)), None)
+    if op in laws or (isinstance(op, LinearG) and ADD in laws):
         return op
     return None
 
@@ -333,14 +331,15 @@ def compatibility_check(node: Node, key: CipherKey) -> None:
     """Raise IncompatibleFormulaError naming the first unusable operation,
     in pre-order (an App before its operands)."""
     unusable = next((n for n in _preorder(node)
-                     if isinstance(n, OpSymbol) and _bind(n, key) is None), None)
+                     if isinstance(n, Operation) and _bind(n, key) is None), None)
     if unusable is not None:
+        article = "an" if key.family[0] in "aeiou" else "a"
         raise IncompatibleFormulaError(
-            f"a {key.family} key does not respect {unusable.name}"
+            f"{article} {key.family} key does not respect {unusable.name}"
         )
 
 
-def homomorphism_test(key: CipherKey, op: OpSymbol, **kwargs):
+def homomorphism_test(key: CipherKey, op: Operation, **kwargs):
     """``analysis.homomorphism_test``, imported at the first law check, so that
     evaluating a formula in the clear never loads the scans.  A module-level
     name, so that ``bench/workloads.py`` can time the law checks here."""
@@ -363,8 +362,7 @@ def encrypted_eval_demo(
     checks each used law on random pairs before trusting the round trip.
     """
     compatibility_check(node, key)
-    own_linear = _bind(_GLIN, key)
-    linear_g = own_linear.g if own_linear is not None else None
+    linear_g = _bind(GLIN, key)
     law_checks = {}
     for op in sorted(ops_used(node), key=lambda o: o.name):
         report = homomorphism_test(key, _bind(op, key), seed=seed, trials=law_trials)

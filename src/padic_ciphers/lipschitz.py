@@ -135,15 +135,6 @@ class CoordRep:
                 if not 0 <= v < self.ctx.p:
                     raise DomainError(f"phi_{k} value {v} is not a digit")
 
-    def subfn(self, k: int, prefix: int) -> tuple[int, ...]:
-        """phi_k restricted to a fixed length-k prefix, as a map on digits."""
-        p = self.ctx.p
-        if not 0 <= k < self.ctx.precision:
-            raise DomainError(f"level {k} out of range")
-        if not 0 <= prefix < p**k:
-            raise DomainError(f"prefix {prefix} out of range for level {k}")
-        return tuple(self.phi[k][prefix + d * p**k] for d in range(p))
-
 
 # -- indicator basis ----------------------------------------------------------
 

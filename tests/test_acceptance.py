@@ -229,7 +229,7 @@ def _digit_rule(key: MultiplicativeKey, x: PadicInt) -> PadicInt:
     """Map the leading digit through t0^s directly (no unit splitting)."""
     ctx = key.ctx
     if x.value == 0:
-        return ctx.zero
+        return ctx.integer(0)
     p = ctx.p
     k, v = 0, x.value
     while v % p == 0:

@@ -8,7 +8,6 @@ from padic_ciphers.analysis import (
     AND,
     CANONICAL_PAIRS,
     MUL,
-    OpSymbol,
     XOR,
     counterexample_search,
     homomorphism_test,
@@ -29,8 +28,9 @@ from padic_ciphers.ciphers import (
     LinearG,
     MultiplicativeKey,
     XorKey,
+    GLIN,
+    OP_NAMES,
     encryption_table,
-    g_sym,
     key_from_json,
     keygen,
     op_apply,
@@ -52,16 +52,13 @@ C53 = PadicContext(5, 3)
 
 
 def test_op_symbols():
-    assert ADD.name == "ADD" and XOR.name == "XOR"
-    assert g_sym(G1()).name == "G1"
-    assert OpSymbol("G").name == "GLIN"
-    with pytest.raises(DomainError):
-        OpSymbol("ADD", G1())
-    with pytest.raises(DomainError):
-        OpSymbol("NAND")
+    assert ADD.name == "ADD" and XOR.name == "XOR" and repr(AND) == "AND"
+    assert G1().name == "G1" and GLIN.name == "GLIN"
+    assert [op.name for op in OP_NAMES.values()] == list(OP_NAMES) == [
+        "ADD", "MUL", "XOR", "AND", "G1", "G2", "G3", "G4", "GLIN"]
     assert symbol_from_name("MUL") is MUL
-    assert symbol_from_name("G3") == g_sym(G3())
-    assert symbol_from_name("GLIN").g is None
+    assert symbol_from_name("G3") == G3()
+    assert symbol_from_name("GLIN") is GLIN
     with pytest.raises(FormatError):
         symbol_from_name("G9")
 
@@ -70,11 +67,11 @@ def test_op_apply():
     x, y = C52.integer(7), C52.integer(9)
     assert op_apply(ADD, x, y) == x + y
     assert op_apply(MUL, x, y) == x * y
-    assert op_apply(g_sym(G1()), x, y).value == (7 * 9**4) % 25
+    assert op_apply(G1(), x, y).value == (7 * 9**4) % 25
     lin = LinearG(C52.integer(2), C52.integer(3))
-    assert op_apply(OpSymbol("G"), x, y, linear_g=lin) == op_apply(g_sym(lin), x, y)
+    assert op_apply(GLIN, x, y, linear_g=lin) == op_apply(lin, x, y)
     with pytest.raises(DomainError):
-        op_apply(OpSymbol("G"), x, y)
+        op_apply(GLIN, x, y)
 
 
 @pytest.mark.parametrize("p, K", [(2, 8), (3, 4), (5, 3)])
@@ -103,7 +100,7 @@ def test_op_apply_refuses_mixed_contexts_as_the_operators_do():
 def test_laws_for_key():
     assert laws_for_key(AdditiveKey(C53.integer(7))) == (ADD,)
     key = FheKey(C52.integer(7), G1())
-    assert laws_for_key(key) == (ADD, g_sym(G1()))
+    assert laws_for_key(key) == (ADD, G1())
 
 
 def test_exhaustive_pass():
@@ -157,7 +154,7 @@ def test_fhe_key_passes_both_laws():
 
 
 def test_non_root_multiplier_fails_g1_law():
-    rep = counterexample_search(AdditiveKey(C52.integer(2)), g_sym(G1()))
+    rep = counterexample_search(AdditiveKey(C52.integer(2)), G1())
     assert rep.verdict == "counterexample"
 
 
@@ -230,7 +227,7 @@ def test_intersection_scan_redraws_keys_shared_with_second_family(monkeypatch):
 
 def test_intersection_scan_rejects_g_first():
     with pytest.raises(DomainError):
-        intersection_scan(g_sym(G1()), ADD, C33)
+        intersection_scan(G1(), ADD, C33)
 
 
 def test_search_exhausts_when_no_counterexample():
@@ -298,7 +295,7 @@ def test_operation_tables_hold_a_check_and_search_working_set():
                 for k in range(1, key.ctx.precision + 1):
                     homomorphism_test(key, law, exhaustive_k=k)
         for first, second, ctx in scans:
-            intersection_scan(first, g_sym(second), ctx, n_keys=2, seed=1)
+            intersection_scan(first, second, ctx, n_keys=2, seed=1)
 
     analysis._op_table.cache_clear()
     work()

@@ -99,22 +99,41 @@ def test_an_unknown_name_raises_attribute_error():
         padic_ciphers.no_such_name
 
 
+def _public_names(tree: ast.Module):
+    """Each public name a module defines, with the node that defines it: its
+    functions, classes and constants, and the methods and properties of its
+    classes as ``Class.name``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                yield from ((f"{node.name}.{sub.name}", sub) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((n.id, node) for t in targets for n in ast.walk(t)
+                        if isinstance(n, ast.Name))
+
+
 def test_every_public_name_has_a_caller_or_is_exported():
-    """A public module-level function or class is used somewhere in the package
-    outside its own definition, or it is part of the API in ``__all__``."""
+    """A public module-level function, class or constant is used somewhere in
+    the package outside its own definition, or it is part of the API in
+    ``__all__``; a public method or property of a public class is used outside
+    its own definition."""
     defined, used = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         own = {}
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined[node.name] = path.name
-                own.update((id(sub), node.name) for sub in ast.walk(node))
+        for qualified, node in _public_names(tree):
+            name = qualified.rpartition(".")[2]
+            if not name.startswith("_"):
+                defined[qualified] = name
+                own.update((id(sub), name) for sub in ast.walk(node))
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute) else None)
             if name is not None and own.get(id(node)) != name:
                 used.add(name)
-    unused = sorted(name for name in defined
-                    if name not in used and name not in padic_ciphers.__all__)
+    unused = sorted(qualified for qualified, name in defined.items()
+                    if name not in used and qualified not in padic_ciphers.__all__)
     assert unused == []

@@ -91,7 +91,7 @@ def test_multiplicative_known_values():
     key = MultiplicativeKey(A=C52.one, s=3, a=C52.one)
     assert encrypt(key, C52.integer(2)).value == 23
     assert encrypt(key, C52.integer(4)).value == 4
-    assert encrypt(key, C52.zero).value == 0
+    assert encrypt(key, C52.integer(0)).value == 0
     assert decrypt(key, C52.integer(23)).value == 2
 
 
@@ -108,7 +108,7 @@ def _digit_rule_encrypt(key, x):
     regression reference."""
     ctx = key.ctx
     if x.value == 0:
-        return ctx.zero
+        return ctx.integer(0)
     p = ctx.p
     k, v = 0, x.value
     while v % p == 0:
@@ -239,7 +239,7 @@ def test_g4_matches_truncated_series():
     for x in all_values(C32):
         for y in all_values(C32):
             closed = g_eval(G4(), x, y)
-            series = C32.zero
+            series = C32.integer(0)
             for s in range(C32.precision):
                 e = (C32.p - 1) * s + 1
                 series = series + C32.integer(C32.p**s) * (
@@ -250,13 +250,13 @@ def test_g4_matches_truncated_series():
 
 def test_series_g_validation_and_eval():
     terms = (((1, 1), C52.integer(2)),)
-    op = SeriesG(C52.zero, C52.one, C52.one, terms)
+    op = SeriesG(C52.integer(0), C52.one, C52.one, terms)
     x, y = C52.integer(3), C52.integer(4)
     assert g_eval(op, x, y).value == (3 + 4 + 2 * 12) % 25
     with pytest.raises(DomainError):
         SeriesG(C52.one, C52.one, C52.one, terms)  # nonzero constant
     with pytest.raises(DomainError):
-        SeriesG(C52.zero, C52.one, C52.one, (((1, 0), C52.one),))  # degree < 2
+        SeriesG(C52.integer(0), C52.one, C52.one, (((1, 0), C52.one),))  # degree < 2
 
 
 def test_exponent_gcds():
@@ -266,7 +266,7 @@ def test_exponent_gcds():
     assert exponent_gcd(G4(), 5) == 4
     assert exponent_gcd(G3(), 7) == 5
     assert exponent_gcd(LinearG(C52.one, C52.one), 5) is None
-    op = SeriesG(C52.zero, C52.one, C52.one, (((1, 1), C52.one), ((3, 0), C52.one)))
+    op = SeriesG(C52.integer(0), C52.one, C52.one, (((1, 1), C52.one), ((3, 0), C52.one)))
     assert exponent_gcd(op, 5) == 1  # gcd(2 - 1, 3 - 1)
 
 
@@ -490,6 +490,8 @@ def test_key_json_roundtrip_all_families():
         back = key_from_json(data)
         assert back == key
         assert back.ctx == key.ctx
+        assert back.laws == key.laws  # operations key the operation-table cache
+        assert hash(back.laws) == hash(key.laws)
 
 
 def test_key_json_rejects_malformed():

@@ -781,7 +781,7 @@ def _transcript() -> list[tuple[str, ...]]:
     return commands
 
 
-TRANSCRIPT_DIGEST = "4c12592381beb1b617aae5ee923ba1b3a7ecfc389b64cd19436c7221721ae414"
+TRANSCRIPT_DIGEST = "985557f6025e06111a5928ad3ff6bd1e0a57b13482eb4856f15665f2997ce0ed"
 
 
 def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):

@@ -59,7 +59,7 @@ class UnitDecomposition:
 def unit_decompose(x: PadicInt) -> UnitDecomposition:
     k = valuation(x)
     if k == math.inf:
-        return UnitDecomposition(math.inf, 0, x.ctx.zero)
+        return UnitDecomposition(math.inf, 0, x.ctx.integer(0))
     u = x.value // x.ctx.p**k
     return UnitDecomposition(k, u % x.ctx.p, x.ctx.integer(u // x.ctx.p))
 
@@ -67,7 +67,7 @@ def unit_decompose(x: PadicInt) -> UnitDecomposition:
 def _multiplicative_encrypt(key: MultiplicativeKey, x: PadicInt) -> PadicInt:
     ctx = key.ctx
     if x.value == 0:
-        return ctx.zero
+        return ctx.integer(0)
     dec = unit_decompose(x)
     k = dec.valuation
     u = PadicInt(ctx, x.value // ctx.p**k)
@@ -80,7 +80,7 @@ def _multiplicative_encrypt(key: MultiplicativeKey, x: PadicInt) -> PadicInt:
 def _multiplicative_decrypt(key: MultiplicativeKey, y: PadicInt) -> PadicInt:
     ctx = key.ctx
     if y.value == 0:
-        return ctx.zero
+        return ctx.integer(0)
     p = ctx.p
     dec = unit_decompose(y)
     k = dec.valuation

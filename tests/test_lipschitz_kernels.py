@@ -110,13 +110,19 @@ def ref_check_measure_vdp(series: VdpSeries, min_level: int = 1) -> bool:
     return True
 
 
+def subfn(coord: CoordRep, k: int, prefix: int) -> tuple[int, ...]:
+    """phi_k restricted to a fixed length-k prefix, as a map on digits."""
+    p = coord.ctx.p
+    return tuple(coord.phi[k][prefix + d * p**k] for d in range(p))
+
+
 def ref_check_measure_coord(coord: CoordRep) -> bool:
     """Every one-digit sub-function (phi_0 included) must be a bijection."""
     ctx = coord.ctx
     p = ctx.p
     for k in range(ctx.precision):
         for prefix in range(p**k):
-            if len(set(coord.subfn(k, prefix))) != p:
+            if len(set(subfn(coord, k, prefix))) != p:
                 return False
     return True
 

@@ -1,13 +1,14 @@
-"""Differential test of the row scans and the G kernels against the per-pair
-code they replaced.
+"""Differential test of the row scans and the operation kernels against the
+per-pair code they replaced.
 
-The reference functions below are the former ``g_eval`` body (one PadicInt
-per intermediate value), the former ``_rehome`` that moved a G's
-coefficients to a lower level, and the former per-pair scan loop of
-``homomorphism_test`` with its operation table of one int per pair.  The
-row scans must give the same ``SearchReport`` (verdict, witness, trials,
-mode and detail) for every operation on every family's keys and on random
-tables, and raise the same errors.
+The reference functions below are the plain formula of each operation on
+integers, the former ``g_eval`` body (one PadicInt per intermediate value),
+the former ``_rehome`` that moved a G's coefficients to a lower level, and
+the former per-pair scan loop of ``homomorphism_test`` with its operation
+table of one int per pair.  The row scans must give the same
+``SearchReport`` (verdict, witness, trials, mode and detail) for every
+operation on every family's keys and on random tables, and raise the same
+errors.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from padic_ciphers import analysis, ciphers
+from padic_ciphers import analysis
 from padic_ciphers.analysis import (
     ADD,
     AND,
     MUL,
     XOR,
-    OpSymbol,
     SearchReport,
     _subject,
     homomorphism_test,
@@ -35,12 +35,14 @@ from padic_ciphers.ciphers import (
     G2,
     G3,
     G4,
+    GLIN,
+    OP_NAMES,
     FheKey,
     GOperation,
     LinearG,
+    Operation,
     SeriesG,
     g_eval,
-    g_sym,
     keygen,
 )
 from padic_ciphers.core import (
@@ -107,29 +109,38 @@ def _rehome(g: GOperation, ctx: PadicContext) -> GOperation:
     return g
 
 
-def _op_int(sym: OpSymbol, ctx: PadicContext, x: int, y: int) -> int:
-    kind = sym.kind
-    if kind == "ADD":
-        return (x + y) % ctx.modulus
-    if kind == "MUL":
-        return (x * y) % ctx.modulus
-    if kind == "G":
-        g = _rehome(sym.g, ctx)
-        return reference_g_eval(g, PadicInt(ctx, x), PadicInt(ctx, y)).value
-    return digitwise(x, y, ctx.p, ctx.precision, multiply=kind == "AND")
+# op -> op(x, y) mod m = p^k on integers, from the formula that defines it;
+# G4 as its series.  G3, LinearG and SeriesG go through reference_g_eval.
+_PLAIN = {
+    ADD: lambda x, y, p, m: (x + y) % m,
+    MUL: lambda x, y, p, m: x * y % m,
+    XOR: lambda x, y, p, m: digitwise(x, y, p, m),
+    AND: lambda x, y, p, m: digitwise(x, y, p, m, multiply=True),
+    G1(): lambda x, y, p, m: x * pow(y, p - 1, m) % m,
+    G2(): lambda x, y, p, m: (pow(x, p - 1, m) * y + x * pow(y, p - 1, m)) % m,
+    G4(): lambda x, y, p, m: sum(p**s * (pow(x, (p - 1) * s + 1, m) + pow(y, (p - 1) * s + 1, m))
+                                 for s in range(m.bit_length()) if p**s < m) % m,
+}
+
+
+def _op_int(op: Operation, ctx: PadicContext, x: int, y: int) -> int:
+    if op in _PLAIN:
+        return _PLAIN[op](x, y, ctx.p, ctx.modulus)
+    g = _rehome(op, ctx)
+    return reference_g_eval(g, PadicInt(ctx, x), PadicInt(ctx, y)).value
 
 
 @lru_cache(maxsize=32)
-def _op_table(sym: OpSymbol, ctx: PadicContext) -> tuple[int, ...]:
+def _op_table(op: Operation, ctx: PadicContext) -> tuple[int, ...]:
     m = ctx.modulus
-    return tuple(_op_int(sym, ctx, x, y) for y in range(m) for x in range(m))
+    return tuple(_op_int(op, ctx, x, y) for y in range(m) for x in range(m))
 
 
 def reference_test(
-    subject, op: OpSymbol, *, exhaustive_k=None, trials=2000, seed=None
+    subject, op: Operation, *, exhaustive_k=None, trials=2000, seed=None
 ) -> SearchReport:
     ctx, f = _subject(subject)
-    if op.kind == "G" and op.g is None:
+    if op is GLIN:
         raise DomainError("bind the linear operation to coefficients before testing")
     if exhaustive_k is not None:
         k = exhaustive_k
@@ -199,14 +210,12 @@ def subjects(ctx: PadicContext, rng: Random, tables: bool = True) -> list:
     return out
 
 
-def operations(ctx: PadicContext, rng: Random) -> list[OpSymbol]:
+def operations(ctx: PadicContext, rng: Random) -> list[Operation]:
     def coeff() -> PadicInt:
         return PadicInt(ctx, rng.randrange(ctx.modulus))
 
-    series = SeriesG(ctx.zero, coeff(), coeff(), (((1, 1), coeff()), ((2, 1), coeff())))
-    return [ADD, MUL, XOR, AND] + [
-        g_sym(g) for g in (G1(), G2(), G3(), G4(), LinearG(coeff(), coeff()), series)
-    ]
+    series = SeriesG(ctx.integer(0), coeff(), coeff(), (((1, 1), coeff()), ((2, 1), coeff())))
+    return [ADD, MUL, XOR, AND, G1(), G2(), G3(), G4(), LinearG(coeff(), coeff()), series]
 
 
 # Levels 1-3 at p = 2, 3, 5, 7.  The level 7^3 = 343 has more than 256
@@ -221,7 +230,7 @@ def test_exhaustive_scans_match_reference(p):
     ops = operations(ctx, rng)
     for subject in subjects(ctx, rng):
         for op in ops:
-            deep = (p < 7 or op.kind != "G" or isinstance(subject, ValueTable)
+            deep = (p < 7 or op in (ADD, MUL, XOR, AND) or isinstance(subject, ValueTable)
                     or op in subject.laws)
             for k in (1, 2, 3) if deep else (1, 2):
                 got = outcome(homomorphism_test, subject, op, exhaustive_k=k)
@@ -244,12 +253,12 @@ def test_random_scans_match_reference(p, K):
 
 
 # Every level of at most 256 residues, and the first level above, at each p:
-# the rows the scans read (bytes up to 256 residues, lists above) equal the
-# per-pair reference, with the G1-G4 kernels called one pair at a time.
+# the rows the scans read (bytes up to 256 residues, lists above), each
+# operation's kernel and its pair form all equal the per-pair reference.
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_rows_match_the_per_pair_reference(p):
-    ops = [ADD, MUL, XOR, AND] + [g_sym(g) for g in (G1(), G2(), G3(), G4())
-                                  if p > 2 or not isinstance(g, G3)]  # G3 needs odd p
+    ops = [op for op in OP_NAMES.values()
+           if op is not GLIN and (p > 2 or not isinstance(op, G3))]  # G3 needs odd p
     rng = Random(p)
     for k in range(1, 10):
         ctx = PadicContext(p, k)
@@ -257,10 +266,11 @@ def test_rows_match_the_per_pair_reference(p):
         ys = range(m) if m <= 256 else rng.sample(range(m), 4)
         for op in ops:
             rows = analysis._rows(op, ctx)
-            pair = ciphers._op_int if op.kind == "G" else _op_int
             for y in ys:
-                want = [pair(op, ctx, x, y) for x in range(m)]
+                want = [_op_int(op, ctx, x, y) for x in range(m)]
                 assert rows(y) == (bytes(want) if m <= 256 else want), (op, ctx, y)
+                assert op.kernel(range(m), y, p, m) == want, (op, ctx, y)
+                assert [op.pair(x, y, p, m) for x in range(m)] == want, (op, ctx, y)
         if m > 256:
             break
 
@@ -268,7 +278,7 @@ def test_rows_match_the_per_pair_reference(p):
 def test_coefficients_of_another_prime_are_refused():
     key = keygen(PadicContext(5, 3), "additive", Random(1))
     other = PadicContext(3, 3)
-    op = g_sym(LinearG(other.one, other.integer(2)))
+    op = LinearG(other.one, other.integer(2))
     for kwargs in ({"exhaustive_k": 2}, {"trials": 10, "seed": 0}):
         got = outcome(homomorphism_test, key, op, **kwargs)
         assert got == outcome(reference_test, key, op, **kwargs)
@@ -289,7 +299,7 @@ def g_cases(draw):
         max_size=3,
     ))
     ops = [G1(), G2(), G3(), G4(), LinearG(draw(residue), draw(residue)),
-           SeriesG(ctx.zero if terms else draw(residue), draw(residue), draw(residue),
+           SeriesG(ctx.integer(0) if terms else draw(residue), draw(residue), draw(residue),
                    tuple(terms))]
     return ctx, ops, draw(residue), draw(residue)
 
@@ -306,15 +316,15 @@ def test_g_eval_errors_match_reference():
     ctx, other, third = PadicContext(5, 2), PadicContext(5, 3), PadicContext(5, 4)
     x, y = ctx.integer(2), ctx.integer(3)
     cases = [
-        (SeriesG(third.zero, other.one, ctx.one, ()), x, y),  # the error names a
+        (SeriesG(third.integer(0), other.one, ctx.one, ()), x, y),  # the error names a
         (G1(), x, other.integer(3)),
         (G3(), PadicContext(2, 3).one, PadicContext(2, 3).one),
         (LinearG(other.one, ctx.one), x, y),
         (LinearG(ctx.one, other.one), x, y),
-        (SeriesG(ctx.zero, other.one, ctx.one, ()), x, y),
-        (SeriesG(other.zero, ctx.one, ctx.one, ()), x, y),
-        (SeriesG(ctx.zero, ctx.one, other.one, ()), x, y),
-        (SeriesG(ctx.zero, ctx.one, ctx.one, (((1, 1), other.one),)), x, y),
+        (SeriesG(ctx.integer(0), other.one, ctx.one, ()), x, y),
+        (SeriesG(other.integer(0), ctx.one, ctx.one, ()), x, y),
+        (SeriesG(ctx.integer(0), ctx.one, other.one, ()), x, y),
+        (SeriesG(ctx.integer(0), ctx.one, ctx.one, (((1, 1), other.one),)), x, y),
         (ADD, x, y),
     ]
     for op, a, b in cases:
