@@ -19,6 +19,8 @@ from padic_ciphers.analysis import (
 )
 from padic_ciphers.ciphers import (
     FAMILIES,
+    GLIN,
+    OP_NAMES,
     AdditiveKey,
     FheKey,
     G1,
@@ -28,8 +30,6 @@ from padic_ciphers.ciphers import (
     LinearG,
     MultiplicativeKey,
     XorKey,
-    GLIN,
-    OP_NAMES,
     encryption_table,
     key_from_json,
     keygen,

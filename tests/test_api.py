@@ -128,11 +128,12 @@ def test_every_public_name_has_a_caller_or_is_exported():
             name = qualified.rpartition(".")[2]
             if not name.startswith("_"):
                 defined[qualified] = name
-                own.update((id(sub), name) for sub in ast.walk(node))
+                for sub in ast.walk(node):
+                    own.setdefault(id(sub), set()).add(name)
         for node in ast.walk(tree):
             name = (node.id if isinstance(node, ast.Name)
                     else node.attr if isinstance(node, ast.Attribute) else None)
-            if name is not None and own.get(id(node)) != name:
+            if name is not None and name not in own.get(id(node), ()):
                 used.add(name)
     unused = sorted(qualified for qualified, name in defined.items()
                     if name not in used and qualified not in padic_ciphers.__all__)
