@@ -21,9 +21,10 @@ witness.
 
 For a two-variable operation G whose monomials all have total degree in some
 set N, a unit A commutes with G (A*G(x,y) = G(Ax,Ay)) exactly when A^d = 1
-for d = gcd{n - 1 : n in N}.  For odd p the solutions in Z_p are the
-Teichmuller lifts of the mod-p solutions, so there are gcd(d, p-1) usable
-multipliers, A = 1 among them: small primes make thin fhe key spaces.
+for d = gcd{n - 1 : n in N}; a constant term counts as degree 0, so it
+leaves A = 1 alone.  For odd p the solutions in Z_p are the Teichmuller lifts
+of the mod-p solutions, so there are gcd(d, p-1) usable multipliers, A = 1
+among them (``multiplier_count``): small primes make thin fhe key spaces.
 
 Each key class draws its own random key (``draw``, which ``keygen`` finds
 through ``FAMILIES``), and its ``enc_int`` and ``dec_int`` are the integer
@@ -208,8 +209,8 @@ class SeriesG(GOperation):
     """G(x, y) = c + a*x + b*y + sum c_ij x^i y^j over a finite term list.
 
     Terms are ((i, j), coefficient) pairs with i + j >= 2.  A nonzero c
-    cannot commute with any multiplier, so c = 0 is required whenever the
-    term list is nonempty.
+    admits only the multiplier A = 1, so c = 0 is required whenever the term
+    list is nonempty.
     """
 
     name = "GSERIES"
@@ -281,28 +282,36 @@ def g_eval(op: GOperation, x: PadicInt, y: PadicInt) -> PadicInt:
 
 
 def exponent_gcd(op: GOperation, p: int) -> int | None:
-    """d = gcd{n - 1 : n a total degree appearing in G}; None for linear G."""
+    """d = gcd{n - 1 : n a total degree appearing in G}, a series G's constant
+    term counting as degree 0; None for a linear G."""
+    if not isinstance(op, GOperation):
+        raise DomainError(f"unknown operation {op!r}")
     if isinstance(op, LinearG):
         return None
-    if isinstance(op, (G1, G2)):
-        return p - 1  # single total degree p
+    if isinstance(op, (G1, G2, G4)):
+        return p - 1  # total degree p; G4's degrees are (p-1)s + 1
     if isinstance(op, G3):
-        return p - 2  # single total degree p - 1
-    if isinstance(op, G4):
-        return p - 1  # degrees (p-1)s + 1, s >= 1
-    degrees = {i + j for (i, j), coeff in op.terms if coeff.value != 0}
+        return p - 2  # total degree p - 1
+    degrees = {i + j for (i, j), coeff in (((0, 0), op.c), *op.terms) if coeff.value != 0}
     if not degrees:
         return None
     return math.gcd(*[n - 1 for n in degrees])
 
 
-def admissible_multipliers(ctx: PadicContext, op: GOperation) -> frozenset[PadicInt] | None:
-    """All solutions of A^d = 1 in Z_p at precision K, for d = exponent_gcd;
-    None for a linear G, which every unit commutes with."""
+def multiplier_count(ctx: PadicContext, op: GOperation) -> int | None:
+    """The number gcd(d, p - 1) of units A with A^d = 1, d = exponent_gcd, A = 1
+    among them; None for a linear G, which every unit commutes with."""
     if ctx.p == 2:
         raise DomainError("admissible multipliers are computed for odd p")
     d = exponent_gcd(op, ctx.p)
-    return None if d is None else roots_of_unity(ctx, d)
+    return None if d is None else math.gcd(d, ctx.p - 1)
+
+
+def admissible_multipliers(ctx: PadicContext, op: GOperation) -> frozenset[PadicInt] | None:
+    """All solutions of A^d = 1 in Z_p at precision K, for d = exponent_gcd;
+    None for a linear G, which every unit commutes with."""
+    count = multiplier_count(ctx, op)
+    return None if count is None else roots_of_unity(ctx, count)
 
 
 def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
@@ -822,17 +831,17 @@ class FheKey(AdditiveKey):
             raise InvalidKeyError(f"A^{d} != 1: multiplier does not commute with G")
 
     @classmethod
-    def draw(cls, ctx: PadicContext, rng: Random, g: GOperation | None = None) -> "FheKey":
-        """A from the non-trivial solutions of A^d = 1 for g; when only A = 1
-        exists the family offers no secrecy, and this raises instead of
-        returning the identity."""
+    def draw(cls, ctx: PadicContext, rng: Random, g: Operation | None = None) -> "FheKey":
+        """A from the non-trivial solutions of A^d = 1 for g, GLIN first bound
+        to two random unit coefficients; when only A = 1 exists the family
+        offers no secrecy, and this raises instead of returning the identity."""
         g = G1() if g is None else g
-        if ctx.p == 2:  # the refusal of admissible_multipliers
-            raise DomainError("admissible multipliers are computed for odd p")
-        d = exponent_gcd(g, ctx.p)
-        if d is None:
+        if g is GLIN:
+            g = LinearG(_random_unit(ctx, rng), _random_unit(ctx, rng))
+        count = multiplier_count(ctx, g)
+        if count is None:
             return cls(_random_unit(ctx, rng), g)
-        candidates = sorted(a for a in _root_values(ctx, d) if a != 1)
+        candidates = sorted(a for a in _root_values(ctx, count) if a != 1)
         if not candidates:
             raise InvalidKeyError(
                 "only the trivial multiplier A = 1 commutes with this operation "

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -37,16 +36,15 @@ from .ciphers import (
     FAMILIES,
     G_CHOICES,
     G1,
-    LinearG,
-    _random_unit,
+    GLIN,
+    OP_NAMES,
     decrypt,
     encrypt,
     encryption_table,
-    exponent_gcd,
     key_from_json,
     key_to_json,
     keygen,
-    operation_from_name,
+    multiplier_count,
 )
 from .core import (
     DomainError,
@@ -147,21 +145,11 @@ def _cmd_keygen(args) -> tuple[int, dict]:
     if args.g is not None and args.family != "fhe":
         raise DomainError("--g only applies to the fhe family")
     if args.family == "fhe":
-        name = args.g or "G1"
-        if name == "GLIN":
-            g = LinearG(_random_unit(ctx, rng), _random_unit(ctx, rng))
-        else:
-            g = operation_from_name(name, ctx)
-        if ctx.p == 2:  # refused before the warning, as keygen refuses it
-            raise DomainError("admissible multipliers are computed for odd p")
-        d = exponent_gcd(g, ctx.p)
-        usable = None if d is None else math.gcd(d, ctx.p - 1) - 1  # A = 1 excluded
-        if usable is not None and usable < 3:
-            print(
-                f"warning: only {usable} non-trivial multiplier(s) commute with "
-                f"{name} at p = {ctx.p}; the key space is tiny",
-                file=sys.stderr,
-            )
+        g = OP_NAMES[args.g or "G1"]
+        count = None if g is GLIN else multiplier_count(ctx, g)  # keygen binds GLIN
+        if count is not None and count < 4:  # A = 1 is one of them
+            print(f"warning: only {count - 1} non-trivial multiplier(s) commute with "
+                  f"{g.name} at p = {ctx.p}; the key space is tiny", file=sys.stderr)
     key = keygen(ctx, args.family, rng, g=g)
     if not args.out:  # the key itself is the report
         return 0, key_to_json(key)

@@ -44,7 +44,6 @@ from padic_ciphers.core import (
     and_p,
     xor_p,
 )
-from padic_ciphers.lipschitz import ValueTable
 
 C33 = PadicContext(3, 3)
 C52 = PadicContext(5, 2)

@@ -138,3 +138,21 @@ def test_every_public_name_has_a_caller_or_is_exported():
     unused = sorted(qualified for qualified, name in defined.items()
                     if name not in used and qualified not in padic_ciphers.__all__)
     assert unused == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Each name a module under src/ or tests/ imports is read somewhere in
+    that module (``from __future__`` imports aside)."""
+    unused = []
+    for path in sorted([*SRC.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
+    assert unused == []

@@ -1,12 +1,13 @@
 import hashlib
 import json
-import math
 from random import Random
 
 import pytest
 
 from padic_ciphers.analysis import vdp_coefficient_probe
 from padic_ciphers.ciphers import (
+    ADD,
+    AND,
     DRAW_BUDGET,
     FAMILIES,
     AdditiveKey,
@@ -16,6 +17,9 @@ from padic_ciphers.ciphers import (
     G2,
     G3,
     G4,
+    GLIN,
+    MUL,
+    XOR,
     InvalidKeyError,
     LinearG,
     MultiplicativeKey,
@@ -31,6 +35,7 @@ from padic_ciphers.ciphers import (
     key_from_json,
     key_to_json,
     keygen,
+    multiplier_count,
     operation_from_name,
     roots_of_unity,
 )
@@ -297,6 +302,66 @@ def test_roots_of_unity_match_one_lift_per_root():
             for d in range(1, 2 * p):
                 expected = {teichmuller(ctx, j) for j in range(1, p) if pow(j, d, p) == 1}
                 assert roots_of_unity(ctx, d) == expected, (p, K, d)
+
+
+def _commuting_units(ctx: PadicContext, op) -> set[int]:
+    """Every unit A with A*G(x, y) = G(Ax, Ay) for all x and y, by brute force."""
+    p, m = ctx.p, ctx.modulus
+    table = [op.kernel(range(m), y, p, m) for y in range(m)]  # table[y][x] = G(x, y)
+    return {A for A in range(1, m) if A % p and all(
+        A * table[y][x] % m == table[A * y % m][A * x % m] for y in range(m) for x in range(m))}
+
+
+def _rule_cases(ctx: PadicContext):
+    """(G, exact): exact when the rule must find every commuting unit.  At
+    finite K more units commute than the solutions of A^d = 1 in Z_p where a
+    coefficient is a multiple of p (as in G4) or p divides d."""
+    i, p = ctx.integer, ctx.p
+
+    def series(c, *terms):
+        return SeriesG(i(c), i(2), i(1), tuple(((a, b), i(v)) for a, b, v in terms))
+
+    return [
+        (G1(), True), (G2(), True), (G3(), True), (G4(), False),
+        (LinearG(i(2), i(p + 1)), True),
+        (series(1), True),  # a unit constant term: A = 1 alone
+        (series(p), False),
+        (series(0, (1, 1, 1)), True),  # d = 1
+        (series(0, (2, 1, 3), (0, 3, 1)), True),  # d = 2
+        (series(0, (3, 0, 1), (2, 2, p - 1)), True),  # d = gcd(2, 3)
+        (series(0, (4, 0, 1)), 3 % p != 0),  # d = 3
+        (series(0, (1, 1, p)), False),
+    ]
+
+
+@pytest.mark.parametrize("p,K", [(3, 2), (3, 3), (5, 2), (7, 2)])
+def test_the_multiplier_rule_matches_brute_force(p, K):
+    ctx = PadicContext(p, K)
+    units = {a for a in ctx.residues() if a % p}
+    for op, exact in _rule_cases(ctx):
+        rule = admissible_multipliers(ctx, op)
+        rule = units if rule is None else {a.value for a in rule}
+        assert multiplier_count(ctx, op) in (None, len(rule))
+        brute = _commuting_units(ctx, op)
+        assert (rule == brute) if exact else (rule <= brute), (op, sorted(rule), sorted(brute))
+
+
+def test_a_constant_series_admits_only_the_identity_multiplier():
+    g = SeriesG(C53.integer(1), C53.integer(2), C53.integer(3), ())
+    assert exponent_gcd(g, 5) == 1
+    assert admissible_multipliers(C53, g) == {C53.one}
+    with pytest.raises(InvalidKeyError, match="only the trivial multiplier"):
+        keygen(C53, "fhe", Random(1), g=g)
+    with pytest.raises(InvalidKeyError):
+        FheKey(C53.integer(2), g)
+
+
+@pytest.mark.parametrize("op", [ADD, MUL, XOR, AND, GLIN], ids=repr)
+def test_the_multiplier_rule_refuses_what_is_not_a_g(op):
+    for call in (lambda: exponent_gcd(op, 5), lambda: admissible_multipliers(C52, op),
+                 lambda: FheKey(C52.one, op)):
+        with pytest.raises(DomainError, match="unknown operation"):
+            call()
 
 
 # -- fhe ----------------------------------------------------------------------

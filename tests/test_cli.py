@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import time
+from random import Random
 
 import pytest
 
 from padic_ciphers import cli
 from padic_ciphers.cli import run_command
-from padic_ciphers.ciphers import key_from_json, encryption_table
+from padic_ciphers.ciphers import GLIN, key_from_json, key_to_json, keygen, encryption_table
 from padic_ciphers.core import PadicContext, PadicInt
 from padic_ciphers.lipschitz import (
     ValueTable,
@@ -69,10 +70,12 @@ def test_keygen_fhe_g3_has_no_usable_keys(capsys):
     assert "error" in err
 
 
-# The four thin-key-space cases, taken before the CLI counted the multipliers
-# as gcd(d, p - 1) - 1 instead of enumerating them.
+# The thin-key-space cases, taken before the CLI counted the multipliers as
+# gcd(d, p - 1) - 1 instead of enumerating them.  GLIN at p = 2 is refused as
+# G1 is, with no warning first.
 THIN_KEYGEN = {
-    (2, "G1"): (5, "error: admissible multipliers are computed for odd p\n"),
+    **{(2, g): (5, "error: admissible multipliers are computed for odd p\n")
+       for g in ("G1", "GLIN")},
     (3, "G1"): (0, "warning: only 1 non-trivial multiplier(s) commute with G1 at p = 3; "
                    "the key space is tiny\n"),
     **{(p, "G3"): (5, f"warning: only 0 non-trivial multiplier(s) commute with G3 at p = {p}; "
@@ -90,16 +93,26 @@ def test_keygen_thin_fhe_keyspace_transcript(capsys, p, g):
     assert (code, err) == THIN_KEYGEN[p, g]
 
 
+GLIN_GRID = [(p, K, seed) for p, K in ((5, 3), (7, 3), (13, 2)) for seed in (0, 1, 11)]
+
+
 def test_seeded_glin_keys_are_pinned(capsys):
     digest = hashlib.sha256()
-    for p, K in ((5, 3), (7, 3), (13, 2)):
-        for seed in (0, 1, 11):
-            code, out, err = run(capsys, "keygen", "--family", "fhe", "--g", "GLIN",
-                                 "--p", str(p), "--precision", str(K), "--seed", str(seed))
-            assert code == 0
-            digest.update(out.encode())
+    for p, K, seed in GLIN_GRID:
+        code, out, err = run(capsys, "keygen", "--family", "fhe", "--g", "GLIN",
+                             "--p", str(p), "--precision", str(K), "--seed", str(seed))
+        assert code == 0
+        digest.update(out.encode())
     assert digest.hexdigest() == (
         "c4a00e612829876ed7ab501041211ad7a4a0dd9eac6018914645200893ca3c1b")
+
+
+def test_library_keygen_binds_glin_as_the_cli_does(capsys):
+    for p, K, seed in GLIN_GRID:
+        code, out, err = run(capsys, "keygen", "--family", "fhe", "--g", "GLIN",
+                             "--p", str(p), "--precision", str(K), "--seed", str(seed))
+        key = keygen(PadicContext(p, K), "fhe", Random(seed), g=GLIN)
+        assert (code, json.loads(out)) == (0, key_to_json(key)), (p, K, seed)
 
 
 def test_fhe_keygen_at_a_large_prime_is_fast(capsys):

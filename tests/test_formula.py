@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from padic_ciphers.analysis import ADD, AND, MUL, XOR, homomorphism_test
 from padic_ciphers.ciphers import (
     AdditiveKey,
-    AndKey,
     FheKey,
     G1,
     LinearG,

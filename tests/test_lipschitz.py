@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padic_ciphers.core import PadicContext, PadicInt, valuation
+from padic_ciphers.core import PadicContext, valuation
 from padic_ciphers.lipschitz import (
     CoordRep,
     NotOneLipschitzError,
