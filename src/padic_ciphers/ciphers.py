@@ -33,8 +33,8 @@ wrap in a ``PadicInt``.  An fhe key is an additive key whose multiplier also
 commutes with G, so it shares the additive kernels.
 What a kernel precomputes from the key (inverse multipliers and exponents,
 the packed columns of the xor matrix and of its inverse over F_p, and for
-p <= 7 the xor and and block tables of at most 64 entries each) is built on
-the kernel's first use, not when the key is made.
+p <= 7 block tables of at most 64 entries, one encoding for xor and and) is
+built on the kernel's first use, not when the key is made.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property, partial
+from functools import cache, cached_property
 from itertools import accumulate, repeat
 from random import Random
 from typing import get_args
@@ -181,10 +181,13 @@ class G3(GOperation):
 
     name = "G3"
 
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+    def degree(self, p: int) -> int:  # (p-1)/2, the degree in each variable
         if p == 2:
             raise DomainError("this operation needs an odd p (exponent (p-1)/2)")
-        e = (p - 1) // 2
+        return (p - 1) // 2
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        e = self.degree(p)
         yy = pow(y, e, m)
         return [pow(x, e, m) * yy % m for x in xs]
 
@@ -291,7 +294,7 @@ def exponent_gcd(op: GOperation, p: int) -> int | None:
     if isinstance(op, (G1, G2, G4)):
         return p - 1  # total degree p; G4's degrees are (p-1)s + 1
     if isinstance(op, G3):
-        return p - 2  # total degree p - 1
+        return 2 * op.degree(p) - 1  # total degree p - 1; p = 2 is refused
     degrees = {i + j for (i, j), coeff in (((0, 0), op.c), *op.terms) if coeff.value != 0}
     if not degrees:
         return None
@@ -645,8 +648,9 @@ class _SlotMatrix:
 #
 # For p <= 7 the xor and and kernels read v in blocks of h digits, h the most
 # with p^h <= 64 (radix conversion by blocks, Knuth, TAOCP vol. 2, 4.4): one
-# divmod and one lookup in a table of p^h entries per block.  From p = 11 on
-# h would be 1, and the kernels keep their per-digit loops.
+# divmod and one lookup in a table of p^h entries per block.  Both families
+# hand the reader, ``_DigitBlocks``, their digits' shares in one encoding.
+# From p = 11 on h would be 1, and the kernels keep their per-digit loops.
 
 _BLOCK_DIGITS = {2: 6, 3: 3, 5: 2, 7: 2}  # p -> h
 
@@ -655,30 +659,6 @@ _BLOCK_DIGITS = {2: 6, 3: 3, 5: 2, 7: 2}  # p -> h
 def _slot_bytes(p: int) -> tuple[bytes, bytes]:
     """Byte tables taking an 8-bit slot s to s mod p, and to the text of s mod p."""
     return bytes(s % p for s in range(256)), bytes(48 + s % p for s in range(256))
-
-
-@cache
-def _block_texts(p: int) -> tuple[str, ...]:
-    """The h-digit base-p text of every value of a block."""
-    texts = ("",)
-    for _ in range(_BLOCK_DIGITS[p]):
-        texts = tuple(str(d) + t for d in range(p) for t in texts)
-    return texts
-
-
-class _DigitBlocks:
-    """Table j maps each value of block j to its share of the output.  The
-    shares are prepended, low block first, and ``finish`` reads the result."""
-
-    def __init__(self, tables: list[list], q: int, start, finish) -> None:
-        self.tables, self.q, self.start, self.finish = tables, q, start, finish
-
-    def apply(self, v: int) -> int:
-        acc, q = self.start, self.q
-        for t in self.tables:
-            v, b = divmod(v, q)
-            acc = t[b] + acc
-        return self.finish(acc)
 
 
 def _block_sums(shares: list[list[int]], h: int):
@@ -691,24 +671,36 @@ def _block_sums(shares: list[list[int]], h: int):
         yield sums
 
 
+class _DigitBlocks:
+    """shares[k][d] is what digit d at position k adds to the output, in 8-bit
+    slots with output digit k at byte K-1-k, so high blocks have small entries.
+    Table j maps each value of block j to the sum of its shares with each slot
+    reduced mod p (from at most h(p-1)^2 <= 72).  A slot of the sum of one
+    entry per table is at most ceil(K/h)(p-1) <= 192, read mod p at the end."""
+
+    def __init__(self, shares: list[list[int]], p: int) -> None:
+        h, K = _BLOCK_DIGITS[p], len(shares)
+        reduce, self.text = _slot_bytes(p)
+        self.tables = [[int.from_bytes(s.to_bytes(K, "little").translate(reduce), "little")
+                        for s in sums] for sums in _block_sums(shares, h)]
+        self.p, self.K, self.q = p, K, p**h
+
+    def apply(self, v: int) -> int:
+        acc, q = 0, self.q
+        for t in self.tables:
+            v, b = divmod(v, q)
+            acc += t[b]
+        return int(acc.to_bytes(self.K, "little").translate(self.text), self.p)
+
+
 def _matrix_kernel(m: _SlotMatrix) -> _SlotMatrix | _DigitBlocks:
-    """m itself for p >= 11, else block tables.  An entry is the block's
-    column sum with each slot reduced mod p, in 8-bit slots with output digit
-    k at byte K-1-k, so high blocks have small entries.  A slot of the sum of
-    the shares is at most ceil(K/h)(p-1) <= 192."""
+    """m itself for p >= 11, else block tables: digit d at i adds d * column i."""
     p, K = m.p, len(m.columns)
-    h = _BLOCK_DIGITS.get(p)
-    if h is None:
+    if p not in _BLOCK_DIGITS:
         return m
-    reduce, text = _slot_bytes(p)
     columns = [sum(m.slot(col, k) << 8 * (K - 1 - k) for k in range(i, K))
                for i, col in enumerate(m.columns)]
-    # before the reduction a slot holds at most h(p-1)^2 <= 72
-    tables = [[int.from_bytes(s.to_bytes(K, "little").translate(reduce), "little")
-               for s in sums]
-              for sums in _block_sums([[d * col for d in range(p)] for col in columns], h)]
-    return _DigitBlocks(tables, p**h, 0,
-                        lambda acc: int(acc.to_bytes(K, "little").translate(text), p))
+    return _DigitBlocks([[d * col for d in range(p)] for col in columns], p)
 
 
 class _DigitPowers:
@@ -726,16 +718,12 @@ class _DigitPowers:
 
 
 def _powers_kernel(p: int, exponents: tuple[int, ...]) -> _DigitPowers | _DigitBlocks:
-    """Per digit for p >= 11, else block tables whose entries are the output
-    block's text from ``_block_texts`` (a short top block reads with leading
-    zeros)."""
-    h = _BLOCK_DIGITS.get(p)
-    if h is None:
+    """Per digit for p >= 11, else block tables: digit d at k adds d^s_k."""
+    if p not in _BLOCK_DIGITS:
         return _DigitPowers(p, exponents)
-    texts = _block_texts(p)
-    shares = [[pow(d, s, p) * p ** (k % h) for d in range(p)] for k, s in enumerate(exponents)]
-    return _DigitBlocks([[texts[s] for s in sums] for sums in _block_sums(shares, h)],
-                        p**h, "", partial(int, base=p))
+    K = len(exponents)
+    return _DigitBlocks([[pow(d, s, p) << 8 * (K - 1 - k) for d in range(p)]
+                         for k, s in enumerate(exponents)], p)
 
 
 @dataclass(frozen=True)

@@ -411,7 +411,7 @@ def _demo_text(r: dict, args) -> str:
 
 
 def _add_context_args(sub, default_p=5, default_precision=16) -> None:
-    sub.add_argument("--p", type=int, default=default_p, help="odd prime base")
+    sub.add_argument("--p", type=int, default=default_p, help="prime base")
     sub.add_argument("--precision", type=int, default=default_precision,
                      help="number of digits kept")
 

@@ -115,18 +115,16 @@ def _public_names(tree: ast.Module):
                         if isinstance(n, ast.Name))
 
 
-def test_every_public_name_has_a_caller_or_is_exported():
-    """A public module-level function, class or constant is used somewhere in
-    the package outside its own definition, or it is part of the API in
-    ``__all__``; a public method or property of a public class is used outside
-    its own definition."""
+def _names_without_a_caller(keep) -> list[str]:
+    """Each name from ``_public_names`` over src/ with ``keep(qualified,
+    name)`` that the package reads nowhere outside its own definition."""
     defined, used = {}, set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         own = {}
         for qualified, node in _public_names(tree):
             name = qualified.rpartition(".")[2]
-            if not name.startswith("_"):
+            if keep(qualified, name):
                 defined[qualified] = name
                 for sub in ast.walk(node):
                     own.setdefault(id(sub), set()).add(name)
@@ -135,9 +133,24 @@ def test_every_public_name_has_a_caller_or_is_exported():
                     else node.attr if isinstance(node, ast.Attribute) else None)
             if name is not None and name not in own.get(id(node), ()):
                 used.add(name)
-    unused = sorted(qualified for qualified, name in defined.items()
-                    if name not in used and qualified not in padic_ciphers.__all__)
-    assert unused == []
+    return sorted(qualified for qualified, name in defined.items() if name not in used)
+
+
+def test_every_public_name_has_a_caller_or_is_exported():
+    """A public module-level function, class or constant is used somewhere in
+    the package outside its own definition, or it is part of the API in
+    ``__all__``; a public method or property of a public class is used outside
+    its own definition."""
+    unused = _names_without_a_caller(lambda qualified, name: not name.startswith("_"))
+    assert [name for name in unused if name not in padic_ciphers.__all__] == []
+
+
+def test_every_private_name_has_a_caller():
+    """A private module-level function, class or constant (dunders aside) is
+    used somewhere in the package outside its own definition."""
+    assert _names_without_a_caller(lambda qualified, name: "." not in qualified
+                                   and name.startswith("_")
+                                   and not name.startswith("__")) == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

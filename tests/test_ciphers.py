@@ -275,6 +275,17 @@ def test_exponent_gcds():
     assert exponent_gcd(op, 5) == 1  # gcd(2 - 1, 3 - 1)
 
 
+def test_g3_has_no_exponent_at_p_2():
+    """G3 is x^((p-1)/2) y^((p-1)/2), so its rule refuses p = 2 as its kernel
+    does, and an fhe key for it at p = 2 is refused; a linear G still builds."""
+    ctx = PadicContext(2, 3)
+    for call in (lambda: exponent_gcd(G3(), 2), lambda: FheKey(ctx.integer(3), G3()),
+                 lambda: g_eval(G3(), ctx.one, ctx.one)):
+        with pytest.raises(DomainError, match=r"needs an odd p \(exponent \(p-1\)/2\)"):
+            call()
+    assert FheKey(ctx.integer(3), LinearG(ctx.one, ctx.one)).enc_int(1) == 3
+
+
 def test_g1_multiplier_invariance_needs_root_of_unity():
     # A = 7 satisfies A^4 = 1 mod 25 and commutes with G1; A = 2 does not.
     a_good, a_bad = C52.integer(7), C52.integer(2)

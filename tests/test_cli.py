@@ -163,6 +163,15 @@ def test_malformed_key_file_exits_3(tmp_path, capsys):
     assert code == 3
 
 
+def test_fhe_key_file_with_g3_at_p_2_exits_3(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(
+        {"family": "fhe", "p": 2, "precision": 3, "A": "2:3:1,1,0", "g": "G3"}))
+    code, out, err = run(capsys, "check", "--key", str(path))
+    assert code == 3
+    assert err == "error: invalid key material: this operation needs an odd p (exponent (p-1)/2)\n"
+
+
 LONG_INTEGER_KEY = b'{"family": "additive", "p": ' + b"1" * 5000 + b', "precision": 2, "A": "1"}'
 
 

@@ -290,9 +290,9 @@ def test_block_tables_stay_small_and_large_primes_build_none():
                     assert isinstance(kernel, ciphers._DigitBlocks)
                     assert len(kernel.tables) == math.ceil(K / h)
                     assert all(len(table) <= 64 for table in kernel.tables)
-    # the byte tables and digit texts are kept per p, never per key
+    # the byte tables are kept per p, never per key
     def cached() -> list[int]:
-        return [f.cache_info().currsize for f in (ciphers._slot_bytes, ciphers._block_texts)]
+        return [f.cache_info().currsize for f in (ciphers._slot_bytes,)]
 
     assert max(cached()) <= len(ciphers._BLOCK_DIGITS)
     before = cached()
