@@ -88,32 +88,19 @@ def unroll_from_function(table: ValueTable) -> MealyMachine:
         raise NotOneLipschitzError("only 1-Lipschitz tables unroll into transducers")
     ctx = table.ctx
     p, K = ctx.p, ctx.precision
-    offsets = [0]
-    for k in range(K):
-        offsets.append(offsets[-1] + p**k)
+    offsets = [(p**k - 1) // (p - 1) for k in range(K + 1)]  # the states below level k
     sink = offsets[K]
-    n_states = sink + 1
-
-    transition = [[sink] * n_states for _ in range(p)]
-    output = [[0] * n_states for _ in range(p)]
+    transition, output = [], []
     for d in range(p):
-        # the sink echoes its input and loops
-        output[d][sink] = d
+        outs, nexts = [], []
         for k in range(K):
-            pk = p**k
-            for a in range(pk):
-                state = offsets[k] + a
-                rep = a + d * pk
-                output[d][state] = (table.values[rep] // pk) % p
-                if k + 1 < K:
-                    transition[d][state] = offsets[k + 1] + rep
-    return MealyMachine(
-        p=p,
-        n_states=n_states,
-        transition=tuple(tuple(row) for row in transition),
-        output=tuple(tuple(row) for row in output),
-        initial=0,
-    )
+            pk, first = p**k, offsets[k + 1] + d * p**k
+            outs += [v // pk % p for v in table.values[d * pk:(d + 1) * pk]]
+            nexts += range(first, first + pk) if k + 1 < K else [sink] * pk
+        output.append((*outs, d))  # the sink echoes its input and loops
+        transition.append((*nexts, sink))
+    return MealyMachine(p=p, n_states=sink + 1, transition=tuple(transition),
+                        output=tuple(output), initial=0)
 
 
 def function_of_automaton(machine: MealyMachine, precision: int) -> ValueTable:

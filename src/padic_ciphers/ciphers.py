@@ -32,9 +32,9 @@ kernels themselves: callables on residues mod p^K that ``encrypt``/``decrypt``
 wrap in a ``PadicInt``.  An fhe key is an additive key whose multiplier also
 commutes with G, so it shares the additive kernels.
 What a kernel precomputes from the key (inverse multipliers and exponents,
-the packed columns of the xor matrix and of its inverse over F_p, and for
-p <= 7 block tables of at most 64 entries, one encoding for xor and and) is
-built on the kernel's first use, not when the key is made.
+the rows of the xor matrix's inverse over F_p, packed columns for p >= 11,
+and for p <= 7 block tables of at most 64 entries, one encoding for xor and
+and) is built on the kernel's first use, not when the key is made.
 """
 
 from __future__ import annotations
@@ -588,7 +588,8 @@ class _MultiplicativeKernel:
 
 
 class _SlotMatrix:
-    """A lower-triangular matrix over F_p acting on base-p digit vectors.
+    """A lower-triangular matrix over F_p acting on base-p digit vectors, the
+    per-digit xor kernel for p >= 11.
 
     Packed-slot evaluation (Lamport, "Multiple byte processing with full-word
     instructions", CACM 1975): column i is one integer whose B-bit slot k holds
@@ -598,19 +599,10 @@ class _SlotMatrix:
     each slot is reduced mod p once at the end.
     """
 
-    def __init__(self, columns: list[int], p: int, width: int) -> None:
-        self.columns, self.p, self.width = columns, p, width
-        self.mask = (1 << width) - 1
-
-    @classmethod
-    def from_rows(cls, rows: tuple[tuple[int, ...], ...], p: int) -> "_SlotMatrix":
-        K = len(rows)
-        width = (K * (p - 1) ** 2).bit_length()
-        columns = [sum(rows[k][i] << (width * k) for k in range(i, K)) for i in range(K)]
-        return cls(columns, p, width)
-
-    def slot(self, packed: int, k: int) -> int:
-        return packed >> (self.width * k) & self.mask
+    def __init__(self, rows: tuple[tuple[int, ...], ...], p: int) -> None:
+        K, width = len(rows), (len(rows) * (p - 1) ** 2).bit_length()
+        self.p, self.width, self.mask = p, width, (1 << width) - 1
+        self.columns = [sum(rows[k][i] << (width * k) for k in range(i, K)) for i in range(K)]
 
     def apply(self, v: int) -> int:
         p = self.p
@@ -623,25 +615,20 @@ class _SlotMatrix:
             out = out * p + (acc >> shift & mask) % p
         return out
 
-    def inverse(self) -> "_SlotMatrix":
-        """The inverse over F_p, column j by forward substitution on L z = e_j.
 
-        The partial sum of z_i col_i (i < k) holds row k's dot product in slot
-        k, so each entry costs one slot read and one packed addition.
-        """
-        p, width, cols = self.p, self.width, self.columns
-        diag_inv = [pow(self.slot(col, k), -1, p) for k, col in enumerate(cols)]
-        inverse = []
-        for j in range(len(cols)):
-            z = diag_inv[j]
-            acc, col = z * cols[j], z << (width * j)
-            for k in range(j + 1, len(cols)):
-                z = -diag_inv[k] * self.slot(acc, k) % p
-                if z:
-                    acc += z * cols[k]
-                    col |= z << (width * k)
-            inverse.append(col)
-        return _SlotMatrix(inverse, p, width)
+def _inverse_rows(rows: tuple[tuple[int, ...], ...], p: int) -> tuple[tuple[int, ...], ...]:
+    """The rows of L^-1 over F_p, L lower triangular with the given rows: from
+    L L^-1 = I, row k is (e_k - sum over j < k of L[k][j] row j) / L[k][k]."""
+    inverse = []
+    for k, row in enumerate(rows):
+        acc = [0] * k + [1]
+        for c, prior in zip(row, inverse):  # j < k, rows j of L and of L^-1
+            if c:
+                for i, z in enumerate(prior):
+                    acc[i] -= c * z
+        d = pow(row[k], -1, p)
+        inverse.append(tuple(a * d % p for a in acc))
+    return tuple(inverse)
 
 
 # -- block kernels -----------------------------------------------------------------
@@ -693,13 +680,12 @@ class _DigitBlocks:
         return int(acc.to_bytes(self.K, "little").translate(self.text), self.p)
 
 
-def _matrix_kernel(m: _SlotMatrix) -> _SlotMatrix | _DigitBlocks:
-    """m itself for p >= 11, else block tables: digit d at i adds d * column i."""
-    p, K = m.p, len(m.columns)
+def _matrix_kernel(rows: tuple[tuple[int, ...], ...], p: int) -> _SlotMatrix | _DigitBlocks:
+    """Per digit for p >= 11, else block tables: digit d at i adds d * column i."""
     if p not in _BLOCK_DIGITS:
-        return m
-    columns = [sum(m.slot(col, k) << 8 * (K - 1 - k) for k in range(i, K))
-               for i, col in enumerate(m.columns)]
+        return _SlotMatrix(rows, p)
+    K = len(rows)
+    columns = [sum(rows[k][i] << 8 * (K - 1 - k) for k in range(i, K)) for i in range(K)]
     return _DigitBlocks([[d * col for d in range(p)] for col in columns], p)
 
 
@@ -757,11 +743,11 @@ class XorKey:
 
     @cached_property
     def enc_int(self) -> Callable[[int], int]:
-        return _matrix_kernel(_SlotMatrix.from_rows(self.rows, self.ctx.p)).apply
+        return _matrix_kernel(self.rows, self.ctx.p).apply
 
     @cached_property
     def dec_int(self) -> Callable[[int], int]:
-        return _matrix_kernel(_SlotMatrix.from_rows(self.rows, self.ctx.p).inverse()).apply
+        return _matrix_kernel(_inverse_rows(self.rows, self.ctx.p), self.ctx.p).apply
 
 
 @dataclass(frozen=True)

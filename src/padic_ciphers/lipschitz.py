@@ -335,8 +335,7 @@ def random_one_lipschitz_table(
                 rng.shuffle(sub)
             else:
                 sub = [rng.randrange(p) for _ in range(p)]
-            for d in range(p):
-                row[prefix + d * pk] = sub[d]
+            row[prefix::pk] = sub
         phi.append(tuple(row))
         pk *= p
     return table_from_coord(CoordRep(ctx, tuple(phi)))

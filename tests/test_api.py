@@ -99,14 +99,14 @@ def test_an_unknown_name_raises_attribute_error():
         padic_ciphers.no_such_name
 
 
-def _public_names(tree: ast.Module):
-    """Each public name a module defines, with the node that defines it: its
+def _defined_names(tree: ast.Module):
+    """Each name a module defines, with the node that defines it: its
     functions, classes and constants, and the methods and properties of its
     classes as ``Class.name``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
-            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if isinstance(node, ast.ClassDef):
                 yield from ((f"{node.name}.{sub.name}", sub) for sub in node.body
                             if isinstance(sub, ast.FunctionDef))
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -116,24 +116,28 @@ def _public_names(tree: ast.Module):
 
 
 def _names_without_a_caller(keep) -> list[str]:
-    """Each name from ``_public_names`` over src/ with ``keep(qualified,
-    name)`` that the package reads nowhere outside its own definition."""
-    defined, used = {}, set()
+    """Each name from ``_defined_names`` over src/ with ``keep(qualified,
+    name)`` that the package reads nowhere outside its own definition.  A
+    method or property counts as read only as an attribute (``x.name``), so a
+    local variable of the same name does not keep it."""
+    defined, names, attributes = {}, set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
         own = {}
-        for qualified, node in _public_names(tree):
+        for qualified, node in _defined_names(tree):
             name = qualified.rpartition(".")[2]
             if keep(qualified, name):
                 defined[qualified] = name
                 for sub in ast.walk(node):
                     own.setdefault(id(sub), set()).add(name)
         for node in ast.walk(tree):
-            name = (node.id if isinstance(node, ast.Name)
-                    else node.attr if isinstance(node, ast.Attribute) else None)
-            if name is not None and name not in own.get(id(node), ()):
-                used.add(name)
-    return sorted(qualified for qualified, name in defined.items() if name not in used)
+            read, name = ((names, node.id) if isinstance(node, ast.Name)
+                          else (attributes, node.attr) if isinstance(node, ast.Attribute)
+                          else (None, None))
+            if read is not None and name not in own.get(id(node), ()):
+                read.add(name)
+    return sorted(qualified for qualified, name in defined.items()
+                  if name not in attributes and ("." in qualified or name not in names))
 
 
 def test_every_public_name_has_a_caller_or_is_exported():
@@ -141,16 +145,18 @@ def test_every_public_name_has_a_caller_or_is_exported():
     the package outside its own definition, or it is part of the API in
     ``__all__``; a public method or property of a public class is used outside
     its own definition."""
-    unused = _names_without_a_caller(lambda qualified, name: not name.startswith("_"))
+    unused = _names_without_a_caller(lambda qualified, name: not qualified.startswith("_")
+                                     and not name.startswith("_"))
     assert [name for name in unused if name not in padic_ciphers.__all__] == []
 
 
 def test_every_private_name_has_a_caller():
-    """A private module-level function, class or constant (dunders aside) is
-    used somewhere in the package outside its own definition."""
-    assert _names_without_a_caller(lambda qualified, name: "." not in qualified
-                                   and name.startswith("_")
-                                   and not name.startswith("__")) == []
+    """A private module-level function, class or constant, a method or
+    property of a private class, and a private method or property of a public
+    class (dunders aside) is used somewhere in the package outside its own
+    definition."""
+    assert _names_without_a_caller(lambda qualified, name: (qualified.startswith("_")
+                                   or name.startswith("_")) and not name.startswith("__")) == []
 
 
 def test_no_module_imports_a_name_it_never_uses():

@@ -124,6 +124,49 @@ def test_unroll_roundtrip_random_tables():
         assert function_of_automaton(m, 4).values == t.values
 
 
+def reference_unroll(table: ValueTable) -> MealyMachine:
+    """The per-state unroll: state (k, a) on digit d emits digit k of the
+    table value at a + d*p^k and moves to state (k+1, a + d*p^k), or to the
+    echo sink from the last level."""
+    p, K = table.ctx.p, table.ctx.precision
+    offsets = [0]
+    for k in range(K):
+        offsets.append(offsets[-1] + p**k)
+    sink = offsets[K]
+    n_states = sink + 1
+    transition = [[sink] * n_states for _ in range(p)]
+    output = [[0] * n_states for _ in range(p)]
+    for d in range(p):
+        output[d][sink] = d
+        for k in range(K):
+            pk = p**k
+            for a in range(pk):
+                state = offsets[k] + a
+                rep = a + d * pk
+                output[d][state] = (table.values[rep] // pk) % p
+                if k + 1 < K:
+                    transition[d][state] = offsets[k + 1] + rep
+    return MealyMachine(p=p, n_states=n_states, transition=tuple(map(tuple, transition)),
+                        output=tuple(map(tuple, output)), initial=0)
+
+
+UNROLL_CONTEXTS = [PadicContext(p, K) for p, Ks in (
+    (2, (1, 2, 7)), (3, (1, 2, 4)), (5, (1, 3)), (7, (1, 2)), (11, (1, 2)), (13, (1, 2))
+) for K in Ks]
+
+
+@pytest.mark.parametrize("ctx", UNROLL_CONTEXTS, ids=lambda c: f"{c.p}^{c.precision}")
+def test_unroll_matches_the_per_state_reference(ctx):
+    rng = random.Random(ctx.p * 100 + ctx.precision)
+    verdicts = set()
+    for bias in (1.0, 0.0):  # every sub-function a permutation, then none forced to be
+        for _ in range(4):
+            t = random_one_lipschitz_table(ctx, rng, permutation_bias=bias)
+            verdicts.add(check_measure_bruteforce(t))
+            assert unroll_from_function(t) == reference_unroll(t)
+    assert verdicts == {True, False}
+
+
 def test_machine_functions_are_one_lipschitz():
     rng = random.Random(43)
     for _ in range(40):

@@ -304,3 +304,28 @@ def test_block_tables_stay_small_and_large_primes_build_none():
             assert not isinstance(key.enc_int.__self__, ciphers._DigitBlocks)
             assert not isinstance(key.dec_int.__self__, ciphers._DigitBlocks)
     assert cached() == before
+
+
+# -- the inverse of the xor matrix ----------------------------------------------------
+
+
+@pytest.mark.parametrize("K", (1, 2, 63, 64))
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_inverse_rows_times_the_key_matrix_is_the_identity(p, K):
+    ctx = PadicContext(p, K)
+    rng = Random(p * 100 + K)
+    every_p_minus_1 = XorKey(ctx, tuple((p - 1,) * (k + 1) for k in range(K)))
+    for key in [keygen(ctx, "xor", rng) for _ in range(3)] + [every_p_minus_1]:
+        inverse = ciphers._inverse_rows(key.rows, p)
+        assert [len(row) for row in inverse] == [k + 1 for k in range(K)]
+        assert all(0 <= z < p for row in inverse for z in row)
+        for k, row in enumerate(key.rows):  # row k of L times column i of L^-1
+            assert [sum(row[j] * inverse[j][i] for j in range(i, k + 1)) % p
+                    for i in range(k + 1)] == [0] * k + [1]
+
+
+def test_an_xor_key_at_a_61_bit_prime_decrypts_what_it_encrypts():
+    ctx = PadicContext(2**61 - 1, 3)
+    rng = Random(61)
+    for _ in range(3):
+        _check_both_directions(keygen(ctx, "xor", rng), ctx, rng)
