@@ -32,9 +32,9 @@ kernels themselves: callables on residues mod p^K that ``encrypt``/``decrypt``
 wrap in a ``PadicInt``.  An fhe key is an additive key whose multiplier also
 commutes with G, so it shares the additive kernels.
 What a kernel precomputes from the key (inverse multipliers and exponents,
-the rows of the xor matrix's inverse over F_p, packed columns for p >= 11,
-and for p <= 7 block tables of at most 64 entries, one encoding for xor and
-and) is built on the kernel's first use, not when the key is made.
+the rows of the xor matrix's inverse over F_p, packed columns, and for p <= 7
+block tables of at most 64 entries) is built on its first use; an and key
+whose exponents are their own inverses decrypts with its encrypt kernel.
 """
 
 from __future__ import annotations
@@ -246,12 +246,10 @@ class SeriesG(GOperation):
         ]
 
 
-NAMED_G = {g.name: g for g in (G1(), G2(), G3(), G4())}
+# Every operation by the name the CLI and formulas use for it, the G names last.
+OP_NAMES = {op.name: op for op in (ADD, MUL, XOR, AND, G1(), G2(), G3(), G4(), GLIN)}
 
-G_CHOICES = (*NAMED_G, "GLIN")
-
-# Every operation by the name the CLI and formulas use for it.
-OP_NAMES = {op.name: op for op in (ADD, MUL, XOR, AND, *NAMED_G.values(), GLIN)}
+G_CHOICES = tuple(OP_NAMES)[4:]  # G1-G4 and GLIN
 
 
 def op_apply(
@@ -325,11 +323,6 @@ def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
     form the cyclic subgroup of F_p^* generated by z = r^((p-1)/g), r a
     primitive root, and w is multiplicative: the lifts are w(z)^i, i < g.
     """
-    return frozenset(PadicInt(ctx, a) for a in _root_values(ctx, d))
-
-
-def _root_values(ctx: PadicContext, d: int) -> list[int]:
-    """The values of roots_of_unity(ctx, d), 1 first."""
     p = ctx.p
     if p == 2:
         raise DomainError("roots of unity are computed for odd p")
@@ -338,7 +331,8 @@ def _root_values(ctx: PadicContext, d: int) -> list[int]:
     _check_draw_budget(p)
     g, m = math.gcd(d, p - 1), ctx.modulus
     w = teichmuller(ctx, pow(_primitive_root(p), (p - 1) // g, p)).value
-    return [*accumulate(repeat(w, g - 1), lambda a, b: a * b % m, initial=1)]
+    powers = accumulate(repeat(w, g - 1), lambda a, b: a * b % m, initial=1)
+    return frozenset(PadicInt(ctx, a) for a in powers)
 
 
 def _primitive_root(p: int) -> int:
@@ -444,6 +438,12 @@ def _coprime_exponents(p: int) -> list[int]:
     return [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
 
 
+def _check_exponent(s: int, p: int, what: str) -> None:
+    """x -> x^s permutes F_p exactly when s is a unit mod p - 1."""
+    if not 1 <= s <= p - 1 or math.gcd(s, p - 1) != 1:
+        raise InvalidKeyError(f"{what} must be in [1, {p - 1}] and coprime to p-1")
+
+
 @dataclass(frozen=True)
 class AdditiveKey:
     family = "additive"
@@ -485,7 +485,7 @@ class MultiplicativeKey:
     a: PadicInt
 
     def __post_init__(self) -> None:
-        ctx = self.A.ctx
+        ctx = self.ctx
         if ctx.p == 2:
             raise InvalidKeyError("the multiplicative family needs odd p")
         if not is_unit(self.A):
@@ -494,19 +494,14 @@ class MultiplicativeKey:
             raise InvalidKeyError("parameters A and a must share a context")
         if not is_unit(self.a):
             raise InvalidKeyError("principal-unit exponent a must be a unit")
-        if not 1 <= self.s <= ctx.p - 1 or math.gcd(self.s, ctx.p - 1) != 1:
-            raise InvalidKeyError(
-                f"digit exponent s must be in [1, {ctx.p - 1}] and coprime to p-1"
-            )
+        _check_exponent(self.s, ctx.p, "digit exponent s")
 
     @classmethod
     def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "MultiplicativeKey":
         exps = _coprime_exponents(ctx.p)
         return cls(A=_random_unit(ctx, rng), s=rng.choice(exps), a=_random_unit(ctx, rng))
 
-    @property
-    def ctx(self) -> PadicContext:
-        return self.A.ctx
+    ctx = AdditiveKey.ctx
 
     @cached_property
     def enc_int(self) -> Callable[[int], int]:
@@ -592,17 +587,15 @@ class _SlotMatrix:
     per-digit xor kernel for p >= 11.
 
     Packed-slot evaluation (Lamport, "Multiple byte processing with full-word
-    instructions", CACM 1975): column i is one integer whose B-bit slot k holds
-    entry (k, i), so the product with the digit vector x is the single integer
-    sum x_0 col_0 + ... + x_{K-1} col_{K-1}.  A slot sums at most K products
-    below p^2, so B = bitlen(K (p-1)^2) keeps carries out of the next slot;
-    each slot is reduced mod p once at the end.
+    instructions", CACM 1975): column i is one integer whose B-bit slot K-1-k
+    holds entry (k, i), so the product with the digit vector x is the single
+    integer sum x_0 col_0 + ... + x_{K-1} col_{K-1}.  A slot sums at most K
+    products below p^2, so B = bitlen(K (p-1)^2) keeps carries out of the next
+    slot; each slot is reduced mod p once at the end, from the low end.
     """
 
-    def __init__(self, rows: tuple[tuple[int, ...], ...], p: int) -> None:
-        K, width = len(rows), (len(rows) * (p - 1) ** 2).bit_length()
-        self.p, self.width, self.mask = p, width, (1 << width) - 1
-        self.columns = [sum(rows[k][i] << (width * k) for k in range(i, K)) for i in range(K)]
+    def __init__(self, columns: list[int], p: int, width: int) -> None:
+        self.columns, self.p, self.width, self.mask = columns, p, width, (1 << width) - 1
 
     def apply(self, v: int) -> int:
         p = self.p
@@ -611,7 +604,7 @@ class _SlotMatrix:
             v, d = divmod(v, p)
             acc += d * col
         out, mask = 0, self.mask
-        for shift in range(self.width * (len(self.columns) - 1), -1, -self.width):
+        for shift in range(0, self.width * len(self.columns), self.width):
             out = out * p + (acc >> shift & mask) % p
         return out
 
@@ -681,11 +674,13 @@ class _DigitBlocks:
 
 
 def _matrix_kernel(rows: tuple[tuple[int, ...], ...], p: int) -> _SlotMatrix | _DigitBlocks:
-    """Per digit for p >= 11, else block tables: digit d at i adds d * column i."""
-    if p not in _BLOCK_DIGITS:
-        return _SlotMatrix(rows, p)
+    """Column i holds entry (k, i) in slot K-1-k: 8 bits wide in the block tables
+    (p <= 7), where digit d at i adds d * column i, else B bits (_SlotMatrix)."""
     K = len(rows)
-    columns = [sum(rows[k][i] << 8 * (K - 1 - k) for k in range(i, K)) for i in range(K)]
+    width = 8 if p in _BLOCK_DIGITS else (K * (p - 1) ** 2).bit_length()
+    columns = [sum(rows[k][i] << width * (K - 1 - k) for k in range(i, K)) for i in range(K)]
+    if p not in _BLOCK_DIGITS:
+        return _SlotMatrix(columns, p, width)
     return _DigitBlocks([[d * col for d in range(p)] for col in columns], p)
 
 
@@ -763,14 +758,9 @@ class AndKey:
     def __post_init__(self) -> None:
         ctx = self.ctx
         if len(self.exponents) != ctx.precision:
-            raise InvalidKeyError(
-                f"need {ctx.precision} exponents, got {len(self.exponents)}"
-            )
+            raise InvalidKeyError(f"need {ctx.precision} exponents, got {len(self.exponents)}")
         for s in self.exponents:
-            if not 1 <= s <= ctx.p - 1 or math.gcd(s, ctx.p - 1) != 1:
-                raise InvalidKeyError(
-                    f"digit exponent {s} must be in [1, {ctx.p - 1}] and coprime to p-1"
-                )
+            _check_exponent(s, ctx.p, f"digit exponent {s}")
 
     @classmethod
     def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "AndKey":
@@ -783,11 +773,11 @@ class AndKey:
 
     @cached_property
     def dec_int(self) -> Callable[[int], int]:
-        # x -> x^s permutes F_p exactly when s is a unit mod p - 1; at p = 2
-        # the only exponent is 1, its own inverse.
+        # Where p - 1 divides 24 (p = 2, 3, 5, 7, 13) every exponent is its own
+        # inverse (at p = 2 the only one is 1), and decryption is encryption.
         p = self.ctx.p
-        return _powers_kernel(p, tuple(pow(s, -1, p - 1) if p > 2 else 1
-                                       for s in self.exponents)).apply
+        inverses = tuple(pow(s, -1, p - 1) if p > 2 else 1 for s in self.exponents)
+        return self.enc_int if inverses == self.exponents else _powers_kernel(p, inverses).apply
 
 
 @dataclass(frozen=True)
@@ -815,7 +805,7 @@ class FheKey(AdditiveKey):
         count = multiplier_count(ctx, g)
         if count is None:
             return cls(_random_unit(ctx, rng), g)
-        candidates = sorted(a for a in _root_values(ctx, count) if a != 1)
+        candidates = sorted(a.value for a in roots_of_unity(ctx, count) if a.value != 1)
         if not candidates:
             raise InvalidKeyError(
                 "only the trivial multiplier A = 1 commutes with this operation "
@@ -919,9 +909,8 @@ def operation_from_name(
     a: PadicInt | None = None,
     b: PadicInt | None = None,
 ) -> GOperation:
+    if name not in G_CHOICES:  # a tuple, so a JSON list or object compares unequal
+        raise FormatError(f"unknown operation {name!r}; expected one of {G_CHOICES}")
     if name == "GLIN":
         return LinearG(a if a is not None else ctx.one, b if b is not None else ctx.one)
-    try:
-        return NAMED_G[name]
-    except (KeyError, TypeError):  # TypeError: a JSON list or object is unhashable
-        raise FormatError(f"unknown operation {name!r}; expected one of {G_CHOICES}") from None
+    return OP_NAMES[name]

@@ -220,23 +220,19 @@ def from_text(text: str, ctx: PadicContext | None = None) -> PadicInt:
         if len(parts) != 3:
             raise FormatError(f"expected p:K:d0,...,d(K-1), got {text!r}")
         try:
-            p = int(parts[0])
-            precision = int(parts[1])
+            p, precision = int(parts[0]), int(parts[1])
             digits = [int(d) for d in parts[2].split(",")]
+            if ctx is None:
+                ctx = PadicContext(p, precision)
+            elif ctx.p != p or ctx.precision != precision:
+                raise FormatError(
+                    f"literal context {p}:{precision} does not match expected "
+                    f"{ctx.p}:{ctx.precision}"
+                )
+            return ctx.from_digits(digits)
         except ValueError as exc:
             raise FormatError(f"malformed p-adic literal {text!r}") from exc
-        try:
-            parsed_ctx = PadicContext(p, precision) if ctx is None else ctx
-        except DomainError as exc:
-            raise FormatError(str(exc)) from exc
-        if ctx is not None and (ctx.p != p or ctx.precision != precision):
-            raise FormatError(
-                f"literal context {p}:{precision} does not match expected "
-                f"{ctx.p}:{ctx.precision}"
-            )
-        try:
-            return parsed_ctx.from_digits(digits)
-        except DomainError as exc:
+        except DomainError as exc:  # a bad context or digit
             raise FormatError(str(exc)) from exc
     if ctx is None:
         raise FormatError("plain integer literal needs an explicit context")

@@ -28,7 +28,6 @@ from .ciphers import (
     ADD,
     GLIN,
     MUL,
-    NAMED_G,
     OP_NAMES,
     CipherKey,
     LinearG,
@@ -104,7 +103,7 @@ class App:
 Node = Var | Lit | App
 
 _CALL_NAMES = {name: op for name, op in OP_NAMES.items() if op not in (ADD, MUL)}
-_CALL_NAMES["STAR"] = NAMED_G["G1"]
+_CALL_NAMES["STAR"] = OP_NAMES["G1"]
 
 MAX_NESTING = 200  # parenthesis and call depth; the parser recurses per level
 

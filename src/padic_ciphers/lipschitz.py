@@ -1,7 +1,8 @@
 """Three interchangeable representations of 1-Lipschitz maps on Z_p at
 precision K, with measure-preservation checks.
 
-* ``ValueTable``: the full value table on residues mod p**K.
+* ``ValueTable``: the full value table on residues mod p**K; it and a
+  ``VdpSeries`` refuse any entries but p**K residues with one check.
 * ``VdpSeries``: interpolation coefficients B_m over the indicator basis
   chi(m, .), where chi(m, x) = 1 iff the first n digits of x spell m
   (n = number of digits of m; n = 1 for m = 0).  A table is 1-Lipschitz
@@ -51,6 +52,16 @@ def _check_table_size(ctx: PadicContext, limit: int = DEFAULT_TABLE_LIMIT) -> No
         )
 
 
+def _check_residues(ctx: PadicContext, values: tuple[int, ...], needs: str, entry: str) -> None:
+    """A table or series within the table limit, of p**K residues."""
+    _check_table_size(ctx)
+    if len(values) != ctx.modulus:
+        raise DomainError(f"{needs.format(ctx.modulus)}, got {len(values)}")
+    for v in values:
+        if not 0 <= v < ctx.modulus:
+            raise DomainError(f"{entry} {v} out of range")
+
+
 def digit_length(m: int, p: int) -> int:
     """Number of base-p digits of m; by convention 1 for m = 0."""
     if m < 0:
@@ -70,14 +81,7 @@ class ValueTable:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_table_size(self.ctx)
-        if len(self.values) != self.ctx.modulus:
-            raise DomainError(
-                f"table needs {self.ctx.modulus} entries, got {len(self.values)}"
-            )
-        for v in self.values:
-            if not 0 <= v < self.ctx.modulus:
-                raise DomainError(f"table entry {v} out of range")
+        _check_residues(self.ctx, self.values, "table needs {} entries", "table entry")
 
     @classmethod
     def from_callable(cls, ctx: PadicContext, fn: Callable[[int], int]) -> "ValueTable":
@@ -96,14 +100,7 @@ class VdpSeries:
     B: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_table_size(self.ctx)
-        if len(self.B) != self.ctx.modulus:
-            raise DomainError(
-                f"series needs {self.ctx.modulus} coefficients, got {len(self.B)}"
-            )
-        for v in self.B:
-            if not 0 <= v < self.ctx.modulus:
-                raise DomainError(f"coefficient {v} out of range")
+        _check_residues(self.ctx, self.B, "series needs {} coefficients", "coefficient")
 
     def b(self, m: int) -> int:
         """Normalized coefficient B_m / p**(digits(m)-1); raises when not divisible."""

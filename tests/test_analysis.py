@@ -339,6 +339,44 @@ def test_vdp_probe_flags_wrong_parameters():
     assert rep.detail == {"m": 2, "expected": 3, "got": 2}
 
 
+def _shifted(key, shift: dict[int, int]):
+    """``key`` with its cached encrypt kernel replaced by one that adds
+    ``shift.get(x, 0)`` to the value at x."""
+    enc, m = key.enc_int, key.ctx.modulus
+    vars(key)["enc_int"] = lambda v: (enc(v) + shift.get(v, 0)) % m
+    return key
+
+
+def test_vdp_probe_reports_a_nonzero_b0():
+    key = _shifted(keygen(C33, "multiplicative", Random(2)), {0: 1})
+    rep = vdp_coefficient_probe(key)
+    assert (rep.verdict, rep.witness, rep.trials) == ("counterexample", (0,), 1)
+    assert rep.detail == {"m": 0, "expected": 0, "got": 1}
+
+
+def test_vdp_probe_reports_a_coefficient_not_divisible_by_its_power_of_p():
+    # f(3) = f(0) + 1 mod 3: B_3 = f(3) - f(0) is no multiple of 3, and m = 3
+    # is the first index with a divisibility condition
+    key = _shifted(keygen(C33, "multiplicative", Random(2)), {3: 1})
+    rep = vdp_coefficient_probe(key)
+    assert (rep.verdict, rep.witness, rep.trials) == ("counterexample", (3,), 3)
+    assert rep.detail == {"m": 3, "reason": "coefficient not divisible by p^(digits-1)"}
+
+
+def test_homomorphism_test_refuses_a_non_key_unbound_glin_and_a_level_out_of_range():
+    key = keygen(C33, "additive", Random(1))
+    for call, message in [
+        (lambda: homomorphism_test(5, ADD), "cannot test a int; pass a key or a table"),
+        (lambda: homomorphism_test(key, GLIN),
+         "bind the linear operation to coefficients before testing"),
+        (lambda: homomorphism_test(key, ADD, exhaustive_k=0), "level must be in [1, 3], got 0"),
+        (lambda: homomorphism_test(key, ADD, exhaustive_k=4), "level must be in [1, 3], got 4"),
+    ]:
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
+
+
 def test_vdp_probe_rejects_wrong_family():
     rng = Random(1)
     with pytest.raises(DomainError):

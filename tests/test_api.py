@@ -175,3 +175,16 @@ def test_no_module_imports_a_name_it_never_uses():
                 continue
             unused += [f"{path.name}:{node.lineno} {name}" for name in names if name not in used]
     assert unused == []
+
+
+def test_no_two_functions_in_src_have_the_same_body():
+    """Each function, method or property body under src/ (its docstring
+    aside) is written once; a second copy is bound to the first by name."""
+    bodies: dict[tuple[str, ...], list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                body = node.body[ast.get_docstring(node) is not None:]
+                bodies.setdefault(tuple(map(ast.dump, body)), []).append(
+                    f"{path.name}:{node.lineno} {node.name}")
+    assert [names for names in bodies.values() if len(names) > 1] == []

@@ -198,3 +198,32 @@ def test_run_validates_digits():
     m = identity_machine(3)
     with pytest.raises(DomainError):
         run(m, [0, 3])
+
+
+def _machine(**fields) -> MealyMachine:
+    """A two-state machine over {0, 1, 2} with ``fields`` changed."""
+    table = ((0, 1),) * 3
+    return MealyMachine(**{"p": 3, "n_states": 2, "transition": table, "output": table,
+                           "initial": 0} | fields)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"p": 1}, "alphabet needs p >= 2"),
+    ({"n_states": 0}, "at least one state required"),
+    ({"initial": 2}, "initial state out of range"),
+    ({"transition": ((0, 1),) * 2}, "transition table needs one row per input digit"),
+    ({"output": ((0, 1),) * 2 + ((0,),)}, "output row needs one entry per state"),
+    ({"transition": ((0, 2),) * 3}, "transition entry 2 out of range"),
+    ({"output": ((0, 3),) * 3}, "output entry 3 out of range"),
+], ids=range(7))
+def test_a_machine_refuses_a_wrong_table(fields, message):
+    _machine()
+    with pytest.raises(DomainError) as info:
+        _machine(**fields)
+    assert str(info.value) == message
+
+
+def test_transduce_refuses_an_argument_over_another_alphabet():
+    with pytest.raises(DomainError) as info:
+        transduce(identity_machine(3), PadicContext(5, 2).integer(7))
+    assert str(info.value) == "machine and argument alphabet differ"

@@ -10,6 +10,8 @@ from padic_ciphers.ciphers import (
     AND,
     DRAW_BUDGET,
     FAMILIES,
+    G_CHOICES,
+    OP_NAMES,
     AdditiveKey,
     AndKey,
     FheKey,
@@ -594,3 +596,80 @@ def test_operation_from_name():
     assert lin == LinearG(C52.integer(2), C52.integer(3))
     with pytest.raises(FormatError):
         operation_from_name("G9", C52)
+
+
+# -- refusals, to the letter ---------------------------------------------------------
+
+
+def _refusal(exc_type, call) -> str:
+    with pytest.raises(exc_type) as info:
+        call()
+    return str(info.value)
+
+
+def test_encrypt_and_decrypt_refuse_a_value_in_another_context():
+    key = keygen(C52, "additive", Random(1))
+    x = C53.integer(7)
+    assert _refusal(DomainError, lambda: encrypt(key, x)) == (
+        "plaintext context does not match the key")
+    assert _refusal(DomainError, lambda: decrypt(key, x)) == (
+        "ciphertext context does not match the key")
+
+
+@pytest.mark.parametrize("s", (0, 2, 4, 5))
+def test_both_families_refuse_a_digit_exponent_that_is_no_unit_mod_p_minus_1(s):
+    # x -> x^s permutes F_5 only for s = 1 and s = 3
+    assert _refusal(InvalidKeyError, lambda: MultiplicativeKey(C52.one, s, C52.one)) == (
+        "digit exponent s must be in [1, 4] and coprime to p-1")
+    assert _refusal(InvalidKeyError, lambda: AndKey(C52, (1, s))) == (
+        f"digit exponent {s} must be in [1, 4] and coprime to p-1")
+    with pytest.raises(FormatError, match=r"^invalid key material: digit exponent s must"):
+        key_from_json({"family": "multiplicative", "p": 5, "precision": 2,
+                       "A": "5:2:1,0", "s": s, "a": "5:2:1,0"})
+
+
+def test_multiplicative_key_refuses_a_in_another_context_or_not_a_unit():
+    assert _refusal(InvalidKeyError, lambda: MultiplicativeKey(C52.one, 1, C53.one)) == (
+        "parameters A and a must share a context")
+    assert _refusal(InvalidKeyError, lambda: MultiplicativeKey(C52.one, 1, C52.integer(5))) == (
+        "principal-unit exponent a must be a unit")
+
+
+@pytest.mark.parametrize("c", (-1, 3))
+def test_xor_key_refuses_a_coefficient_out_of_range(c):
+    assert _refusal(InvalidKeyError, lambda: XorKey(C32, ((1,), (c, 1)))) == (
+        "row 1 has a coefficient out of range")
+
+
+def test_roots_of_unity_refuse_p_2_and_an_exponent_below_1():
+    assert _refusal(DomainError, lambda: roots_of_unity(PadicContext(2, 3), 1)) == (
+        "roots of unity are computed for odd p")
+    for d in (0, -3):
+        assert _refusal(DomainError, lambda: roots_of_unity(C52, d)) == "exponent must be >= 1"
+
+
+def test_a_key_file_cannot_hold_a_series_g():
+    key = FheKey(C53.one, SeriesG(C53.integer(0), C53.one, C53.one, (((1, 1), C53.one),)))
+    assert _refusal(DomainError, lambda: key_to_json(key)) == (
+        "series operations are not supported in key files")
+
+
+def test_an_all_zero_series_g_has_no_exponent_gcd():
+    zero = C53.integer(0)
+    assert exponent_gcd(SeriesG(zero, zero, zero, (((1, 1), zero), ((0, 3), zero))), 5) is None
+
+
+def test_the_g_choices_are_the_last_names_of_op_names():
+    assert G_CHOICES == ("G1", "G2", "G3", "G4", "GLIN")
+    assert list(OP_NAMES)[-len(G_CHOICES):] == list(G_CHOICES)
+    assert [OP_NAMES[name] for name in G_CHOICES] == [G1(), G2(), G3(), G4(), GLIN]
+
+
+@pytest.mark.parametrize("name", ["G9", "ADD", "STAR", "g1", ["G1"], {"G1": 1}, 1, None],
+                         ids=repr)
+def test_operation_from_name_refuses_every_name_but_a_g(name):
+    expected = f"unknown operation {name!r}; expected one of ('G1', 'G2', 'G3', 'G4', 'GLIN')"
+    assert _refusal(FormatError, lambda: operation_from_name(name, C52)) == expected
+    data = {"family": "fhe", "p": 5, "precision": 2, "A": "5:2:1,0", "g": name}
+    assert _refusal(FormatError, lambda: key_from_json(data)) == (
+        f"invalid key material: {expected}")

@@ -10,7 +10,14 @@ import pytest
 
 from padic_ciphers import cli
 from padic_ciphers.cli import run_command
-from padic_ciphers.ciphers import GLIN, key_from_json, key_to_json, keygen, encryption_table
+from padic_ciphers.ciphers import (
+    GLIN,
+    AdditiveKey,
+    key_from_json,
+    key_to_json,
+    keygen,
+    encryption_table,
+)
 from padic_ciphers.core import PadicContext, PadicInt
 from padic_ciphers.lipschitz import (
     ValueTable,
@@ -529,6 +536,40 @@ def test_check_requires_exactly_one_subject(tmp_path, capsys):
     assert code == 3
     code, out, err = run(capsys, "check", "--key", "a", "--table", "b")
     assert code == 3
+
+
+def test_g_for_a_family_other_than_fhe_exits_5(capsys):
+    code, out, err = run(capsys, "keygen", "--family", "additive", "--g", "G1",
+                         "--p", "5", "--precision", "2")
+    assert (code, out, err) == (5, "", "error: --g only applies to the fhe family\n")
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"additive"', "7"])
+def test_a_key_file_holding_no_json_object_exits_3(tmp_path, capsys, content):
+    path = tmp_path / "k.json"
+    path.write_text(content)
+    code, out, err = run(capsys, "encrypt", "--key", str(path), "3")
+    assert (code, out, err) == (3, "", "error: a key file must hold a single JSON object\n")
+
+
+def test_check_of_a_key_that_breaks_its_law_prints_the_witnesses_and_exits_5(
+        tmp_path, capsys, monkeypatch):
+    path = str(tmp_path / "k.json")
+    run(capsys, "keygen", "--family", "additive", "--p", "5", "--precision", "2",
+        "--seed", "1", "--out", path)
+    # A shifted multiplication: still a measure-preserving map, but f(0) = 1.
+    monkeypatch.setattr(AdditiveKey, "enc_int", property(
+        lambda key: lambda v: (key.A.value * v + 1) % key.ctx.modulus))
+    code, out, err = run(capsys, "check", "--key", path)
+    assert (code, err) == (5, "")
+    assert out == (
+        "key: additive p=5 K=2\n"
+        "measure: bruteforce=yes vdp=yes coordinate=yes\n"
+        "law ADD exhaustive:k=1: counterexample witness=(0, 0) (1 pairs)\n"
+        "law ADD exhaustive:k=2: counterexample witness=(0, 0) (1 pairs)\n"
+        "law ADD random:K=2: counterexample witness=(12, 24) (1 pairs)\n"
+        "overall: fail\n"
+    )
 
 
 def test_search_reports_counterexamples(capsys):

@@ -461,3 +461,34 @@ def test_ultrametric_of_ring_ops(a, b):
     va, vb = valuation(xa), valuation(xb)
     assert valuation(xa + xb) >= min(va, vb)
     assert valuation(xa * xb) >= min(va + vb, C53.precision)
+
+
+# -- refusals, to the letter -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: PadicInt(C32, 9), "residue 9 out of range [0, 9)"),
+    (lambda: PadicInt(C32, -1), "residue -1 out of range [0, 9)"),
+    (lambda: pow_unit(C33.integer(1), -1), "exponent residue must be non-negative"),
+], ids=range(3))
+def test_domain_refusals(call, message):
+    with pytest.raises(DomainError) as info:
+        call()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("text, ctx, message", [
+    ("3:2:1:0", None, "expected p:K:d0,...,d(K-1), got '3:2:1:0'"),
+    ("3:x:1,0", None, "malformed p-adic literal '3:x:1,0'"),
+    ("3:2:1,0", C34, "literal context 3:2 does not match expected 3:4"),
+    # a DomainError of the context or the digits, read as a FormatError
+    ("4:2:1,0", None, "p must be a prime integer, got 4"),
+    ("3:65:1", None, "precision must be in [1, 64], got 65"),
+    ("3:2:1,3", None, "digit 3 at position 1 out of range [0, 3)"),
+    ("3:2:1,3", C32, "digit 3 at position 1 out of range [0, 3)"),
+    ("3:2:1,0,0", C32, "expected 2 digits, got 3"),
+], ids=range(8))
+def test_from_text_refusals(text, ctx, message):
+    with pytest.raises(FormatError) as info:
+        from_text(text, ctx)
+    assert str(info.value) == message

@@ -18,7 +18,7 @@ from padic_ciphers.ciphers import (
     encrypt,
     keygen,
 )
-from padic_ciphers.core import PadicContext, PadicInt
+from padic_ciphers.core import DomainError, PadicContext, PadicInt
 from padic_ciphers.formula import (
     App,
     ArityError,
@@ -297,3 +297,14 @@ def test_encrypted_eval_refuses_incompatible():
             {"x": xkey_ctx.one, "y": xkey_ctx.one},
             XorKey(xkey_ctx, ((1,), (0, 1), (0, 0, 1))),
         )
+
+
+def test_demo_refuses_to_continue_when_a_law_check_fails():
+    key = keygen(C52, "additive", Random(4))
+    enc, m = key.enc_int, C52.modulus
+    vars(key)["enc_int"] = lambda v: (enc(v) + 1) % m  # f(x + y) != f(x) + f(y)
+    witness = homomorphism_test(key, ADD, seed=0, trials=64).witness
+    with pytest.raises(DomainError) as info:
+        encrypted_eval_demo(parse("x + 1", C52), {"x": C52.integer(3)}, key)
+    assert str(info.value) == (
+        f"law check failed for ADD on this key (witness {witness}); refusing to continue")

@@ -329,3 +329,31 @@ def test_an_xor_key_at_a_61_bit_prime_decrypts_what_it_encrypts():
     rng = Random(61)
     for _ in range(3):
         _check_both_directions(keygen(ctx, "xor", rng), ctx, rng)
+
+
+# -- one kernel for an and key whose exponents are their own inverses --------------
+#
+# Where p - 1 divides 24, s * s = 1 mod p - 1 for every unit s, so an and key
+# decrypts with its encrypt kernel; at p = 11 the exponents 3 and 7 are each
+# other's inverses, and such a key builds a decrypt kernel of its own.
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 13))
+def test_a_self_inverse_and_key_decrypts_with_its_encrypt_kernel(p):
+    rng = Random(p)
+    for K in sorted({1, ciphers._BLOCK_DIGITS.get(p, 1), 64}):
+        ctx = PadicContext(p, K)
+        for _ in range(3):
+            key = keygen(ctx, "and", rng)
+            assert key.dec_int is key.enc_int
+            _check_both_directions(key, ctx, rng)
+
+
+@pytest.mark.parametrize("s", (3, 7))
+def test_an_and_key_with_an_exponent_not_its_own_inverse_builds_a_decrypt_kernel(s):
+    rng = Random(s)
+    for K in (1, 64):
+        ctx = PadicContext(11, K)
+        key = AndKey(ctx, (s,) + tuple(rng.choice((1, 3, 7, 9)) for _ in range(K - 1)))
+        assert key.dec_int is not key.enc_int
+        _check_both_directions(key, ctx, rng)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from padic_ciphers.core import PadicContext, valuation
+from padic_ciphers.core import DomainError, PadicContext, valuation
 from padic_ciphers.lipschitz import (
     CoordRep,
     NotOneLipschitzError,
@@ -236,3 +236,26 @@ def test_serialization_roundtrip():
         parse_table_text("3 2 soup\n0\n")
     with pytest.raises(FormatError):
         parse_table_text("3 2 table\n0\n1\n")
+
+
+# -- shape and range refusals, to the letter -----------------------------------------
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ValueTable(C32, (0,) * 8), "table needs 9 entries, got 8"),
+    (lambda: ValueTable(C32, (0,) * 8 + (9,)), "table entry 9 out of range"),
+    (lambda: ValueTable(C32, (-1,) + (0,) * 8), "table entry -1 out of range"),
+    (lambda: ValueTable(PadicContext(2, 21), ()),
+     "table of size p**K = 2097152 exceeds the limit 1048576"),
+    (lambda: VdpSeries(C32, (0,) * 10), "series needs 9 coefficients, got 10"),
+    (lambda: VdpSeries(C32, (0,) * 8 + (9,)), "coefficient 9 out of range"),
+    (lambda: VdpSeries(PadicContext(2, 21), ()),
+     "table of size p**K = 2097152 exceeds the limit 1048576"),
+    (lambda: CoordRep(C32, ((0, 1, 2),)), "need 2 digit functions, got 1"),
+    (lambda: CoordRep(C32, ((0, 1, 2), (0,) * 8)), "phi_1 needs 9 entries"),
+    (lambda: CoordRep(C32, ((0, 3, 2), (0,) * 9)), "phi_0 value 3 is not a digit"),
+], ids=range(10))
+def test_representations_refuse_a_wrong_shape_or_range(build, message):
+    with pytest.raises(DomainError) as info:
+        build()
+    assert str(info.value) == message
