@@ -42,13 +42,12 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, lru_cache, partial
 from itertools import accumulate, repeat
 from random import Random
 from typing import get_args
 
 from .core import (
-    ContextMismatchError,
     DomainError,
     FormatError,
     PadicContext,
@@ -268,25 +267,28 @@ def op_apply(
     return PadicInt(ctx, op.pair(x.value, y.value, ctx.p, ctx.modulus))
 
 
+def _check_g(op: Operation) -> None:
+    if not isinstance(op, GOperation):
+        raise DomainError(f"unknown operation {op!r}")
+
+
 def g_eval(op: GOperation, x: PadicInt, y: PadicInt) -> PadicInt:
     if x.ctx != y.ctx:
         raise DomainError("operands live in different contexts")
-    if not isinstance(op, GOperation):
-        raise DomainError(f"unknown operation {op!r}")
+    _check_g(op)
     ctx = x.ctx
     stray = next((v for v in op.coefficients if v.ctx != ctx), None)
     if stray is not None:
         if isinstance(op, LinearG):
             raise DomainError("linear coefficients live in a different context")
-        raise ContextMismatchError(f"mixed contexts {stray.ctx} and {ctx}")
+        stray._check_ctx(x)  # raises ContextMismatchError naming stray.ctx first
     return PadicInt(ctx, op.pair(x.value, y.value, ctx.p, ctx.modulus))
 
 
 def exponent_gcd(op: GOperation, p: int) -> int | None:
     """d = gcd{n - 1 : n a total degree appearing in G}, a series G's constant
     term counting as degree 0; None for a linear G."""
-    if not isinstance(op, GOperation):
-        raise DomainError(f"unknown operation {op!r}")
+    _check_g(op)
     if isinstance(op, LinearG):
         return None
     if isinstance(op, (G1, G2, G4)):
@@ -329,10 +331,14 @@ def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
     if d < 1:
         raise DomainError("exponent must be >= 1")
     _check_draw_budget(p)
-    g, m = math.gcd(d, p - 1), ctx.modulus
+    g = math.gcd(d, p - 1)
     w = teichmuller(ctx, pow(_primitive_root(p), (p - 1) // g, p)).value
-    powers = accumulate(repeat(w, g - 1), lambda a, b: a * b % m, initial=1)
-    return frozenset(PadicInt(ctx, a) for a in powers)
+    return frozenset(PadicInt(ctx, a) for a in _powers(w, g, ctx.modulus))
+
+
+def _powers(b: int, n: int, m: int) -> list[int]:
+    """[1, b, ..., b^(n-1)] mod m, by running products."""
+    return list(accumulate(repeat(b, n - 1), lambda x, y: x * y % m, initial=1))
 
 
 def _primitive_root(p: int) -> int:
@@ -414,9 +420,10 @@ _OPERATION = (_dump_operation, _load_operation)
 # ``ctx``.  Its ``enc_int`` and ``dec_int`` are cached_properties whose values
 # are the kernels, each built on its first use, so a key that never encrypts
 # costs nothing extra.  FheKey is an AdditiveKey with the further constraint
-# A^d = 1.  Only the xor and and kernels fill tables over digit values, and
-# only for p <= 7, where a block table has at most 64 entries; from p = 11 on
-# they read one digit at a time, so no key does work that grows with p.
+# A^d = 1.  Only the xor, and and multiplicative kernels fill tables over
+# digit values, and only for p <= 7, where a block table has at most 64
+# entries; from p = 11 on they read one digit at a time or take one modular
+# power, so no key does work that grows with p.
 
 
 DRAW_BUDGET = 1 << 16  # most digits below p a key draw may enumerate: p - 1 <= this
@@ -488,8 +495,7 @@ class MultiplicativeKey:
         ctx = self.ctx
         if ctx.p == 2:
             raise InvalidKeyError("the multiplicative family needs odd p")
-        if not is_unit(self.A):
-            raise InvalidKeyError("multiplier A must be a unit")
+        AdditiveKey.__post_init__(self)  # A is a unit
         if self.a.ctx != ctx:
             raise InvalidKeyError("parameters A and a must share a context")
         if not is_unit(self.a):
@@ -505,81 +511,142 @@ class MultiplicativeKey:
 
     @cached_property
     def enc_int(self) -> Callable[[int], int]:
-        return self._kernel.enc
+        return _multiplicative_kernel(self.ctx, self.a.value, self.s, 1, self.A.value)
 
     @cached_property
     def dec_int(self) -> Callable[[int], int]:
-        return self._kernel.dec
-
-    @cached_property
-    def _kernel(self) -> "_MultiplicativeKernel":
-        return _MultiplicativeKernel(self)
+        p, K, m = self.ctx.p, self.ctx.precision, self.ctx.modulus
+        a_inv, s_inv = pow(self.a.value, -1, p ** (K - 1)), pow(self.s, -1, p - 1)
+        return _multiplicative_kernel(self.ctx, a_inv, s_inv, pow(self.A.value, -1, m), 1)
 
 
-class _MultiplicativeKernel:
-    """The multiplicative family's kernels on plain integers.
+# -- the multiplicative kernels ----------------------------------------------------
+#
+# A nonzero x = p^k u, with t = u mod p, encrypts to p^k A^k w(t)^s <u>^a where
+# <u> = u / w(t) = 1 mod p.  Only the unit factor mod M = p^(K-k) survives the
+# shift by p^k.  Decryption divides y = p^k y' by p^k A^k to get the unit
+# w1 = w(t)^s <u>^a, whose first digit is t^s, and applies the same map with
+# s^-1 mod (p-1) and a^-1 mod p^(K-1): w(t^s)^(s^-1) <u>^(a a^-1) = u.  So
+# one kernel serves both directions.  At level k it multiplies the unit by
+# shift_k (1, or A^-k) and the result by lead_k (A^k, or 1), and maps
+# u -> w(t)^sigma <u>^b.  It does so in one of two ways (``_log_digits``):
+#
+# * ``_PowKernel``: the principal units mod M form a group of order p^(K-k-1),
+#   so b acts through e = b mod p^(K-k-1).  Since <u>^e = u^e w(t)^-e, w is
+#   multiplicative and w^(p-1) = 1, one modular power and one Teichmuller
+#   lift are left: w(t^((sigma - e) mod (p-1))) u^e mod M.
+# * ``_LogKernel``: for odd p the group 1 + pZ_p is generated by g = 1 + p,
+#   so <u> = g^L and <u>^b = g^(bL).  The digit-by-digit log of Pohlig and
+#   Hellman (IEEE Trans. Inf. Theory 24, 1978) reads L h digits at a time
+#   through fixed-base tables (Brickell, Gordon, McCurley and Wilson,
+#   EUROCRYPT '92): while v = 1 mod p^i, digits i..i+h-1 of v name the next
+#   block x of L; v times g^(-x p^(i-1)) clears them, and the answer gains
+#   the factor g^(b x p^(i-1)).  A call takes ceil((K-k-1)/h) such steps of
+#   two lookups and two products mod M, where the power squares once per bit
+#   of e.
 
-    A nonzero x = p^k u, with t = u mod p, maps to p^k A^k w(t)^s <u>^a where
-    <u> = u / w(t).  Only the unit factor mod M = p^(K-k) survives the shift by
-    p^k, and the principal units mod M form a group of order p^(K-k-1), so the
-    exponent a acts through e = a mod p^(K-k-1).  Since <u>^e = u^e w(t)^-e,
-    w is multiplicative and w^(p-1) = 1, one Teichmuller lift per call is left:
 
-        enc(x) = p^k * (A^k * w(t^((s-e) mod (p-1))) * u^e  mod M)
+_LIFTS_KEPT = 256  # the most Teichmuller lifts a pow-path kernel caches
 
-    Decryption divides y = p^k y' by p^k A^k to get w1 = w(t)^s <u>^a, whose
-    first digit is t^s.  With e' = a^-1 mod p^(K-k-1), w1^e' = w(t)^(s e') <u>:
 
-        dec(y) = p^k * (w1^e' * w(t1^((1 - s e') s^-1 mod (p-1)))  mod M),
-                 t1 = w1 mod p
+class _PowKernel:
+    """u -> w(t)^sigma <u>^b through one modular power per call (see above).
+
+    Lifts w(c) = c^(p^(K-1)) mod p^K are cached, at most ``_LIFTS_KEPT`` of
+    them, so a key at a large prime holds a bounded number however many
+    leading digits it meets.
     """
 
-    def __init__(self, key: MultiplicativeKey) -> None:
-        ctx = key.ctx
+    def __init__(self, ctx: PadicContext, b: int, sigma: int, shifts, leads) -> None:
         p, K, m = ctx.p, ctx.precision, ctx.modulus
-        A, s, a = key.A.value, key.s, key.a.value
-        a_inv = pow(a, -1, p ** (K - 1)) if K > 1 else 0
-        s_inv = pow(s, -1, p - 1)
-        A_inv = pow(A, -1, m)
-        self.p, self.modulus, self.top = p, m, p ** (K - 1)
-        self.levels = {}  # p^k -> (k, p^(K-k)), k < K
-        self.enc_steps = []  # level k -> (A^k, e, (s - e) mod (p-1))
-        self.dec_steps = []  # level k -> (A^-k, e', (1 - s e') s^-1 mod (p-1))
-        A_k = A_neg_k = 1
-        for k in range(K):
-            self.levels[p**k] = (k, p ** (K - k))
-            order = p ** (K - k - 1)
-            e, e_inv = a % order, a_inv % order
-            self.enc_steps.append((A_k, e, (s - e) % (p - 1)))
-            self.dec_steps.append((A_neg_k, e_inv, (1 - s * e_inv) * s_inv % (p - 1)))
-            A_k, A_neg_k = A_k * A % m, A_neg_k * A_inv % m
-        # Filled per digit on first use, at most p - 1 entries.
-        self.lifts: dict[int, int] = {}
+        self.p, self.modulus, self.levels = p, m, {}  # p^k -> (M, shift_k, lead_k, e, j)
+        for k, shift, lead in zip(range(K), shifts, leads):
+            e = b % p ** (K - k - 1)
+            self.levels[p**k] = (p ** (K - k), shift, lead, e, (sigma - e) % (p - 1))
+        self.lift = lru_cache(_LIFTS_KEPT)(partial(pow, exp=p ** (K - 1), mod=m))
 
-    def lift(self, c: int) -> int:
-        """w(c) mod p^K, in the closed form c^(p^(K-1)) of core.teichmuller."""
-        w = self.lifts.get(c)
-        if w is None:
-            w = self.lifts[c] = pow(c, self.top, self.modulus)
-        return w
-
-    def enc(self, x: int) -> int:
+    def apply(self, x: int) -> int:
         if x == 0:
             return 0
         q = math.gcd(x, self.modulus)  # p^k, k the valuation of x
-        k, M = self.levels[q]
-        A_k, e, j = self.enc_steps[k]
-        u = x // q
-        return A_k * self.lift(pow(u, j, self.p)) * pow(u, e, M) % M * q
+        M, shift, lead, e, j = self.levels[q]
+        u = x // q * shift % M
+        return lead * self.lift(pow(u, j, self.p)) * pow(u, e, M) % M * q
 
-    def dec(self, y: int) -> int:
-        if y == 0:
+
+@cache
+def _log_tables(p: int, K: int, h: int) -> tuple[list, list[int]]:
+    """The key-free half of the block log mod p^K, shared by every key at
+    (p, K): for each block of digits i..i+h-1, i = 1, 1+h, ... < K, the
+    triple (p^i, logs, clears), where the power g^(x p^(i-1)) with digits d
+    at i..i+h-1 has logs[d] = x and clears[d] = g^(-x p^(i-1)) mod p^K; and
+    the Teichmuller lifts w(t), t < p.  The powers are read mod p^(K+h), so a
+    block that runs past digit K-1 still tells its p^h values apart.  Only
+    contexts that ``_log_digits`` admits come here, 171 of them at most."""
+    m, top, q = p**K, p ** (K + h), p**h
+    blocks, base = [], 1 + p  # base = g^(p^(i-1))
+    for i in range(1, K, h):
+        pi, logs, clears = p**i, [0] * q, [0] * q
+        power, inverse, base_inv = 1, 1, pow(base, -1, top)
+        for x in range(q):
+            d = power // pi % q
+            logs[d], clears[d] = x, inverse % m
+            power, inverse = power * base % top, inverse * base_inv % top
+        blocks.append((pi, logs, clears))
+        base = power
+    return blocks, [pow(t, p ** (K - 1), m) for t in range(p)]
+
+
+class _LogKernel:
+    """u -> w(t)^sigma <u>^b through the block log (see above).
+
+    Beside the shared ``_log_tables`` a kernel holds its own row per block,
+    row[d] = g^(b x p^(i-1)) mod p^K for x = logs[d], built by running
+    products, and two lists over the first digit: w(t)^-1 = w(t^(p-2)) and
+    w(t)^sigma = w(t^sigma).  A level k < K reads the first ceil((K-k-1)/h)
+    blocks.  The first product is left unreduced: the digits of a block read
+    past digit K-k-1 only pick another x that serves mod M as well.
+    """
+
+    def __init__(self, ctx: PadicContext, h: int, b: int, sigma: int, shifts, leads) -> None:
+        p, K, m = ctx.p, ctx.precision, ctx.modulus
+        blocks, lifts = _log_tables(p, K, h)
+        self.p, self.modulus, self.q = p, m, p**h
+        steps, power = [], pow(1 + p, b, m)  # power = g^(b p^(i-1))
+        for pi, logs, clears in blocks:
+            row = _powers(power, self.q + 1, m)  # its last entry is the next block's power
+            steps.append((pi, clears, [row[x] for x in logs]))
+            power = row[-1]
+        self.unlift = [lifts[pow(t, p - 2, p)] for t in range(p)]
+        self.first = [lifts[pow(t, sigma, p)] for t in range(p)]
+        self.levels = {p**k: (p ** (K - k), shift, lead, steps[:(K - k + h - 2) // h])
+                       for k, shift, lead in zip(range(K), shifts, leads)}
+
+    def apply(self, x: int) -> int:
+        if x == 0:
             return 0
-        q = math.gcd(y, self.modulus)
-        k, M = self.levels[q]
-        A_neg_k, e_inv, h = self.dec_steps[k]
-        w1 = y // q * A_neg_k % M
-        return pow(w1, e_inv, M) * self.lift(pow(w1, h, self.p)) % M * q
+        q = math.gcd(x, self.modulus)
+        M, shift, lead, steps = self.levels[q]
+        u = x // q * shift % M
+        t, Q = u % self.p, self.q
+        v, acc = u * self.unlift[t], lead * self.first[t]
+        for pi, clears, row in steps:
+            d = v // pi % Q
+            v = v * clears[d] % M
+            acc = acc * row[d] % M
+        return acc % M * q
+
+
+def _multiplicative_kernel(ctx: PadicContext, b: int, sigma: int, shift: int,
+                           lead: int) -> Callable[[int], int]:
+    """x = p^k u -> p^k lead^k w(t)^sigma <v>^b with v = shift^k u mod p^(K-k)
+    and t = v mod p, through the block log where ``_log_digits`` admits the
+    context and one modular power elsewhere."""
+    K, m, h = ctx.precision, ctx.modulus, _log_digits(ctx)
+    shifts, leads = _powers(shift, K, m), _powers(lead, K, m)
+    if h is None:
+        return _PowKernel(ctx, b, sigma, shifts, leads).apply
+    return _LogKernel(ctx, h, b, sigma, shifts, leads).apply
 
 
 class _SlotMatrix:
@@ -631,8 +698,19 @@ def _inverse_rows(rows: tuple[tuple[int, ...], ...], p: int) -> tuple[tuple[int,
 # divmod and one lookup in a table of p^h entries per block.  Both families
 # hand the reader, ``_DigitBlocks``, their digits' shares in one encoding.
 # From p = 11 on h would be 1, and the kernels keep their per-digit loops.
+# The multiplicative block log reads its discrete log in the same blocks.
 
 _BLOCK_DIGITS = {2: 6, 3: 3, 5: 2, 7: 2}  # p -> h
+
+
+def _log_digits(ctx: PadicContext) -> int | None:
+    """h for the multiplicative block log at an odd p, or None for one modular
+    power per call.  The log reads the same blocks as the xor and and kernels,
+    so no table grows with p, and only where p^K > 2^16: below that a call
+    saves at most about 0.3 us, while a key pays 0.05-0.1 ms more to build
+    its tables, and the small contexts are where keys live short (a search's
+    draws, a CLI command)."""
+    return _BLOCK_DIGITS.get(ctx.p) if ctx.modulus > 1 << 16 else None
 
 
 @cache
@@ -884,13 +962,17 @@ def key_to_json(key: CipherKey) -> dict:
     return out
 
 
+def _malformed(exc: Exception) -> FormatError:
+    return FormatError(f"malformed key object: {exc}")
+
+
 def key_from_json(data: dict) -> CipherKey:
     try:
         family = data["family"]
         ctx = PadicContext(_integer(data["p"], "key field 'p'"),
                            _integer(data["precision"], "key field 'precision'"))
     except (KeyError, DomainError) as exc:
-        raise FormatError(f"malformed key object: {exc}") from exc
+        raise _malformed(exc) from exc
     cls = FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise FormatError(f"unknown family {family!r}")
@@ -898,7 +980,7 @@ def key_from_json(data: dict) -> CipherKey:
         return cls(**{name: load(data, name, ctx)
                       for name, (_, load) in cls.json_fields.items()})
     except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"malformed key object: {exc}") from exc
+        raise _malformed(exc) from exc
     except (InvalidKeyError, DomainError, FormatError) as exc:
         raise FormatError(f"invalid key material: {exc}") from exc
 

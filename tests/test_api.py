@@ -188,3 +188,29 @@ def test_no_two_functions_in_src_have_the_same_body():
                 bodies.setdefault(tuple(map(ast.dump, body)), []).append(
                     f"{path.name}:{node.lineno} {node.name}")
     assert [names for names in bodies.values() if len(names) > 1] == []
+
+
+def _message_template(node: ast.expr) -> tuple | None:
+    """The constant parts of a str or f-string message, a placeholder for each
+    formatted value; None for any other expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return (node.value,)
+    if isinstance(node, ast.JoinedStr):
+        return tuple(part.value if isinstance(part, ast.Constant) else None
+                     for part in node.values)
+    return None
+
+
+def test_no_two_raise_sites_in_src_build_the_same_message():
+    """Each refusal is written once: no two ``raise`` statements under src/
+    build the same exception class with the same message template."""
+    sites: dict[tuple, list[str]] = {}
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name) and exc.args):
+                continue
+            template = _message_template(exc.args[0])
+            if template is not None:
+                sites.setdefault((exc.func.id, template), []).append(f"{path.name}:{node.lineno}")
+    assert [where for where in sites.values() if len(where) > 1] == []

@@ -11,6 +11,7 @@ on zero, and decryption must invert encryption.
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import dataclass
 from random import Random
 
@@ -357,3 +358,179 @@ def test_an_and_key_with_an_exponent_not_its_own_inverse_builds_a_decrypt_kernel
         key = AndKey(ctx, (s,) + tuple(rng.choice((1, 3, 7, 9)) for _ in range(K - 1)))
         assert key.dec_int is not key.enc_int
         _check_both_directions(key, ctx, rng)
+
+
+# -- the multiplicative block log ---------------------------------------------------
+#
+# Where ``_log_digits`` admits the context (p = 3, 5, 7 and p^K > 2^16) the
+# multiplicative kernel reads the discrete log of the principal unit h digits
+# at a time, h from ``_BLOCK_DIGITS``; elsewhere it takes one modular power
+# per call.  Both paths must
+# agree with the power kernel they started from, kept below as it was, and
+# with the per-digit reference above, at every valuation, in both directions,
+# on both sides of the gate, and at K = 1, 2, h and h + 1 with the gate
+# forced open.
+
+
+class PowKernel:
+    """The multiplicative kernel before the block log: one Teichmuller lift
+    and one modular power per call, with e = a mod p^(K-k-1)."""
+
+    def __init__(self, key: MultiplicativeKey) -> None:
+        ctx = key.ctx
+        p, K, m = ctx.p, ctx.precision, ctx.modulus
+        A, s, a = key.A.value, key.s, key.a.value
+        a_inv = pow(a, -1, p ** (K - 1)) if K > 1 else 0
+        s_inv = pow(s, -1, p - 1)
+        A_inv = pow(A, -1, m)
+        self.p, self.modulus, self.top = p, m, p ** (K - 1)
+        self.levels = {}  # p^k -> (k, p^(K-k)), k < K
+        self.enc_steps = []  # level k -> (A^k, e, (s - e) mod (p-1))
+        self.dec_steps = []  # level k -> (A^-k, e', (1 - s e') s^-1 mod (p-1))
+        A_k = A_neg_k = 1
+        for k in range(K):
+            self.levels[p**k] = (k, p ** (K - k))
+            order = p ** (K - k - 1)
+            e, e_inv = a % order, a_inv % order
+            self.enc_steps.append((A_k, e, (s - e) % (p - 1)))
+            self.dec_steps.append((A_neg_k, e_inv, (1 - s * e_inv) * s_inv % (p - 1)))
+            A_k, A_neg_k = A_k * A % m, A_neg_k * A_inv % m
+
+    def lift(self, c: int) -> int:
+        return pow(c, self.top, self.modulus)
+
+    def enc(self, x: int) -> int:
+        if x == 0:
+            return 0
+        q = math.gcd(x, self.modulus)
+        k, M = self.levels[q]
+        A_k, e, j = self.enc_steps[k]
+        u = x // q
+        return A_k * self.lift(pow(u, j, self.p)) * pow(u, e, M) % M * q
+
+    def dec(self, y: int) -> int:
+        if y == 0:
+            return 0
+        q = math.gcd(y, self.modulus)
+        k, M = self.levels[q]
+        A_neg_k, e_inv, h = self.dec_steps[k]
+        w1 = y // q * A_neg_k % M
+        return pow(w1, e_inv, M) * self.lift(pow(w1, h, self.p)) % M * q
+
+
+def _multiplicative_keys(ctx: PadicContext, rng: Random) -> list[MultiplicativeKey]:
+    """Two random keys, and keys with a = 1, a = -1 and s = 1."""
+    p, m = ctx.p, ctx.modulus
+    exponents = [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
+
+    def unit() -> PadicInt:
+        return PadicInt(ctx, rng.randrange(1, p) + p * rng.randrange(m // p))
+
+    return [keygen(ctx, "multiplicative", rng), keygen(ctx, "multiplicative", rng),
+            MultiplicativeKey(unit(), rng.choice(exponents), ctx.one),
+            MultiplicativeKey(unit(), rng.choice(exponents), PadicInt(ctx, m - 1)),
+            MultiplicativeKey(unit(), 1, unit())]
+
+
+def _check_multiplicative(key: MultiplicativeKey, ctx: PadicContext, rng: Random) -> None:
+    reference = PowKernel(key)
+    values = plaintexts(ctx, rng) + plaintexts(ctx, rng) + [1, ctx.modulus - 1]
+    for x, z in zip(values, reversed(values)):
+        y = key.enc_int(x)
+        assert y == reference.enc(x) == reference_encrypt(key, PadicInt(ctx, x)).value
+        assert key.dec_int(y) == x
+        assert key.dec_int(z) == reference.dec(z) == reference_decrypt(key, PadicInt(ctx, z)).value
+
+
+LOG_DIGITS = {p: h for p, h in ciphers._BLOCK_DIGITS.items() if p > 2}  # p -> h, p odd
+
+FORCED_LOG_CASES = [
+    PadicContext(p, K)
+    for p, h in LOG_DIGITS.items()
+    for K in sorted({1, 2, h, h + 1, 64})
+]
+
+
+@pytest.mark.parametrize("ctx", FORCED_LOG_CASES, ids=[f"{c.p}^{c.precision}" for c in FORCED_LOG_CASES])
+def test_the_block_log_matches_the_power_kernel_and_the_reference(ctx, monkeypatch):
+    monkeypatch.setattr(ciphers, "_log_digits", lambda c: LOG_DIGITS[c.p])
+    rng = Random(ctx.p * 100 + ctx.precision)
+    for key in _multiplicative_keys(ctx, rng):
+        _check_multiplicative(key, ctx, rng)
+        assert isinstance(key.enc_int.__self__, ciphers._LogKernel)
+        assert isinstance(key.dec_int.__self__, ciphers._LogKernel)
+
+
+# Contexts on both sides of the gate, as ``_log_digits`` decides it.
+GATE_CASES = [(3, 10), (3, 11), (3, 64), (5, 6), (5, 7), (5, 16), (7, 5), (7, 6), (7, 64),
+              (11, 2), (11, 16), (13, 64), (41, 5)]
+
+
+@pytest.mark.parametrize("p,K", GATE_CASES, ids=[f"{p}^{K}" for p, K in GATE_CASES])
+def test_both_sides_of_the_gate_match_the_power_kernel_and_the_reference(p, K):
+    ctx = PadicContext(p, K)
+    blocks = p in LOG_DIGITS and p**K > 1 << 16
+    rng = Random(p * 100 + K)
+    for key in _multiplicative_keys(ctx, rng):
+        _check_multiplicative(key, ctx, rng)
+        kernel = ciphers._LogKernel if blocks else ciphers._PowKernel
+        assert isinstance(key.enc_int.__self__, kernel)
+        assert isinstance(key.dec_int.__self__, kernel)
+
+
+def test_log_tables_stay_small_and_contexts_outside_the_gate_build_none():
+    ciphers._log_tables.cache_clear()
+    gated = set()
+    for p, h in LOG_DIGITS.items():
+        for K in range(1, 65):
+            ctx = PadicContext(p, K)
+            key = keygen(ctx, "multiplicative", Random(K))
+            key.dec_int(key.enc_int(ctx.modulus - 1))
+            kernels = (key.enc_int.__self__, key.dec_int.__self__)
+            if ciphers._log_digits(ctx) is None:
+                assert all(isinstance(kernel, ciphers._PowKernel) for kernel in kernels)
+                continue
+            gated.add((p, K))
+            for kernel in kernels:  # level 0 reads every block
+                assert isinstance(kernel, ciphers._LogKernel)
+                rows = [row for _, _, row in kernel.levels[1][-1]]
+                assert len(rows) == math.ceil((K - 1) / h)
+                assert sum(map(len, rows)) <= math.ceil((K - 1) / h) * p**h
+    # one log half per context, which every key there shares
+    assert ciphers._log_tables.cache_info().currsize == len(gated)
+    ctx = PadicContext(7, 64)
+    first, second = (keygen(ctx, "multiplicative", Random(i)).enc_int.__self__ for i in (1, 2))
+    assert all(a[1] is b[1] for a, b in zip(first.levels[1][-1], second.levels[1][-1]))
+    assert ciphers._log_tables.cache_info().currsize == len(gated)
+    # a context outside the gate, and a large prime, build no table at all
+    for p, K in ((3, 10), (5, 6), (7, 5), (11, 64), (13, 5), (65537, 2)):
+        ctx = PadicContext(p, K)
+        key = keygen(ctx, "multiplicative", Random(p))
+        key.dec_int(key.enc_int(ctx.modulus - 1))
+        for kernel in (key.enc_int.__self__, key.dec_int.__self__):
+            assert isinstance(kernel, ciphers._PowKernel)
+            assert kernel.lift.cache_info().maxsize == ciphers._LIFTS_KEPT
+    assert ciphers._log_tables.cache_info().currsize == len(gated)
+
+
+def test_a_key_at_a_61_bit_prime_keeps_a_bounded_number_of_lifts():
+    """Almost every value at this p has a leading digit not seen before; the
+    power path must not keep a lift for each of them."""
+    ctx = PadicContext(2**61 - 1, 4)
+    key = MultiplicativeKey(A=PadicInt(ctx, 2), s=1, a=PadicInt(ctx, 3))
+    rng = Random(61)
+
+    def encrypt_many(n: int) -> None:
+        for _ in range(n):
+            key.enc_int(rng.randrange(1, ctx.modulus))
+
+    tracemalloc.start()  # before the first lift, so that dropping one counts too
+    try:
+        encrypt_many(2 * ciphers._LIFTS_KEPT)
+        before = tracemalloc.get_traced_memory()[0]
+        encrypt_many(1000)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert grown < 16 * 1024  # 1000 kept lifts take about 150 KiB
+    assert key.enc_int.__self__.lift.cache_info().currsize <= ciphers._LIFTS_KEPT
