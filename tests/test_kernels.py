@@ -365,11 +365,10 @@ def test_an_and_key_with_an_exponent_not_its_own_inverse_builds_a_decrypt_kernel
 # Where ``_log_digits`` admits the context (p = 3, 5, 7 and p^K > 2^16) the
 # multiplicative kernel reads the discrete log of the principal unit h digits
 # at a time, h from ``_BLOCK_DIGITS``; elsewhere it takes one modular power
-# per call.  Both paths must
-# agree with the power kernel they started from, kept below as it was, and
-# with the per-digit reference above, at every valuation, in both directions,
-# on both sides of the gate, and at K = 1, 2, h and h + 1 with the gate
-# forced open.
+# per call.  Both paths must agree with the power kernel they started from,
+# kept below as it was, and with the per-digit reference above, at every
+# valuation, in both directions, on both sides of the gate, and at K = 1, 2,
+# h and h + 1 with the gate forced open.
 
 
 class PowKernel:
