@@ -451,6 +451,11 @@ def _check_exponent(s: int, p: int, what: str) -> None:
         raise InvalidKeyError(f"{what} must be in [1, {p - 1}] and coprime to p-1")
 
 
+def _check_unit(A: PadicInt) -> None:
+    if not is_unit(A):
+        raise InvalidKeyError("multiplier A must be a unit")
+
+
 @dataclass(frozen=True)
 class AdditiveKey:
     family = "additive"
@@ -459,8 +464,7 @@ class AdditiveKey:
     A: PadicInt
 
     def __post_init__(self) -> None:
-        if not is_unit(self.A):
-            raise InvalidKeyError("multiplier A must be a unit")
+        _check_unit(self.A)
 
     @classmethod
     def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "AdditiveKey":
@@ -495,7 +499,7 @@ class MultiplicativeKey:
         ctx = self.ctx
         if ctx.p == 2:
             raise InvalidKeyError("the multiplicative family needs odd p")
-        AdditiveKey.__post_init__(self)  # A is a unit
+        _check_unit(self.A)
         if self.a.ctx != ctx:
             raise InvalidKeyError("parameters A and a must share a context")
         if not is_unit(self.a):
@@ -529,21 +533,30 @@ class MultiplicativeKey:
 # s^-1 mod (p-1) and a^-1 mod p^(K-1): w(t^s)^(s^-1) <u>^(a a^-1) = u.  So
 # one kernel serves both directions.  At level k it multiplies the unit by
 # shift_k (1, or A^-k) and the result by lead_k (A^k, or 1), and maps
-# u -> w(t)^sigma <u>^b.  It does so in one of two ways (``_log_digits``):
+# u -> w(t)^sigma <u>^b.  It does so in one of two ways, chosen by p alone:
 #
-# * ``_PowKernel``: the principal units mod M form a group of order p^(K-k-1),
-#   so b acts through e = b mod p^(K-k-1).  Since <u>^e = u^e w(t)^-e, w is
-#   multiplicative and w^(p-1) = 1, one modular power and one Teichmuller
-#   lift are left: w(t^((sigma - e) mod (p-1))) u^e mod M.
-# * ``_LogKernel``: for odd p the group 1 + pZ_p is generated by g = 1 + p,
-#   so <u> = g^L and <u>^b = g^(bL).  The digit-by-digit log of Pohlig and
-#   Hellman (IEEE Trans. Inf. Theory 24, 1978) reads L h digits at a time
-#   through fixed-base tables (Brickell, Gordon, McCurley and Wilson,
-#   EUROCRYPT '92): while v = 1 mod p^i, digits i..i+h-1 of v name the next
-#   block x of L; v times g^(-x p^(i-1)) clears them, and the answer gains
-#   the factor g^(b x p^(i-1)).  A call takes ceil((K-k-1)/h) such steps of
-#   two lookups and two products mod M, where the power squares once per bit
-#   of e.
+# * ``_LogKernel``, for p = 3, 5, 7: the group 1 + pZ_p is generated by
+#   g = 1 + p, so <u> = g^L and <u>^b = g^(bL).  The digit-by-digit log of
+#   Pohlig and Hellman (IEEE Trans. Inf. Theory 24, 1978) reads L h digits at
+#   a time, in the blocks of ``_BLOCK_DIGITS``, through fixed-base tables
+#   (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92): while
+#   v = 1 mod p^i, digits i..i+h-1 of v name the next block x of L; v times
+#   g^(-x p^(i-1)) clears them, and the answer gains the factor
+#   g^(b x p^(i-1)).  A call takes ceil((K-k-1)/h) such steps of two lookups
+#   and two products mod M, where a power squares once per bit of e.
+# * ``_PowKernel``, from p = 11 on, so that no table grows with p: the
+#   principal units mod M form a group of order p^(K-k-1), so b acts through
+#   e = b mod p^(K-k-1).  Since <u>^e = u^e w(t)^-e, w is multiplicative and
+#   w^(p-1) = 1, one modular power and one Teichmuller lift are left:
+#   w(t^((sigma - e) mod (p-1))) u^e mod M.
+#
+# The gate is p alone, the smallest precisions included: from (3,5) to (7,5)
+# a call through the log takes 0.79-0.93 of the power's time, and a key's two
+# directions take 0.01-0.03 ms more to build (2-CPU machine, best of 9, on a
+# mix of every valuation).  On the benchmark's laws and cli workloads, whose
+# keys live at (3,5), (5,3), (7,3) and (3,6), ten alternating pairs read the
+# same rate with these precisions on the log as with them on the power
+# (BENCH_21.json: 0.998 and 0.997 of it, inside the quartiles).
 
 
 _LIFTS_KEPT = 256  # the most Teichmuller lifts a pow-path kernel caches
@@ -582,7 +595,7 @@ def _log_tables(p: int, K: int, h: int) -> tuple[list, list[int]]:
     at i..i+h-1 has logs[d] = x and clears[d] = g^(-x p^(i-1)) mod p^K; and
     the Teichmuller lifts w(t), t < p.  The powers are read mod p^(K+h), so a
     block that runs past digit K-1 still tells its p^h values apart.  Only
-    contexts that ``_log_digits`` admits come here, 171 of them at most."""
+    p = 3, 5, 7 come here, so 192 contexts at most."""
     m, top, q = p**K, p ** (K + h), p**h
     blocks, base = [], 1 + p  # base = g^(p^(i-1))
     for i in range(1, K, h):
@@ -640,9 +653,9 @@ class _LogKernel:
 def _multiplicative_kernel(ctx: PadicContext, b: int, sigma: int, shift: int,
                            lead: int) -> Callable[[int], int]:
     """x = p^k u -> p^k lead^k w(t)^sigma <v>^b with v = shift^k u mod p^(K-k)
-    and t = v mod p, through the block log where ``_log_digits`` admits the
-    context and one modular power elsewhere."""
-    K, m, h = ctx.precision, ctx.modulus, _log_digits(ctx)
+    and t = v mod p, through the block log for p = 3, 5, 7 and one modular
+    power from p = 11 on."""
+    K, m, h = ctx.precision, ctx.modulus, _BLOCK_DIGITS.get(ctx.p)
     shifts, leads = _powers(shift, K, m), _powers(lead, K, m)
     if h is None:
         return _PowKernel(ctx, b, sigma, shifts, leads).apply
@@ -701,16 +714,6 @@ def _inverse_rows(rows: tuple[tuple[int, ...], ...], p: int) -> tuple[tuple[int,
 # The multiplicative block log reads its discrete log in the same blocks.
 
 _BLOCK_DIGITS = {2: 6, 3: 3, 5: 2, 7: 2}  # p -> h
-
-
-def _log_digits(ctx: PadicContext) -> int | None:
-    """h for the multiplicative block log at an odd p, or None for one modular
-    power per call.  The log reads the same blocks as the xor and and kernels,
-    so no table grows with p, and only where p^K > 2^16: below that a call
-    saves at most about 0.3 us, while a key pays 0.05-0.1 ms more to build
-    its tables, and the small contexts are where keys live short (a search's
-    draws, a CLI command)."""
-    return _BLOCK_DIGITS.get(ctx.p) if ctx.modulus > 1 << 16 else None
 
 
 @cache

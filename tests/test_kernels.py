@@ -362,13 +362,11 @@ def test_an_and_key_with_an_exponent_not_its_own_inverse_builds_a_decrypt_kernel
 
 # -- the multiplicative block log ---------------------------------------------------
 #
-# Where ``_log_digits`` admits the context (p = 3, 5, 7 and p^K > 2^16) the
-# multiplicative kernel reads the discrete log of the principal unit h digits
-# at a time, h from ``_BLOCK_DIGITS``; elsewhere it takes one modular power
-# per call.  Both paths must agree with the power kernel they started from,
-# kept below as it was, and with the per-digit reference above, at every
-# valuation, in both directions, on both sides of the gate, and at K = 1, 2,
-# h and h + 1 with the gate forced open.
+# For p = 3, 5, 7 the multiplicative kernel reads the discrete log of the
+# principal unit h digits at a time, h from ``_BLOCK_DIGITS``; from p = 11 on
+# it takes one modular power per call.  Both paths must agree with the power
+# kernel they started from, kept below as it was, and with the per-digit
+# reference above, at every valuation and in both directions.
 
 
 class PowKernel:
@@ -419,16 +417,12 @@ class PowKernel:
 
 def _multiplicative_keys(ctx: PadicContext, rng: Random) -> list[MultiplicativeKey]:
     """Two random keys, and keys with a = 1, a = -1 and s = 1."""
-    p, m = ctx.p, ctx.modulus
-    exponents = [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
-
-    def unit() -> PadicInt:
-        return PadicInt(ctx, rng.randrange(1, p) + p * rng.randrange(m // p))
-
+    exponents = ciphers._coprime_exponents(ctx.p)
     return [keygen(ctx, "multiplicative", rng), keygen(ctx, "multiplicative", rng),
-            MultiplicativeKey(unit(), rng.choice(exponents), ctx.one),
-            MultiplicativeKey(unit(), rng.choice(exponents), PadicInt(ctx, m - 1)),
-            MultiplicativeKey(unit(), 1, unit())]
+            MultiplicativeKey(ciphers._random_unit(ctx, rng), rng.choice(exponents), ctx.one),
+            MultiplicativeKey(ciphers._random_unit(ctx, rng), rng.choice(exponents),
+                              PadicInt(ctx, ctx.modulus - 1)),
+            MultiplicativeKey(ciphers._random_unit(ctx, rng), 1, ciphers._random_unit(ctx, rng))]
 
 
 def _check_multiplicative(key: MultiplicativeKey, ctx: PadicContext, rng: Random) -> None:
@@ -443,73 +437,52 @@ def _check_multiplicative(key: MultiplicativeKey, ctx: PadicContext, rng: Random
 
 LOG_DIGITS = {p: h for p, h in ciphers._BLOCK_DIGITS.items() if p > 2}  # p -> h, p odd
 
-FORCED_LOG_CASES = [
-    PadicContext(p, K)
-    for p, h in LOG_DIGITS.items()
-    for K in sorted({1, 2, h, h + 1, 64})
-]
+# The block log at K = 1, 2, h, h + 1, 16 and 64; the power from p = 11 on.
+MULTIPLICATIVE_CASES = [
+    PadicContext(p, K) for p, h in LOG_DIGITS.items() for K in sorted({1, 2, h, h + 1, 16, 64})
+] + [PadicContext(p, K) for p, K in ((11, 1), (11, 2), (11, 16), (13, 64), (41, 5))]
 
 
-@pytest.mark.parametrize("ctx", FORCED_LOG_CASES, ids=[f"{c.p}^{c.precision}" for c in FORCED_LOG_CASES])
-def test_the_block_log_matches_the_power_kernel_and_the_reference(ctx, monkeypatch):
-    monkeypatch.setattr(ciphers, "_log_digits", lambda c: LOG_DIGITS[c.p])
+@pytest.mark.parametrize(
+    "ctx", MULTIPLICATIVE_CASES, ids=[f"{c.p}^{c.precision}" for c in MULTIPLICATIVE_CASES]
+)
+def test_both_paths_match_the_power_kernel_and_the_reference(ctx):
+    kernel = ciphers._LogKernel if ctx.p in LOG_DIGITS else ciphers._PowKernel
     rng = Random(ctx.p * 100 + ctx.precision)
     for key in _multiplicative_keys(ctx, rng):
         _check_multiplicative(key, ctx, rng)
-        assert isinstance(key.enc_int.__self__, ciphers._LogKernel)
-        assert isinstance(key.dec_int.__self__, ciphers._LogKernel)
-
-
-# Contexts on both sides of the gate, as ``_log_digits`` decides it.
-GATE_CASES = [(3, 10), (3, 11), (3, 64), (5, 6), (5, 7), (5, 16), (7, 5), (7, 6), (7, 64),
-              (11, 2), (11, 16), (13, 64), (41, 5)]
-
-
-@pytest.mark.parametrize("p,K", GATE_CASES, ids=[f"{p}^{K}" for p, K in GATE_CASES])
-def test_both_sides_of_the_gate_match_the_power_kernel_and_the_reference(p, K):
-    ctx = PadicContext(p, K)
-    blocks = p in LOG_DIGITS and p**K > 1 << 16
-    rng = Random(p * 100 + K)
-    for key in _multiplicative_keys(ctx, rng):
-        _check_multiplicative(key, ctx, rng)
-        kernel = ciphers._LogKernel if blocks else ciphers._PowKernel
         assert isinstance(key.enc_int.__self__, kernel)
         assert isinstance(key.dec_int.__self__, kernel)
 
 
-def test_log_tables_stay_small_and_contexts_outside_the_gate_build_none():
+def test_log_tables_stay_small_and_large_primes_build_none():
     ciphers._log_tables.cache_clear()
-    gated = set()
     for p, h in LOG_DIGITS.items():
         for K in range(1, 65):
             ctx = PadicContext(p, K)
             key = keygen(ctx, "multiplicative", Random(K))
             key.dec_int(key.enc_int(ctx.modulus - 1))
-            kernels = (key.enc_int.__self__, key.dec_int.__self__)
-            if ciphers._log_digits(ctx) is None:
-                assert all(isinstance(kernel, ciphers._PowKernel) for kernel in kernels)
-                continue
-            gated.add((p, K))
-            for kernel in kernels:  # level 0 reads every block
+            for kernel in (key.enc_int.__self__, key.dec_int.__self__):  # level 0 reads every block
                 assert isinstance(kernel, ciphers._LogKernel)
                 rows = [row for _, _, row in kernel.levels[1][-1]]
                 assert len(rows) == math.ceil((K - 1) / h)
                 assert sum(map(len, rows)) <= math.ceil((K - 1) / h) * p**h
     # one log half per context, which every key there shares
-    assert ciphers._log_tables.cache_info().currsize == len(gated)
+    contexts = 64 * len(LOG_DIGITS)
+    assert ciphers._log_tables.cache_info().currsize == contexts
     ctx = PadicContext(7, 64)
     first, second = (keygen(ctx, "multiplicative", Random(i)).enc_int.__self__ for i in (1, 2))
     assert all(a[1] is b[1] for a, b in zip(first.levels[1][-1], second.levels[1][-1]))
-    assert ciphers._log_tables.cache_info().currsize == len(gated)
-    # a context outside the gate, and a large prime, build no table at all
-    for p, K in ((3, 10), (5, 6), (7, 5), (11, 64), (13, 5), (65537, 2)):
+    assert ciphers._log_tables.cache_info().currsize == contexts
+    # from p = 11 on, up to p = 65537, no table at all
+    for p, K in ((11, 64), (13, 5), (65537, 2)):
         ctx = PadicContext(p, K)
         key = keygen(ctx, "multiplicative", Random(p))
         key.dec_int(key.enc_int(ctx.modulus - 1))
         for kernel in (key.enc_int.__self__, key.dec_int.__self__):
             assert isinstance(kernel, ciphers._PowKernel)
             assert kernel.lift.cache_info().maxsize == ciphers._LIFTS_KEPT
-    assert ciphers._log_tables.cache_info().currsize == len(gated)
+    assert ciphers._log_tables.cache_info().currsize == contexts
 
 
 def test_a_key_at_a_61_bit_prime_keeps_a_bounded_number_of_lifts():
