@@ -36,7 +36,6 @@ map itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from random import Random
@@ -54,11 +53,13 @@ from .ciphers import (  # ADD, MUL, XOR and AND are re-exported
     Operation,
     encrypt,
     encryption_table,
+    identity_only,
     is_identity_key,
     key_to_json,
     keygen,
 )
-from .core import DomainError, FormatError, PadicContext, PadicInt
+from . import core
+from .core import DomainError, FormatError, PadicContext, PadicInt, Record
 from .lipschitz import (
     NotOneLipschitzError,
     ValueTable,
@@ -89,8 +90,7 @@ def laws_for_key(key: CipherKey) -> tuple[Operation, ...]:
     return key.laws
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Record):
     verdict: str  # "pass" | "counterexample" | "exhausted"
     witness: tuple[int, ...] | None
     trials: int
@@ -98,13 +98,7 @@ class SearchReport:
     detail: dict | None = None
 
     def to_json(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "witness": list(self.witness) if self.witness is not None else None,
-            "trials": self.trials,
-            "mode": self.mode,
-            "detail": self.detail,
-        }
+        return vars(self) | {"witness": list(self.witness) if self.witness is not None else None}
 
 
 # -- evaluating operations at reduced precision -------------------------------
@@ -301,9 +295,9 @@ def counterexample_search(
 
 
 def _nonidentity_key(ctx: PadicContext, family: str, rng: Random):
-    for _ in range(1000):
+    for _ in range(0 if identity_only(ctx, family) else 1000):
         key = keygen(ctx, family, rng)
-        if ctx.modulus <= 4096:
+        if ctx.modulus <= core.MEASURE_LIMIT:
             if not is_identity_key(key):
                 return key
         elif any(

@@ -11,11 +11,10 @@ exhausted).  Machines live in memory only; they have no file format.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from random import Random
 from typing import Iterable
 
-from .core import DomainError, PadicContext, PadicInt
+from .core import DomainError, PadicContext, PadicInt, Record
 from .lipschitz import (
     NotOneLipschitzError,
     ValueTable,
@@ -24,8 +23,7 @@ from .lipschitz import (
 )
 
 
-@dataclass(frozen=True)
-class MealyMachine:
+class MealyMachine(Record):
     """Transition/output tables indexed [input digit][state]."""
 
     p: int

@@ -41,11 +41,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache, partial
 from itertools import accumulate, repeat
 from random import Random
-from typing import get_args
 
 from .core import (
     DomainError,
@@ -53,6 +51,7 @@ from .core import (
     PadicContext,
     PadicError,
     PadicInt,
+    Record,
     _is_prime,
     digitwise,
     from_text,
@@ -130,11 +129,10 @@ ADD, MUL, XOR, AND = _Add("ADD"), _Mul("MUL"), _Xor("XOR"), _And("AND")
 GLIN = Operation("GLIN")  # a LinearG whose coefficients a key supplies at use
 
 
-class GOperation(Operation):
+class GOperation(Record, Operation):
     """A G of the paper: an operation that an fhe key respects besides +."""
 
 
-@dataclass(frozen=True)
 class LinearG(GOperation):
     """G(x, y) = a*x + b*y."""
 
@@ -152,7 +150,6 @@ class LinearG(GOperation):
         return [(a * x + by) % m for x in xs]
 
 
-@dataclass(frozen=True)
 class G1(GOperation):
     """G(x, y) = x * y**(p-1)."""
 
@@ -163,7 +160,6 @@ class G1(GOperation):
         return [x * yy % m for x in xs]
 
 
-@dataclass(frozen=True)
 class G2(GOperation):
     """G(x, y) = x**(p-1) * y + x * y**(p-1)."""
 
@@ -174,7 +170,6 @@ class G2(GOperation):
         return [(pow(x, p - 1, m) * y + x * yy) % m for x in xs]
 
 
-@dataclass(frozen=True)
 class G3(GOperation):
     """G(x, y) = x**((p-1)/2) * y**((p-1)/2); p odd."""
 
@@ -191,7 +186,6 @@ class G3(GOperation):
         return [pow(x, e, m) * yy % m for x in xs]
 
 
-@dataclass(frozen=True)
 class G4(GOperation):
     """G(x, y) = x/(1 - p x**(p-1)) + y/(1 - p y**(p-1))
     = sum over s >= 0 of p^s (x**((p-1)s+1) + y**((p-1)s+1))."""
@@ -206,7 +200,6 @@ class G4(GOperation):
         return [(half(x) + hy) % m for x in xs]
 
 
-@dataclass(frozen=True)
 class SeriesG(GOperation):
     """G(x, y) = c + a*x + b*y + sum c_ij x^i y^j over a finite term list.
 
@@ -308,6 +301,12 @@ def multiplier_count(ctx: PadicContext, op: GOperation) -> int | None:
         raise DomainError("admissible multipliers are computed for odd p")
     d = exponent_gcd(op, ctx.p)
     return None if d is None else math.gcd(d, ctx.p - 1)
+
+
+def identity_only(ctx: PadicContext, family: str) -> bool:
+    """Whether the identity is the family's only key at (p, K); fhe draws refuse such spaces."""
+    where = {"additive": (2, 1), "xor": (2, 1), "multiplicative": (3, 1)}.get(family)
+    return family == "and" and ctx.p <= 3 or (ctx.p, ctx.precision) == where
 
 
 def admissible_multipliers(ctx: PadicContext, op: GOperation) -> frozenset[PadicInt] | None:
@@ -456,8 +455,7 @@ def _check_unit(A: PadicInt) -> None:
         raise InvalidKeyError("multiplier A must be a unit")
 
 
-@dataclass(frozen=True)
-class AdditiveKey:
+class AdditiveKey(Record):
     family = "additive"
     laws = (ADD,)
     json_fields = {"A": _RESIDUE}
@@ -486,8 +484,7 @@ class AdditiveKey:
         return lambda v: A_inv * v % m
 
 
-@dataclass(frozen=True)
-class MultiplicativeKey:
+class MultiplicativeKey(Record):
     family = "multiplicative"
     laws = (MUL,)
     json_fields = {"A": _RESIDUE, "s": _INTEGER, "a": _RESIDUE}
@@ -788,8 +785,7 @@ def _powers_kernel(p: int, exponents: tuple[int, ...]) -> _DigitPowers | _DigitB
                          for k, s in enumerate(exponents)], p)
 
 
-@dataclass(frozen=True)
-class XorKey:
+class XorKey(Record):
     """Row k holds the coefficients of output digit k over input digits 0..k."""
 
     family = "xor"
@@ -826,8 +822,7 @@ class XorKey:
         return _matrix_kernel(_inverse_rows(self.rows, self.ctx.p), self.ctx.p).apply
 
 
-@dataclass(frozen=True)
-class AndKey:
+class AndKey(Record):
     """Digit k maps through x -> x**s_k on the digit alphabet."""
 
     family = "and"
@@ -861,7 +856,6 @@ class AndKey:
         return self.enc_int if inverses == self.exponents else _powers_kernel(p, inverses).apply
 
 
-@dataclass(frozen=True)
 class FheKey(AdditiveKey):
     """Additive key constrained to A^d = 1 so that a chosen G also commutes."""
 
@@ -901,7 +895,7 @@ class FheKey(AdditiveKey):
 
 CipherKey = AdditiveKey | MultiplicativeKey | XorKey | AndKey | FheKey
 
-FAMILIES = {cls.family: cls for cls in get_args(CipherKey)}  # family name -> key class
+FAMILIES = {cls.family: cls for cls in CipherKey.__args__}  # family name -> key class
 
 
 # -- key generation ----------------------------------------------------------------

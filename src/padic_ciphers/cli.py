@@ -46,6 +46,7 @@ from .ciphers import (
     keygen,
     multiplier_count,
 )
+from . import core
 from .core import (
     DomainError,
     FormatError,
@@ -59,8 +60,6 @@ from .core import (
 
 # The analysis, formula and lipschitz layers are imported inside the commands
 # that run them, so keygen, encrypt and decrypt load only core and ciphers.
-
-_MEASURE_LIMIT = 4096
 
 
 def _at_least(minimum: int):
@@ -266,7 +265,7 @@ def _cmd_check(args) -> tuple[int, dict]:
         return _overall(results)
     key = _load_key(args.key)
     ctx = key.ctx
-    small = ctx.modulus <= _MEASURE_LIMIT
+    small = ctx.modulus <= core.MEASURE_LIMIT
     # Every refusal comes before any table or scan.
     if args.out and not small:
         raise DomainError("cannot export a table this large")
@@ -305,7 +304,7 @@ def _check_text(r: dict, args) -> str:
         lines = [f"key: {r['family']} p={r['p']} K={r['precision']}"]
     m = r.get("measure")
     if m == "skipped":
-        lines.append(f"measure: skipped (p^K exceeds the table limit of {_MEASURE_LIMIT})")
+        lines.append(f"measure: skipped (p^K exceeds the table limit of {core.MEASURE_LIMIT})")
     elif m:
         lines.append(f"measure: bruteforce={_yn(m['bruteforce'])} "
                      f"vdp={_yn(m['vdp'])} coordinate={_yn(m['coordinate'])}")

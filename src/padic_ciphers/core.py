@@ -17,10 +17,12 @@ Conventions:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Sequence
 
 MAX_PRECISION = 64
+MEASURE_LIMIT = 4096  # largest p^K whose whole map check --key measures and a scan's draw tests
+_set = object.__setattr__  # how a frozen record sets its fields
 
 
 class PadicError(Exception):
@@ -87,8 +89,48 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PadicContext:
+class Record:
+    """A frozen record of the fields its classes annotate, compared and shown by field."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = fields = tuple(dict.fromkeys(
+            name for c in reversed(cls.__mro__) for name in c.__dict__.get("__annotations__", ())))
+        cls._key = attrgetter(*fields, "__class__")  # a tuple, even of no fields
+
+    def __init__(self, *args, **kwargs) -> None:
+        names, cls = self.__match_args__, type(self)
+        if kwargs or len(args) != len(names):  # by name, or a class attribute as default
+            given = vars(cls) | dict(**dict(zip(names, args)), **kwargs)  # twice: TypeError
+            if len(args) > len(names) or not kwargs.keys() <= set(names) <= given.keys():
+                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+            args = [given[name] for name in names]
+        for name, value in zip(names, args):  # not through __dict__, which reads slower
+            _set(self, name, value)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def __setattr__(self, name: str, value=None) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class PadicContext(Record):
     """Working precision: prime p and number of retained digits K.
 
     p must be below ``PRIME_BOUND`` (about 3.3e24), the range in which
@@ -97,7 +139,6 @@ class PadicContext:
 
     p: int
     precision: int
-    modulus: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.p, int) or not _is_prime(self.p):
@@ -106,7 +147,7 @@ class PadicContext:
             raise DomainError(
                 f"precision must be in [1, {MAX_PRECISION}], got {self.precision}"
             )
-        object.__setattr__(self, "modulus", self.p**self.precision)
+        object.__setattr__(self, "modulus", self.p**self.precision)  # not a field
 
     def integer(self, n: int) -> "PadicInt":
         """Canonical residue of a non-negative integer."""
@@ -135,12 +176,20 @@ class PadicContext:
         return range(self.modulus)
 
 
-@dataclass(frozen=True, slots=True)
-class PadicInt:
+class PadicInt(Record):
     """Canonical residue mod p**K, read as the first K digits of a p-adic integer."""
 
+    __slots__ = ("ctx", "value")
     ctx: PadicContext
     value: int
+
+    def __init__(self, ctx: PadicContext, value: int) -> None:  # one per encrypt
+        _set(self, "ctx", ctx)
+        _set(self, "value", value)
+        self.__post_init__()
+
+    def __reduce__(self):  # copy and pickle build a PadicInt again, as its slots are frozen
+        return PadicInt, (self.ctx, self.value)
 
     def __post_init__(self) -> None:
         if not 0 <= self.value < self.ctx.modulus:

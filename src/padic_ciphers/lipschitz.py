@@ -32,11 +32,10 @@ same halves; any other text goes to ``core.from_text`` line by line.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from random import Random
 from typing import Callable
 
-from .core import DomainError, FormatError, PadicContext, PadicInt, PadicError, from_text
+from .core import DomainError, FormatError, PadicContext, PadicInt, PadicError, Record, from_text
 
 DEFAULT_TABLE_LIMIT = 1 << 20
 
@@ -73,8 +72,7 @@ def digit_length(m: int, p: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
-class ValueTable:
+class ValueTable(Record):
     """Residue-indexed value table of a map on Z/p**K."""
 
     ctx: PadicContext
@@ -92,8 +90,7 @@ class ValueTable:
         return self.values[x]
 
 
-@dataclass(frozen=True)
-class VdpSeries:
+class VdpSeries(Record):
     """Interpolation coefficients B_m, m in [0, p**K)."""
 
     ctx: PadicContext
@@ -112,8 +109,7 @@ class VdpSeries:
         return self.B[m] // q
 
 
-@dataclass(frozen=True)
-class CoordRep:
+class CoordRep(Record):
     """Digit functions phi_k indexed by the first k+1 input digits."""
 
     ctx: PadicContext

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+from itertools import product
 from random import Random
 
 import pytest
@@ -33,6 +35,7 @@ from padic_ciphers.ciphers import (
     encryption_table,
     exponent_gcd,
     g_eval,
+    identity_only,
     is_identity_key,
     key_from_json,
     key_to_json,
@@ -673,3 +676,33 @@ def test_operation_from_name_refuses_every_name_but_a_g(name):
     data = {"family": "fhe", "p": 5, "precision": 2, "A": "5:2:1,0", "g": name}
     assert _refusal(FormatError, lambda: key_from_json(data)) == (
         f"invalid key material: {expected}")
+
+
+def _every_key(ctx, family):
+    """Every key of the family at ctx, lazily."""
+    p, K = ctx.p, ctx.precision
+    units = [PadicInt(ctx, a) for a in range(ctx.modulus) if a % p]
+    exponents = [s for s in range(1, p) if math.gcd(s, p - 1) == 1]
+    if family == "additive":
+        return (AdditiveKey(A) for A in units)
+    if family == "multiplicative":
+        return (MultiplicativeKey(A, s, a) for A in units for s in exponents for a in units)
+    if family == "xor":
+        rows = [[row + (d,) for row in product(range(p), repeat=k) for d in range(1, p)]
+                for k in range(K)]
+        return (XorKey(ctx, key_rows) for key_rows in product(*rows))
+    return (AndKey(ctx, key_exponents) for key_exponents in product(exponents, repeat=K))
+
+
+@pytest.mark.parametrize("family", ["additive", "multiplicative", "xor", "and"])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_identity_only_matches_an_enumeration_of_every_key(family, p, K):
+    ctx = PadicContext(p, K)
+    if family == "multiplicative" and p == 2:  # the family has no key at all at p = 2
+        assert not identity_only(ctx, family)
+        return
+    only_identity = all(is_identity_key(key) for key in _every_key(ctx, family))
+    assert identity_only(ctx, family) == only_identity
+    if only_identity:  # keygen still returns that key
+        assert is_identity_key(keygen(ctx, family, Random(1)))

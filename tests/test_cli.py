@@ -8,7 +8,7 @@ from random import Random
 
 import pytest
 
-from padic_ciphers import cli
+from padic_ciphers import analysis, cli, core
 from padic_ciphers.cli import run_command
 from padic_ciphers.ciphers import (
     GLIN,
@@ -450,6 +450,48 @@ def test_skipped_measure_names_the_limit_not_the_modulus(tmp_path, capsys):
     code, out, err = run(capsys, "check", "--key", str(path), "--measure", "--json")
     assert code == 0
     assert json.loads(out)["measure"] == "skipped"
+
+
+@pytest.mark.parametrize("limit, precision, measured", [
+    (4096, 2, True), (8, 2, False), (4096, 8, False), (3**8, 8, True)])
+def test_one_measure_limit_moves_check_and_the_scans_exhaustive_key_test(
+        tmp_path, capsys, monkeypatch, limit, precision, measured):
+    """core.MEASURE_LIMIT decides both whether check --key measures the whole
+    map and whether a scan tests a drawn key over every residue."""
+    monkeypatch.setattr(core, "MEASURE_LIMIT", limit)
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "additive", "--p", "3", "--precision", str(precision),
+        "--seed", "1", "--out", str(path))
+    code, out, err = run(capsys, "check", "--key", str(path), "--measure")
+    assert code == 0
+    skipped = f"measure: skipped (p^K exceeds the table limit of {limit})\n"
+    assert (skipped in out) == (not measured)
+    assert ("measure: bruteforce=yes vdp=yes coordinate=yes\n" in out) == measured
+    tested = []
+    real = analysis.is_identity_key
+    monkeypatch.setattr(analysis, "is_identity_key", lambda key: tested.append(key) or real(key))
+    key = analysis._nonidentity_key(PadicContext(3, precision), "additive", Random(1))
+    assert bool(tested) == measured and not real(key)
+
+
+@pytest.mark.parametrize("argv, family", [
+    (["search", "AND", "XOR", "--p", "2", "--precision", "12", "--keys", "1"], "and"),
+    (["search", "AND", "ADD", "--p", "3", "--precision", "7", "--keys", "1"], "and"),
+    (["search", "ADD", "MUL", "--p", "2", "--precision", "1"], "additive"),
+    (["search", "XOR", "AND", "--p", "2", "--precision", "1"], "xor"),
+    (["search", "MUL", "ADD", "--p", "3", "--precision", "1"], "multiplicative"),
+])
+def test_search_refuses_a_space_whose_only_key_is_the_identity_before_any_draw(
+        capsys, monkeypatch, argv, family):
+    drawn = []
+    real = analysis.keygen
+    monkeypatch.setattr(analysis, "keygen", lambda *args: drawn.append(args) or real(*args))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 5 and out == ""
+    assert err == f"error: could not draw a non-identity {family} key\n"
+    assert drawn == []
 
 
 def test_check_exports_table(tmp_path, capsys):
