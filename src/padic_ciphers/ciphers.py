@@ -94,6 +94,8 @@ class Operation:
     def __repr__(self) -> str:
         return self.name
 
+    __reduce__ = __repr__  # copy and pickle give back the module's ADD, MUL, XOR, AND or GLIN
+
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
         pair = self.pair
         return [pair(x, y, p, m) for x in xs]
@@ -131,6 +133,7 @@ GLIN = Operation("GLIN")  # a LinearG whose coefficients a key supplies at use
 
 class GOperation(Record, Operation):
     """A G of the paper: an operation that an fhe key respects besides +."""
+    __reduce__ = object.__reduce__  # a record of its fields, not a name in this module
 
 
 class LinearG(GOperation):

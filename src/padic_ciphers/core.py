@@ -17,6 +17,7 @@ Conventions:
 from __future__ import annotations
 
 import math
+from functools import cache
 from operator import attrgetter
 from typing import Sequence
 
@@ -98,14 +99,21 @@ class Record:
         cls.__match_args__ = fields = tuple(dict.fromkeys(
             name for c in reversed(cls.__mro__) for name in c.__dict__.get("__annotations__", ())))
         cls._key = attrgetter(*fields, "__class__")  # a tuple, even of no fields
+        n, own = len(fields), vars(cls)
+        while n and fields[n - 1] in own:
+            n -= 1
+        cls._defaults = tuple(own[name] for name in fields[n:])  # trailing fields with a default
 
     def __init__(self, *args, **kwargs) -> None:
         names, cls = self.__match_args__, type(self)
         if kwargs or len(args) != len(names):  # by name, or a class attribute as default
-            given = vars(cls) | dict(**dict(zip(names, args)), **kwargs)  # twice: TypeError
-            if len(args) > len(names) or not kwargs.keys() <= set(names) <= given.keys():
-                raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
-            args = [given[name] for name in names]
+            if not kwargs and len(names) - len(self._defaults) <= len(args) < len(names):
+                args += self._defaults[len(args) - len(names):]  # without building a dict
+            else:
+                given = vars(cls) | dict(**dict(zip(names, args)), **kwargs)  # twice: TypeError
+                if len(args) > len(names) or not kwargs.keys() <= set(names) <= given.keys():
+                    raise TypeError(f"{cls.__name__}() takes the fields {', '.join(names)}")
+                args = [given[name] for name in names]
         for name, value in zip(names, args):  # not through __dict__, which reads slower
             _set(self, name, value)
         self.__post_init__()
@@ -363,9 +371,33 @@ def teichmuller(ctx: PadicContext, a: int) -> PadicInt:
 # -- digitwise operations -----------------------------------------------------
 
 
+@cache
+def _pair_table(p: int, multiply: bool) -> tuple[bytes, int]:
+    """(table, P): entry a*P + b is the digitwise sum or product of the blocks a
+    and b of h digits, P = p^h, h the most with P^2 <= 2^14.  The table of h
+    digits grows from the one of h - 1, q = p^(h-1), by a high digit: its block
+    (a_h, b_h) is the old table plus q*op(a_h, b_h)."""
+    digit = bytes((a * b if multiply else a + b) % p for a in range(p) for b in range(p))
+    ramp, table, q = bytes(range(256)) * 2, digit, p  # ramp[c:c + 256] maps v to v + c
+    while (q * p) ** 2 <= 1 << 14:
+        raised = [table.translate(ramp[q * d:q * d + 256]) for d in range(p)]
+        table = b"".join(raised[digit[a_h * p + b_h]][a * q:(a + 1) * q]
+                         for a_h in range(p) for a in range(q) for b_h in range(p))
+        q *= p
+    return table, q
+
+
 def digitwise(x: int, y: int, p: int, m: int, multiply: bool = False) -> int:
-    """Digitwise sum (or product) mod p of two residues mod m = p**k."""
+    """Digitwise sum (or product) mod p of two residues mod m = p**k.  For p <= 11,
+    where p^4 <= 2^14, it reads blocks of h >= 2 digits through ``_pair_table``
+    (radix conversion by blocks, Knuth, TAOCP vol. 2, 4.4), else digit by digit."""
     out, shift = 0, 1
+    if p <= 11:
+        table, q = _pair_table(p, multiply)
+        while shift < m:
+            out += table[x % q * q + y % q] * shift
+            x, y, shift = x // q, y // q, shift * q
+        return out
     while shift < m:
         out += (x * y if multiply else x + y) % p * shift
         x, y, shift = x // p, y // p, shift * p

@@ -34,8 +34,8 @@ from .ciphers import (
     encrypt,
     op_apply,
 )
-from .core import (DomainError, FormatError, IncompatibleFormulaError, PadicContext, PadicInt,
-                   Record, _set)
+from .core import (DomainError, FormatError, IncompatibleFormulaError, PadicContext, PadicError,
+                   PadicInt, Record, _set)
 
 
 class FormulaSyntaxError(FormatError):
@@ -92,10 +92,10 @@ class App(Record):
     def __eq__(self, other) -> bool:
         if not isinstance(other, App):
             return NotImplemented
-        return list(_preorder(self)) == list(_preorder(other))
+        return _tape(self) == _tape(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(_preorder(self)))
+        return hash(tuple(_tape(self)))
 
     def __repr__(self) -> str:
         parts, stack = [], [self]
@@ -239,40 +239,44 @@ def parse(text: str, ctx: PadicContext) -> Node:
 # -- walking a tree -----------------------------------------------------------------
 
 
-def _fold(node: Node, leaf, app):
-    """The value of a tree built bottom up, without recursion: ``leaf(n)`` at
-    each Var or Lit, ``app(op, left, right)`` at each App, in the order of a
-    recursive left-to-right walk."""
-    values, stack = [], [node]
+def _fold(tape: list, leaf, app):
+    """The value of the tree whose pre-order list is ``tape``, built bottom up
+    in the order of a recursive left-to-right walk: ``leaf(n)`` at each Var or
+    Lit, ``app(op, left, right)`` at each op once its right operand is done."""
+    stack = []
+    for n in tape:
+        if isinstance(n, Operation):
+            stack.append(n)
+            continue
+        value = leaf(n)
+        while stack and not isinstance(stack[-1], Operation):  # n ends a right operand
+            left = stack.pop()
+            value = app(stack.pop(), left, value)
+        stack.append(value)
+    return stack[0]
+
+
+def _tape(node: Node | list) -> list:
+    """Each App's op and each leaf, an App before its operands: the pre-order
+    list, which determines the tree (an op always takes two operands) and which
+    every walk reads.  A list is taken to be one already."""
+    if type(node) is list:
+        return node
+    tape, stack = [], [node]
     while stack:
         n = stack.pop()
         if isinstance(n, App):
-            stack += (n.op, n.right, n.left)  # the op marks its App as done
-        elif isinstance(n, Operation):
-            right = values.pop()
-            values[-1] = app(n, values[-1], right)
-        else:
-            values.append(leaf(n))
-    return values[0]
-
-
-def _preorder(node: Node):
-    """Each App's op and each leaf, an App before its operands: the sequence
-    determines the tree, since an op always takes two operands."""
-    stack = [node]
-    while stack:
-        n = stack.pop()
-        if isinstance(n, App):
-            yield n.op
+            tape.append(n.op)
             stack += (n.right, n.left)
         else:
-            yield n
+            tape.append(n)
+    return tape
 
 
 _INFIX = {ADD: (" + ", 1), MUL: (" * ", 2)}  # op -> (sign, precedence)
 
 
-def to_text(node: Node) -> str:
+def to_text(node: Node | list) -> str:
     """Render with the fewest parentheses that re-parse to the same tree."""
 
     def leaf(n: Node) -> tuple[str, int]:
@@ -285,7 +289,7 @@ def to_text(node: Node) -> str:
         sign, prec = infix  # both operators are left associative
         return f"{_paren(left, prec)}{sign}{_paren(right, prec + 1)}", prec
 
-    return _fold(node, leaf, app)[0]
+    return _fold(_tape(node), leaf, app)[0]
 
 
 def _paren(rendered: tuple[str, int], floor: int) -> str:
@@ -296,16 +300,46 @@ def _paren(rendered: tuple[str, int], floor: int) -> str:
 # -- evaluation -------------------------------------------------------------------
 
 
-def vars_used(node: Node) -> frozenset[str]:
-    return frozenset(n.name for n in _preorder(node) if isinstance(n, Var))
+def vars_used(node: Node | list) -> frozenset[str]:
+    return frozenset(n.name for n in _tape(node) if n.__class__ is Var)
 
 
-def ops_used(node: Node) -> frozenset[Operation]:
-    return frozenset(n for n in _preorder(node) if isinstance(n, Operation))
+def ops_used(node: Node | list) -> frozenset[Operation]:
+    return frozenset(n for n in _tape(node) if isinstance(n, Operation))
+
+
+def _run(tape: list, ctx: PadicContext | None, names: dict, enc, linear_g, leaf) -> PadicInt:
+    """The value of the tape's tree at ``ctx``, the tape run back to front on
+    ints: a Var pushes ``names[n.name]``, a Lit ``enc`` of its residue, and an
+    op pops x and replaces the top y with op(x, y).  Where a check of
+    ``op_apply`` could fail (no ctx, a name not in ``names``, a leaf or
+    coefficient elsewhere, GLIN unbound, a kernel's error), ``_fold`` walks the
+    tape with ``leaf`` and ``op_apply``, which raise what a recursive walk meets first."""
+    stack = []
+    try:
+        p, m = ctx.p, ctx.modulus
+        for n in reversed(tape):
+            if n.__class__ is Var:
+                stack.append(names[n.name])
+            elif n.__class__ is Lit:
+                if n.value.ctx is not ctx and n.value.ctx != ctx:
+                    break
+                stack.append(enc(n.value.value))
+            else:
+                op = linear_g if n is GLIN else n
+                if op is None or op.coefficients and any(c.ctx != ctx for c in op.coefficients):
+                    break
+                x = stack.pop()
+                stack[-1] = op.pair(x, stack[-1], p, m)
+        else:
+            return PadicInt(ctx, stack[0])
+    except (AttributeError, KeyError, PadicError):
+        pass
+    return _fold(tape, leaf, lambda op, x, y: op_apply(op, x, y, linear_g))
 
 
 def evaluate(
-    node: Node, env: dict[str, PadicInt], linear_g: LinearG | None = None
+    node: Node | list, env: dict[str, PadicInt], linear_g: LinearG | None = None
 ) -> PadicInt:
     def leaf(n: Node) -> PadicInt:
         if isinstance(n, Lit):
@@ -315,7 +349,11 @@ def evaluate(
         except KeyError:
             raise UnboundVariableError(f"variable {n.name!r} is not bound") from None
 
-    return _fold(node, leaf, lambda op, x, y: op_apply(op, x, y, linear_g))
+    tape = _tape(node)
+    last = tape[-1]  # the rightmost leaf, whose context is the result's if every leaf shares one
+    ctx = getattr(last.value if last.__class__ is Lit else env.get(last.name), "ctx", None)
+    names = {name: value.value for name, value in env.items() if value.ctx == ctx}
+    return _run(tape, ctx, names, int, linear_g, leaf)  # int: a literal's residue as it is
 
 
 # -- key compatibility --------------------------------------------------------------
@@ -336,16 +374,15 @@ def _bind(op: Operation, key: CipherKey) -> Operation | None:
     return None
 
 
-def compatibility_check(node: Node, key: CipherKey) -> None:
+def compatibility_check(node: Node | list, key: CipherKey) -> None:
     """Raise IncompatibleFormulaError naming the first unusable operation,
     in pre-order (an App before its operands)."""
-    unusable = next((n for n in _preorder(node)
-                     if isinstance(n, Operation) and _bind(n, key) is None), None)
-    if unusable is not None:
+    tape = _tape(node)
+    unusable = {op for op in ops_used(tape) if _bind(op, key) is None}
+    if unusable:
+        first = next(n for n in tape if isinstance(n, Operation) and n in unusable)
         article = "an" if key.family[0] in "aeiou" else "a"
-        raise IncompatibleFormulaError(
-            f"{article} {key.family} key does not respect {unusable.name}"
-        )
+        raise IncompatibleFormulaError(f"{article} {key.family} key does not respect {first.name}")
 
 
 def homomorphism_test(key: CipherKey, op: Operation, **kwargs):
@@ -370,10 +407,11 @@ def encrypted_eval_demo(
     Refuses formulas using operations outside the key's laws, then spot
     checks each used law on random pairs before trusting the round trip.
     """
-    compatibility_check(node, key)
+    tape = _tape(node)
+    compatibility_check(tape, key)
     linear_g = _bind(GLIN, key)
     law_checks = {}
-    for op in sorted(ops_used(node), key=lambda o: o.name):
+    for op in sorted(ops_used(tape), key=lambda o: o.name):
         report = homomorphism_test(key, _bind(op, key), seed=seed, trials=law_trials)
         law_checks[op.name] = report.verdict
         if report.verdict != "pass":
@@ -381,13 +419,11 @@ def encrypted_eval_demo(
                 f"law check failed for {op.name} on this key "
                 f"(witness {report.witness}); refusing to continue"
             )
-    plain = evaluate(node, env, linear_g)  # raises on an unbound variable
+    plain = evaluate(tape, env, linear_g)  # raises on an unbound variable
     enc_env = {name: encrypt(key, value) for name, value in env.items()}
-    cipher = _fold(
-        node,
-        lambda n: encrypt(key, n.value) if isinstance(n, Lit) else enc_env[n.name],
-        lambda op, x, y: op_apply(op, x, y, linear_g),
-    )
+    cipher = _run(tape, key.ctx, {name: value.value for name, value in enc_env.items()},
+                  key.enc_int, linear_g,
+                  lambda n: encrypt(key, n.value) if isinstance(n, Lit) else enc_env[n.name])
     decrypted = decrypt(key, cipher)
     return {
         "plain": plain,

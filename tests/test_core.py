@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from padic_ciphers import core
 from padic_ciphers.core import (
     PRIME_BOUND,
     ContextMismatchError,
@@ -161,6 +162,40 @@ def test_digitwise_kernel_matches_digit_lists():
             multiplied = ctx.from_digits([a * b % p for a, b in zip(dx, dy)])
             assert digitwise(x, y, p, ctx.modulus) == added.value
             assert digitwise(x, y, p, ctx.modulus, multiply=True) == multiplied.value
+
+
+def _digit_lists(x: int, y: int, p: int, K: int, multiply: bool) -> int:
+    """Digitwise sum or product read from the two digit lists, digit by digit."""
+    out = 0
+    for k in range(K):
+        a, b = x // p**k % p, y // p**k % p
+        out += (a * b if multiply else a + b) % p * p**k
+    return out
+
+
+@pytest.mark.parametrize("p, h", [(2, 7), (3, 4), (5, 3), (7, 2), (11, 2), (13, 1), (65537, 1)])
+def test_blocked_digitwise_matches_digit_lists_on_both_sides_of_the_gate(p, h):
+    """p <= 11 reads blocks of h digits, h the most with p^(2h) <= 2^14, through
+    one bytes table per (p, operation); p >= 13 builds none."""
+    if h > 1:
+        assert p ** (2 * h) <= 1 << 14 < p ** (2 * h + 2)
+    else:  # a block would be one digit: the per-digit loop, and no table
+        assert p**4 > 1 << 14
+    rng = random.Random(p)
+    core._pair_table.cache_clear()
+    for K in sorted({1, max(h - 1, 1), h, h + 1, 64}):
+        m = p**K
+        pairs = [(0, m - 1), (m - 1, 0), (m - 1, m - 1), (0, 0)]
+        pairs += [(rng.randrange(m), rng.randrange(m)) for _ in range(20)]
+        for x, y in pairs:
+            for multiply in (False, True):
+                assert digitwise(x, y, p, m, multiply) == _digit_lists(x, y, p, K, multiply)
+    info = core._pair_table.cache_info()
+    assert info.currsize == (0 if h == 1 else 2)  # one table per (p, operation), built once
+    assert info.misses == info.currsize
+    for multiply in (False, True)[:info.currsize]:
+        table, q = core._pair_table(p, multiply)
+        assert type(table) is bytes and len(table) == q * q <= 1 << 14 and q == p**h
 
 
 def test_xor_group_laws_exhaustive():

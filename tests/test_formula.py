@@ -8,17 +8,22 @@ from hypothesis import strategies as st
 
 from padic_ciphers.analysis import ADD, AND, MUL, XOR, homomorphism_test
 from padic_ciphers.ciphers import (
+    OP_NAMES,
     AdditiveKey,
     FheKey,
     G1,
     LinearG,
     MultiplicativeKey,
+    Operation,
+    SeriesG,
     XorKey,
     GLIN,
+    decrypt,
     encrypt,
     keygen,
+    op_apply,
 )
-from padic_ciphers.core import DomainError, PadicContext, PadicInt
+from padic_ciphers.core import ContextMismatchError, DomainError, PadicContext, PadicInt
 from padic_ciphers.formula import (
     App,
     ArityError,
@@ -30,6 +35,8 @@ from padic_ciphers.formula import (
     UnboundVariableError,
     UnknownOperationError,
     Var,
+    _bind,
+    _tape,
     _tokenize,
     compatibility_check,
     encrypted_eval_demo,
@@ -308,3 +315,186 @@ def test_demo_refuses_to_continue_when_a_law_check_fails():
         encrypted_eval_demo(parse("x + 1", C52), {"x": C52.integer(3)}, key)
     assert str(info.value) == (
         f"law check failed for ADD on this key (witness {witness}); refusing to continue")
+
+
+# -- the tape against the tree walk -------------------------------------------------
+#
+# The reference is the evaluator the tape replaced: a tree walk in the order of
+# a recursive left-to-right walk, one op_apply (and one PadicInt) per node.
+
+NINE = list(OP_NAMES.values())  # ADD, MUL, XOR, AND, G1-G4 and GLIN
+
+
+def reference_fold(node, leaf, app):
+    values, stack = [], [node]
+    while stack:
+        n = stack.pop()
+        if isinstance(n, App):
+            stack += (n.op, n.right, n.left)
+        elif isinstance(n, Operation):
+            right = values.pop()
+            values[-1] = app(n, values[-1], right)
+        else:
+            values.append(leaf(n))
+    return values[0]
+
+
+def reference_evaluate(node, env, linear_g=None):
+    def leaf(n):
+        if isinstance(n, Lit):
+            return n.value
+        try:
+            return env[n.name]
+        except KeyError:
+            raise UnboundVariableError(f"variable {n.name!r} is not bound") from None
+
+    return reference_fold(node, leaf, lambda op, x, y: op_apply(op, x, y, linear_g))
+
+
+def reference_cipher(node, env, key, linear_g):
+    """The cipher pass of encrypted_eval_demo before the tape."""
+    enc_env = {name: encrypt(key, value) for name, value in env.items()}
+    return reference_fold(
+        node, lambda n: encrypt(key, n.value) if isinstance(n, Lit) else enc_env[n.name],
+        lambda op, x, y: op_apply(op, x, y, linear_g))
+
+
+def outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except Exception as exc:  # the type and message are what is compared
+        return type(exc), str(exc)
+
+
+def _series(ctx, rng):
+    return SeriesG(ctx.integer(0), ctx.integer(rng.randrange(ctx.modulus)), ctx.one,
+                   (((1, 1), ctx.integer(rng.randrange(ctx.modulus))), ((2, 0), ctx.one)))
+
+
+def random_tree(rng, ops, leaves, depth=7):
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(leaves)()
+    return App(rng.choice(ops), random_tree(rng, ops, leaves, depth - 1),
+               random_tree(rng, ops, leaves, depth - 1))
+
+
+def _leaves(ctx, rng, names):
+    return [lambda: Var(rng.choice(names)),
+            lambda: Lit(ctx.integer(rng.randrange(ctx.modulus)))]
+
+
+TAPE_PRIMES = [2, 3, 5, 7, 13]
+
+
+@pytest.mark.parametrize("p", TAPE_PRIMES)
+def test_tape_values_match_the_tree_walk(p):
+    rng = Random(100 + p)
+    for K in (1, 3, 6):
+        ctx = PadicContext(p, K)
+        env = {name: ctx.integer(rng.randrange(ctx.modulus)) for name in "xyz"}
+        lin = LinearG(ctx.integer(rng.randrange(ctx.modulus)), ctx.integer(rng.randrange(ctx.modulus)))
+        ops = NINE + [lin, _series(ctx, rng)]
+        if p == 2:
+            ops.remove(OP_NAMES["G3"])  # needs an odd p: the error cases cover it
+        for _ in range(30):
+            node = random_tree(rng, ops, _leaves(ctx, rng, "xyz"))
+            for linear_g in (lin, None):  # GLIN bound and unbound
+                want = outcome(reference_evaluate, node, env, linear_g)
+                assert outcome(evaluate, node, env, linear_g) == want, to_text(node)
+                tape = _tape(node)
+                assert outcome(evaluate, tape, env, linear_g) == want
+            if GLIN not in ops_used(node):
+                assert outcome(evaluate, node, env)[0] == "value"
+
+
+@pytest.mark.parametrize("p", TAPE_PRIMES)
+def test_tape_raises_what_the_tree_walk_raises_first(p):
+    """Random trees with faults anywhere: unbound names, leaves and coefficients
+    in another context, an unbound GLIN and, at p = 2, G3."""
+    rng = Random(200 + p)
+    ctx, other = PadicContext(p, 3), PadicContext(p, 2)
+    env = {"x": ctx.integer(1), "y": ctx.integer(rng.randrange(ctx.modulus)), "w": other.one}
+    lin = LinearG(ctx.one, ctx.integer(2))
+    ops = NINE + [lin, LinearG(other.one, other.one), _series(ctx, rng), _series(other, rng)]
+    leaves = _leaves(ctx, rng, ["x", "y", "w", "u", "v"]) + [lambda: Lit(other.one)]
+    kinds = set()
+    for _ in range(300):
+        node = random_tree(rng, ops, leaves, depth=5)
+        for linear_g in (lin, LinearG(other.one, other.one), None):
+            want = outcome(reference_evaluate, node, env, linear_g)
+            assert outcome(evaluate, node, env, linear_g) == want, to_text(node)
+            kinds.add(want[0])
+    assert {"value", UnboundVariableError, ContextMismatchError, DomainError} <= kinds
+
+
+def test_tape_errors_name_the_fault_a_recursive_walk_meets_first():
+    c73 = PadicContext(7, 3)
+    env = {"x": C52.integer(3), "y": C52.integer(4), "z": c73.one}
+    lin = LinearG(C52.one, C52.integer(2))
+    cases = [
+        (parse("u + x * v", C52), None, UnboundVariableError, "variable 'u' is not bound"),
+        (parse("x * v + u", C52), None, UnboundVariableError, "variable 'v' is not bound"),
+        (parse("x + z", C52), None, ContextMismatchError,
+         f"mixed contexts {C52} and {c73}"),
+        (parse("z + (x + 1)", C52), None, ContextMismatchError,
+         f"mixed contexts {c73} and {C52}"),
+        (parse("G1(x, z)", C52), None, DomainError, "operands live in different contexts"),
+        (parse("GLIN(x, y)", C52), None, DomainError,
+         "linear operation is unbound; supply its coefficients"),
+        (parse("GLIN(1, 2) + u", C52), None, DomainError,  # the GLIN node comes first
+         "linear operation is unbound; supply its coefficients"),
+        (parse("u + GLIN(1, 2)", C52), None, UnboundVariableError, "variable 'u' is not bound"),
+        (parse("GLIN(z, z)", C52), lin, DomainError,
+         "linear coefficients live in a different context"),
+        (parse("(x + z) + G3(x, u)", PadicContext(2, 3)), None, ContextMismatchError,
+         f"mixed contexts {C52} and {c73}"),
+    ]
+    for node, linear_g, kind, message in cases:
+        for fn in (evaluate, reference_evaluate):
+            with pytest.raises(kind) as info:
+                fn(node, env, linear_g)
+            assert str(info.value) == message, (to_text(node), fn.__name__)
+    at2 = PadicContext(2, 3)
+    for text in ("G3(x, y) + u", "u + G3(x, y)"):
+        node, env2 = parse(text, at2), {"x": at2.one, "y": at2.one}
+        assert outcome(evaluate, node, env2) == outcome(reference_evaluate, node, env2)
+
+
+FAMILY_NAMES = ["additive", "multiplicative", "xor", "and", "fhe"]
+
+
+@pytest.mark.parametrize("p, family", [(p, family) for p in TAPE_PRIMES for family in FAMILY_NAMES
+                                       if (p, family) != (2, "multiplicative")])  # needs odd p
+def test_cipher_pass_matches_the_tree_walk(p, family):
+    """Trees over the operations each key respects; an fhe key's G is linear
+    (GLIN bound) at p = 2, 5, 13 and G1 at p = 3, 7."""
+    rng = Random(300 + p)
+    ctx = PadicContext(p, 4)
+    lin = LinearG(ctx.integer(2), ctx.one)
+    key = (FheKey(ctx.one, lin) if (p, family) == (2, "fhe")  # keygen draws none at p = 2
+           else keygen(ctx, family, rng, g=lin if p in (5, 13) else None))
+    ops = [op for op in NINE + [lin, _series(ctx, rng)] if _bind(op, key) is not None]
+    linear_g = _bind(GLIN, key)
+    env = {name: ctx.integer(rng.randrange(ctx.modulus)) for name in "xy"}
+    for _ in range(6):
+        node = random_tree(rng, ops, _leaves(ctx, rng, "xy"), depth=5)
+        report = encrypted_eval_demo(node, env, key, law_trials=4)
+        assert report["plain"] == reference_evaluate(node, env, linear_g)
+        assert report["cipher"] == reference_cipher(node, env, key, linear_g)
+        assert report["decrypted"] == decrypt(key, report["cipher"]) and report["match"]
+
+
+def test_cipher_pass_refuses_a_formula_parsed_at_another_context_as_the_tree_walk_did():
+    key = AdditiveKey(C52.integer(7))
+    c73 = PadicContext(7, 3)
+    cases = [(parse("x + 3", c73), {"x": c73.one}),  # the environment's encrypt refuses
+             (parse("3 + 4", c73), {}),  # the first literal's encrypt refuses
+             (parse("x + 3", c73), {"x": C52.one})]  # the plain pass: mixed contexts
+    for node, env in cases:
+        def reference():
+            plain = reference_evaluate(node, env)
+            return plain, reference_cipher(node, env, key, None)
+
+        want = outcome(reference)
+        assert want[0] in (DomainError, ContextMismatchError)
+        assert outcome(encrypted_eval_demo, node, env, key) == want

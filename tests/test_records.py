@@ -21,7 +21,10 @@ from padic_ciphers.analysis import SearchReport
 from padic_ciphers.automaton import MealyMachine
 from padic_ciphers.ciphers import (
     ADD,
+    AND,
     GLIN,
+    MUL,
+    XOR,
     G1,
     G2,
     G3,
@@ -149,8 +152,18 @@ def test_records_copy_and_pickle(build):
     assert copy.copy(record) == record
     for twin in (copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
         assert type(twin) is type(record) and repr(twin) == repr(record)
-        if not isinstance(record, App):  # both copy an App's ADD, which equals only itself
-            assert twin == record
+        assert twin == record
+
+
+def test_the_named_operations_keep_their_identity_through_copy_and_pickle():
+    for op in (ADD, MUL, XOR, AND, GLIN):
+        assert copy.copy(op) is op and copy.deepcopy(op) is op
+        assert pickle.loads(pickle.dumps(op)) is op
+    tree = App(XOR, Var("x"), App(GLIN, Var("y"), Lit(C52.one)))
+    key = FheKey(C52.integer(24), LinearG(C52.one, C52.one))
+    assert copy.deepcopy(key).laws == key.laws == pickle.loads(pickle.dumps(key)).laws
+    for twin in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
+        assert twin == tree and twin.op is XOR and twin.right.op is GLIN
 
 
 def test_records_of_different_classes_are_unequal():
@@ -171,6 +184,19 @@ def test_a_record_takes_its_fields_by_position_or_by_name():
                 lambda: PadicContext(5)):
         with pytest.raises(TypeError):
             bad()
+
+
+def test_trailing_defaults_are_filled_by_position_and_refusals_keep_their_message():
+    assert SearchReport("pass", None, 1, "m") == SearchReport("pass", None, 1, "m", None)
+    assert SearchReport("pass", None, 1, "m").detail is None
+    assert SearchReport._defaults == (None,) and PadicContext._defaults == ()
+    for cls, args, kwargs in ((SearchReport, ("pass", None, 1), {}),
+                              (SearchReport, ("pass", None, 1, "m", None, 2), {}),
+                              (SearchReport, ("pass", None, 1), {"detail": None}),
+                              (PadicContext, (5,), {}), (PadicContext, (5, 2, 1), {})):
+        with pytest.raises(TypeError) as info:
+            cls(*args, **kwargs)
+        assert str(info.value) == f"{cls.__name__}() takes the fields {', '.join(cls.__match_args__)}"
 
 
 FAMILIES = ["additive", "multiplicative", "xor", "and", "fhe"]
@@ -246,6 +272,37 @@ def test_one_padicint_per_encrypt_and_per_decrypt_under_the_benchmark_counter(fa
     assert after_encrypt == len(xs)
     assert after_decrypt - after_encrypt == len(xs)
     assert "__post_init__" in vars(PadicInt) and PadicInt(ctx, 3).value == 3
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_formula_passes_build_as_many_padicints_for_3_nodes_as_for_401(family):
+    """evaluate builds its result and encrypted_eval_demo the values of its
+    report and the encrypted environment, under the counter above: no PadicInt
+    per node (the tree walk built one per operation)."""
+    ctx = PadicContext(5, 16)
+    key = keygen(ctx, family, Random(7))
+    op = key.laws[-1]  # G1 for fhe
+    env = {"x": PadicInt(ctx, 123), "y": PadicInt(ctx, 45678)}
+    leaves = [Var("x"), Var("y"), Lit(PadicInt(ctx, 7))] * 67
+    large = leaves[0]
+    for leaf in leaves[1:]:
+        large = App(op, large, leaf)
+    small = App(op, Var("x"), Lit(PadicInt(ctx, 3)))
+    counts = []
+    for run in (lambda node: formula.evaluate(node, env),
+                lambda node: formula.encrypted_eval_demo(node, env, key, seed=3)):
+        run(small), run(large)  # kernels and law-check tables built outside the count
+        for node in (small, large):
+            tracer = spans.Tracer()
+            tracer.count_padicints(PadicInt)
+            try:
+                run(node)
+            finally:
+                tracer.restore()
+            counts.append(tracer.padicints)
+    assert len(formula._tape(large)) == 401
+    assert counts[0] == counts[1] == 1
+    assert counts[2] == counts[3]
 
 
 def test_no_layer_imports_dataclasses_or_inspect():
