@@ -23,7 +23,7 @@ level holds p^(2k) entries.  Each operation has one integer kernel
 and random pairs from ``op.pair``.  Two rows are built faster from their
 structure: ADD rows are slices of a doubled ramp, and XOR/AND rows join
 per-digit chunks in the order of the level k-1 row.  A level of more than
-PAIR_BUDGET pairs is refused with DomainError before any of it is built.
+core.PAIR_BUDGET pairs is refused with DomainError before any of it is built.
 
 The coefficient probe cross-checks the multiplicative cipher against its
 interpolation series: the normalized coefficients must reduce mod p to
@@ -59,14 +59,7 @@ from .ciphers import (  # ADD, MUL, XOR and AND are re-exported
     keygen,
 )
 from . import core
-from .core import DomainError, FormatError, PadicContext, PadicInt, Record
-from .lipschitz import (
-    NotOneLipschitzError,
-    ValueTable,
-    _check_table_size,
-    digit_length,
-    vdp_interpolate,
-)
+from .core import DomainError, FormatError, PadicContext, PadicInt, Record, check_table_size
 
 CANONICAL_PAIRS = (
     (ADD, MUL),
@@ -103,27 +96,23 @@ class SearchReport(Record):
 
 # -- evaluating operations at reduced precision -------------------------------
 
-PAIR_BUDGET = 1 << 24  # most pairs one exhaustive level may scan: p^(2k) <= this
 TABLE_RESIDUES = 256  # levels this small keep their operation table
-PROBE_LIMIT = 1 << 16  # largest p^K whose table the coefficient probe builds
 
 
 def check_pair_budget(ctx: PadicContext, k: int) -> None:
     """Refuse an exhaustive level k whose p^(2k) pairs exceed PAIR_BUDGET."""
     pairs = ctx.p ** (2 * k)
-    if pairs > PAIR_BUDGET:
-        raise DomainError(
-            f"level {k} has {ctx.p}^{2 * k} = {pairs} pairs, "
-            f"over the budget of {PAIR_BUDGET}"
-        )
+    if pairs > core.PAIR_BUDGET:
+        raise DomainError(f"level {k} has {ctx.p}^{2 * k} = {pairs} pairs, "
+                          f"over the budget of {core.PAIR_BUDGET}")
 
 
 def check_trial_budget(trials: int) -> None:
     """Refuse a random phase of a negative count or of more than PAIR_BUDGET pairs."""
     if trials < 0:
         raise DomainError(f"a count of random pairs cannot be negative, got {trials}")
-    if trials > PAIR_BUDGET:
-        raise DomainError(f"{trials} random pairs are over the budget of {PAIR_BUDGET}")
+    if trials > core.PAIR_BUDGET:
+        raise DomainError(f"{trials} random pairs are over the budget of {core.PAIR_BUDGET}")
 
 
 def _row_builder(op: Operation, ctx: PadicContext):
@@ -172,10 +161,11 @@ def _op_table(op: Operation, ctx: PadicContext) -> tuple[bytes, ...]:
 
 
 def _subject(subject):
-    if isinstance(subject, ValueTable):
-        return subject.ctx, subject.values.__getitem__
     if isinstance(subject, CipherKey):
         return subject.ctx, subject.enc_int
+    from .lipschitz import ValueTable  # only here, so scanning keys never loads lipschitz
+    if isinstance(subject, ValueTable):
+        return subject.ctx, subject.values.__getitem__
     raise DomainError(f"cannot test a {type(subject).__name__}; pass a key or a table")
 
 
@@ -295,14 +285,14 @@ def counterexample_search(
 
 
 def _nonidentity_key(ctx: PadicContext, family: str, rng: Random):
-    for _ in range(0 if identity_only(ctx, family) else 1000):
+    for _ in range(0 if identity_only(ctx, family) else core.KEY_DRAW_LIMIT):
         key = keygen(ctx, family, rng)
         if ctx.modulus <= core.MEASURE_LIMIT:
             if not is_identity_key(key):
                 return key
         elif any(
             encrypt(key, PadicInt(ctx, v)).value != v
-            for v in (rng.randrange(ctx.modulus) for _ in range(32))
+            for v in (rng.randrange(ctx.modulus) for _ in range(core.IDENTITY_PROBE_LIMIT))
         ):
             return key
     raise DomainError(f"could not draw a non-identity {family} key")
@@ -343,16 +333,16 @@ def intersection_scan(
         raise DomainError(f"a count of keys cannot be negative, got {n_keys}")
     check_trial_budget(random_trials)
     pairs = n_keys * (ctx.p ** (2 * depth) + random_trials)
-    if pairs > PAIR_BUDGET:
+    if pairs > core.PAIR_BUDGET:
         raise DomainError(f"a scan of {n_keys} keys takes up to {pairs} pairs, "
-                          f"over the budget of {PAIR_BUDGET}")
+                          f"over the budget of {core.PAIR_BUDGET}")
     r = Random(seed)
     proves_membership = depth >= ctx.precision
     reports = []
     draws = 0
     while len(reports) < n_keys:
         draws += 1
-        if draws > 32 + 8 * n_keys:
+        if draws > core.SCAN_DRAW_LIMIT + core.SCAN_DRAWS_PER_KEY * n_keys:
             raise DomainError(
                 f"sampling stalled: {family} keys keep satisfying {second.name}"
             )
@@ -382,11 +372,13 @@ def vdp_coefficient_probe(key: MultiplicativeKey) -> SearchReport:
     """
     if key.family != "multiplicative":
         raise DomainError("the coefficient probe applies to multiplicative keys")
-    _check_table_size(key.ctx, PROBE_LIMIT)
+    check_table_size(key.ctx, core.PROBE_LIMIT)
     return _vdp_probe_table(encryption_table(key), key.A.value, key.s, key.a.value)
 
 
-def _vdp_probe_table(table: ValueTable, A: int, s: int, a: int) -> SearchReport:
+def _vdp_probe_table(table, A: int, s: int, a: int) -> SearchReport:
+    from .lipschitz import NotOneLipschitzError, digit_length, vdp_interpolate
+
     ctx = table.ctx
     p = ctx.p
     series = vdp_interpolate(table)

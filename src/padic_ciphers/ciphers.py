@@ -45,6 +45,7 @@ from functools import cache, cached_property, lru_cache, partial
 from itertools import accumulate, repeat
 from random import Random
 
+from . import core
 from .core import (
     DomainError,
     FormatError,
@@ -53,6 +54,7 @@ from .core import (
     PadicInt,
     Record,
     _is_prime,
+    check_table_size,
     digitwise,
     from_text,
     is_unit,
@@ -428,14 +430,11 @@ _OPERATION = (_dump_operation, _load_operation)
 # power, so no key does work that grows with p.
 
 
-DRAW_BUDGET = 1 << 16  # most digits below p a key draw may enumerate: p - 1 <= this
-
-
 def _check_draw_budget(p: int) -> None:
     """Refuse to enumerate the exponents coprime to p - 1 or the roots of unity."""
-    if p - 1 > DRAW_BUDGET:
+    if p - 1 > core.DRAW_BUDGET:
         raise DomainError(f"a key draw at p = {p} enumerates {p - 1} digits, "
-                          f"over the budget of {DRAW_BUDGET}")
+                          f"over the budget of {core.DRAW_BUDGET}")
 
 
 def _random_unit(ctx: PadicContext, rng: Random) -> PadicInt:
@@ -945,9 +944,7 @@ def encryption_table(key: CipherKey) -> ValueTable:
 def is_identity_key(key: CipherKey) -> bool:
     """True iff the encryption map equals the identity mod p**K (a context
     over the table limit is refused, as ``encryption_table`` refuses it)."""
-    from .lipschitz import _check_table_size
-
-    _check_table_size(key.ctx)
+    check_table_size(key.ctx)
     enc = key.enc_int
     return all(enc(x) == x for x in key.ctx.residues())
 

@@ -41,6 +41,7 @@ from .ciphers import (
     decrypt,
     encrypt,
     encryption_table,
+    identity_only,
     key_from_json,
     key_to_json,
     keygen,
@@ -149,6 +150,9 @@ def _cmd_keygen(args) -> tuple[int, dict]:
         if count is not None and count < 4:  # A = 1 is one of them
             print(f"warning: only {count - 1} non-trivial multiplier(s) commute with "
                   f"{g.name} at p = {ctx.p}; the key space is tiny", file=sys.stderr)
+    if identity_only(ctx, args.family):
+        print(f"warning: the identity is the only {args.family} key at p = {ctx.p}, "
+              f"K = {ctx.precision}", file=sys.stderr)
     key = keygen(ctx, args.family, rng, g=g)
     if not args.out:  # the key itself is the report
         return 0, key_to_json(key)
@@ -237,7 +241,6 @@ def _overall(results: dict) -> tuple[int, dict]:
 
 def _cmd_check(args) -> tuple[int, dict]:
     from .analysis import (
-        PAIR_BUDGET,
         check_pair_budget,
         check_trial_budget,
         homomorphism_test,
@@ -272,7 +275,7 @@ def _cmd_check(args) -> tuple[int, dict]:
     if not args.measure:
         top = args.exhaustive_k
         if top is None:  # levels 1 and 2, as far as the pair budget allows
-            top = next(k for k in (2, 1, 0) if ctx.p ** (2 * k) <= PAIR_BUDGET)
+            top = next(k for k in (2, 1, 0) if ctx.p ** (2 * k) <= core.PAIR_BUDGET)
         top = min(top, ctx.precision)
         check_pair_budget(ctx, top)
         check_trial_budget(args.trials)

@@ -21,9 +21,19 @@ from functools import cache
 from operator import attrgetter
 from typing import Sequence
 
-MAX_PRECISION = 64
-MEASURE_LIMIT = 4096  # largest p^K whose whole map check --key measures and a scan's draw tests
 _set = object.__setattr__  # how a frozen record sets its fields
+# Every bound on the work one input may ask for (PRIME_BOUND is below, by its test).  Each
+# site reads its bound here when it runs, so one value moves every refusal or skip using it.
+MAX_PRECISION = 64  # most digits a context keeps
+MEASURE_LIMIT = 4096  # largest p^K whose whole map check --key measures and a scan's draw tests
+TABLE_LIMIT = 1 << 20  # largest p^K of a value table, series or coordinate form
+PROBE_LIMIT = 1 << 16  # largest p^K whose table the coefficient probe builds
+PAIR_BUDGET = 1 << 24  # most pairs an exhaustive level (p^(2k)), a random phase or a scan tests
+DRAW_BUDGET = 1 << 16  # most digits below p a key draw may enumerate: p - 1 <= this
+MAX_NESTING = 200  # parenthesis and call depth of a formula; the parser recurses per level
+KEY_DRAW_LIMIT = 1000  # most keys a scan draws in search of one that is not the identity
+IDENTITY_PROBE_LIMIT = 32  # most residues a drawn key over MEASURE_LIMIT is tested on
+SCAN_DRAW_LIMIT, SCAN_DRAWS_PER_KEY = 32, 8  # a scan of n keys stalls after 32 + 8 * n draws
 
 
 class PadicError(Exception):
@@ -182,6 +192,13 @@ class PadicContext(Record):
     def residues(self) -> range:
         """All canonical residues, as plain integers."""
         return range(self.modulus)
+
+
+def check_table_size(ctx: PadicContext, limit: int | None = None) -> None:
+    """Refuse a table of p**K entries over limit, TABLE_LIMIT when none is given."""
+    limit = TABLE_LIMIT if limit is None else limit
+    if ctx.modulus > limit:
+        raise DomainError(f"table of size p**K = {ctx.modulus} exceeds the limit {limit}")
 
 
 class PadicInt(Record):

@@ -9,7 +9,7 @@ Grammar (whitespace insensitive)::
 Call names: XOR, AND, G1, G2, G3, G4, GLIN, and STAR as an alias for G1.
 GLIN stands for a linear two-variable map whose coefficients are supplied
 at evaluation time (normally by the key).  Parentheses and calls nest at
-most MAX_NESTING deep; every walk over a parsed tree is iterative, so a
+most core.MAX_NESTING deep; every walk over a parsed tree is iterative, so a
 long flat sum costs no recursion.
 
 A formula built from operations a key respects can be evaluated on
@@ -34,6 +34,7 @@ from .ciphers import (
     encrypt,
     op_apply,
 )
+from . import core
 from .core import (DomainError, FormatError, IncompatibleFormulaError, PadicContext, PadicError,
                    PadicInt, Record, _set)
 
@@ -115,8 +116,6 @@ Node = Var | Lit | App
 _CALL_NAMES = {name: op for name, op in OP_NAMES.items() if op not in (ADD, MUL)}
 _CALL_NAMES["STAR"] = OP_NAMES["G1"]
 
-MAX_NESTING = 200  # parenthesis and call depth; the parser recurses per level
-
 
 # -- lexing / parsing ------------------------------------------------------------
 
@@ -178,9 +177,9 @@ class _Parser:
 
     def expr(self) -> Node:
         # Each parenthesis or call argument is one more level of expr.
-        if self.depth > MAX_NESTING:
+        if self.depth > core.MAX_NESTING:
             raise FormulaSyntaxError(
-                f"nesting deeper than {MAX_NESTING} levels", self.peek()[2]
+                f"nesting deeper than {core.MAX_NESTING} levels", self.peek()[2]
             )
         self.depth += 1
         node = self.term()

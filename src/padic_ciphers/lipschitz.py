@@ -35,25 +35,17 @@ import re
 from random import Random
 from typing import Callable
 
-from .core import DomainError, FormatError, PadicContext, PadicInt, PadicError, Record, from_text
-
-DEFAULT_TABLE_LIMIT = 1 << 20
+from .core import (DomainError, FormatError, PadicContext, PadicInt, PadicError, Record,
+                   check_table_size, from_text)
 
 
 class NotOneLipschitzError(PadicError):
     """A 1-Lipschitz table/series was required."""
 
 
-def _check_table_size(ctx: PadicContext, limit: int = DEFAULT_TABLE_LIMIT) -> None:
-    if ctx.modulus > limit:
-        raise DomainError(
-            f"table of size p**K = {ctx.modulus} exceeds the limit {limit}"
-        )
-
-
 def _check_residues(ctx: PadicContext, values: tuple[int, ...], needs: str, entry: str) -> None:
     """A table or series within the table limit, of p**K residues."""
-    _check_table_size(ctx)
+    check_table_size(ctx)
     if len(values) != ctx.modulus:
         raise DomainError(f"{needs.format(ctx.modulus)}, got {len(values)}")
     for v in values:
@@ -83,7 +75,7 @@ class ValueTable(Record):
 
     @classmethod
     def from_callable(cls, ctx: PadicContext, fn: Callable[[int], int]) -> "ValueTable":
-        _check_table_size(ctx)
+        check_table_size(ctx)
         return cls(ctx, tuple(fn(x) % ctx.modulus for x in ctx.residues()))
 
     def __getitem__(self, x: int) -> int:
@@ -116,7 +108,7 @@ class CoordRep(Record):
     phi: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        _check_table_size(self.ctx)
+        check_table_size(self.ctx)
         if len(self.phi) != self.ctx.precision:
             raise DomainError(
                 f"need {self.ctx.precision} digit functions, got {len(self.phi)}"
@@ -315,7 +307,7 @@ def random_one_lipschitz_table(
     otherwise; bias 1.0 therefore yields exactly the measure-preserving
     tables, while intermediate values mix verdicts.
     """
-    _check_table_size(ctx)
+    check_table_size(ctx)
     p = ctx.p
     alphabet = list(range(p))
     phi = []
@@ -408,7 +400,7 @@ def parse_table_text(text: str) -> ValueTable | VdpSeries:
         ctx = PadicContext(int(head[0]), int(head[1]))
     except (ValueError, DomainError) as exc:
         raise FormatError(f"bad header {line!r}: {exc}") from exc
-    _check_table_size(ctx)
+    check_table_size(ctx)
     entries = _canonical_entries(body, ctx)
     if entries is None:
         lines = [ln.strip() for ln in body.splitlines() if ln.strip()]

@@ -36,6 +36,7 @@ from padic_ciphers.ciphers import (
     op_apply,
 )
 from padic_ciphers.core import (
+    PAIR_BUDGET,
     ContextMismatchError,
     DomainError,
     FormatError,
@@ -240,7 +241,7 @@ def test_search_exhausts_when_no_counterexample():
 def test_level_over_the_pair_budget_is_refused_before_any_work():
     # enc alone would be 7^64 entries: only a refusal up front returns.
     key = keygen(PadicContext(7, 64), "additive", Random(0))
-    assert 7 ** (2 * 4) <= analysis.PAIR_BUDGET < 7 ** (2 * 5)
+    assert 7 ** (2 * 4) <= PAIR_BUDGET < 7 ** (2 * 5)
     with pytest.raises(DomainError, match="over the budget"):
         homomorphism_test(key, ADD, exhaustive_k=64)
     with pytest.raises(DomainError, match="over the budget"):
@@ -254,15 +255,15 @@ def test_level_over_the_pair_budget_is_refused_before_any_work():
 def test_trial_and_key_counts_over_the_pair_budget_are_refused(monkeypatch):
     key = AdditiveKey(C33.integer(13))
     with pytest.raises(DomainError, match="over the budget"):
-        homomorphism_test(key, MUL, trials=analysis.PAIR_BUDGET + 1)
+        homomorphism_test(key, MUL, trials=PAIR_BUDGET + 1)
     # A scan of n keys at (3, 3) counts n * (3^6 + 256) pairs: acceptance
     # criterion 4's 100 keys take 98,500 of them.
     monkeypatch.setattr(analysis, "keygen", None)  # no key may be drawn
-    n = analysis.PAIR_BUDGET // (3**6 + 256) + 1
+    n = PAIR_BUDGET // (3**6 + 256) + 1
     with pytest.raises(DomainError, match="over the budget"):
         intersection_scan(ADD, MUL, C33, n_keys=n)
     with pytest.raises(DomainError, match="over the budget"):
-        intersection_scan(ADD, MUL, C33, n_keys=1, random_trials=analysis.PAIR_BUDGET)
+        intersection_scan(ADD, MUL, C33, n_keys=1, random_trials=PAIR_BUDGET)
 
 
 def test_negative_trial_and_key_counts_are_refused(monkeypatch):

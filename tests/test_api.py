@@ -83,6 +83,22 @@ def test_a_plain_eval_loads_no_scans():
         "cli", "ciphers", "core", "formula"}
 
 
+def test_search_eval_and_demo_read_no_table_so_load_no_lipschitz(tmp_path):
+    """The scans of keys, the law checks of an encrypted evaluation and the
+    test of a drawn key (on all 27 residues at (3,3), on random ones at (3,8))
+    need no value table."""
+    key = str(tmp_path / "k.json")
+    loaded = _loaded_by_commands(
+        ["keygen", "--family", "fhe", "--p", "5", "--precision", "3", "--out", key],
+        ["search", "ADD", "MUL", "--p", "3", "--precision", "3", "--keys", "2"],
+        ["search", "XOR", "AND", "--p", "3", "--precision", "8", "--keys", "1"],
+        ["eval", "--key", key, "--formula", "G1(x, y) + x", "--env", "x=2", "--env", "y=3"],
+        ["demo"],
+    )
+    assert "analysis" in loaded and "formula" in loaded
+    assert "lipschitz" not in loaded
+
+
 def test_every_export_is_the_object_of_its_defining_module():
     for name, where in padic_ciphers._EXPORTS.items():
         module, attr = where if isinstance(where, tuple) else (where, name)
@@ -188,6 +204,33 @@ def test_no_two_functions_in_src_have_the_same_body():
                 bodies.setdefault(tuple(map(ast.dump, body)), []).append(
                     f"{path.name}:{node.lineno} {node.name}")
     assert [names for names in bodies.values() if len(names) > 1] == []
+
+
+def test_every_bound_on_work_is_defined_in_core():
+    """No module under src/ but core defines a module-level constant named
+    MAX_*, *_LIMIT or *_BUDGET, so each bound has one value to read and patch."""
+    bounds = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for name, node in _defined_names(ast.parse(path.read_text())):
+            bare = name.lstrip("_")
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and (
+                    bare.startswith("MAX_") or bare.endswith(("_LIMIT", "_BUDGET"))):
+                bounds.append(f"{path.name} {name}")
+    assert bounds == []
+
+
+def test_no_module_imports_a_private_name_but_from_core():
+    """A module under src/ reads a private name of another module only from
+    core, the one module every layer shares."""
+    imports = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module != "core":
+                imports += [f"{path.name}:{node.lineno} {alias.name}" for alias in node.names
+                            if alias.name.startswith("_")]
+    assert imports == []
 
 
 def _message_template(node: ast.expr) -> tuple | None:

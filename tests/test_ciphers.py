@@ -10,7 +10,6 @@ from padic_ciphers.analysis import vdp_coefficient_probe
 from padic_ciphers.ciphers import (
     ADD,
     AND,
-    DRAW_BUDGET,
     FAMILIES,
     G_CHOICES,
     OP_NAMES,
@@ -45,6 +44,7 @@ from padic_ciphers.ciphers import (
     roots_of_unity,
 )
 from padic_ciphers.core import (
+    DRAW_BUDGET,
     DomainError,
     FormatError,
     PadicContext,

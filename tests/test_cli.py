@@ -100,6 +100,25 @@ def test_keygen_thin_fhe_keyspace_transcript(capsys, p, g):
     assert (code, err) == THIN_KEYGEN[p, g]
 
 
+@pytest.mark.parametrize("family, p, K, warned", [
+    ("and", 2, 5, True), ("and", 3, 4, True), ("and", 5, 4, False),
+    ("additive", 2, 1, True), ("additive", 2, 2, False), ("xor", 2, 1, True),
+    ("multiplicative", 3, 1, True), ("multiplicative", 3, 2, False), ("xor", 3, 1, False),
+])
+def test_keygen_warns_when_the_identity_is_the_only_key(capsys, family, p, K, warned):
+    """The warning goes to stderr alone: the key on stdout and exit 0 stay
+    those of the library's keygen, which returns the identity there."""
+    code, out, err = run(capsys, "keygen", "--family", family, "--p", str(p),
+                         "--precision", str(K), "--seed", "4")
+    assert code == 0
+    assert err == (f"warning: the identity is the only {family} key at p = {p}, K = {K}\n"
+                   if warned else "")
+    key = keygen(PadicContext(p, K), family, Random(4))
+    assert json.loads(out) == key_to_json(key)
+    if warned:
+        assert all(key.enc_int(x) == x for x in key.ctx.residues())
+
+
 GLIN_GRID = [(p, K, seed) for p, K in ((5, 3), (7, 3), (13, 2)) for seed in (0, 1, 11)]
 
 
@@ -886,7 +905,7 @@ def _transcript() -> list[tuple[str, ...]]:
     return commands
 
 
-TRANSCRIPT_DIGEST = "985557f6025e06111a5928ad3ff6bd1e0a57b13482eb4856f15665f2997ce0ed"
+TRANSCRIPT_DIGEST = "0fce620fcff0aad9591dcd4f191903480a4ee73a7f11fd24d964f246ad2c972b"
 
 
 def test_cli_transcript_is_pinned(tmp_path, monkeypatch, capsys):

@@ -23,7 +23,7 @@ from padic_ciphers.ciphers import (
     keygen,
     op_apply,
 )
-from padic_ciphers.core import ContextMismatchError, DomainError, PadicContext, PadicInt
+from padic_ciphers.core import MAX_NESTING, ContextMismatchError, DomainError, PadicContext, PadicInt
 from padic_ciphers.formula import (
     App,
     ArityError,
@@ -31,7 +31,6 @@ from padic_ciphers.formula import (
     FormulaSyntaxError,
     IncompatibleFormulaError,
     Lit,
-    MAX_NESTING,
     UnboundVariableError,
     UnknownOperationError,
     Var,
