@@ -85,7 +85,8 @@ class Operation:
     """A named two-argument operation on residues mod p^k.
 
     A subclass states ``pair`` or ``kernel``, or both where deriving either
-    costs time (MUL).  An Operation stating neither is a name alone: GLIN.
+    costs time (MUL, G1-G4).  An Operation stating neither is a name alone:
+    GLIN.
     """
 
     coefficients = ()
@@ -160,6 +161,9 @@ class G1(GOperation):
 
     name = "G1"
 
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return x * pow(y, p - 1, m) % m
+
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
         yy = pow(y, p - 1, m)
         return [x * yy % m for x in xs]
@@ -169,6 +173,9 @@ class G2(GOperation):
     """G(x, y) = x**(p-1) * y + x * y**(p-1)."""
 
     name = "G2"
+
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return (pow(x, p - 1, m) * y + x * pow(y, p - 1, m)) % m
 
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
         yy = pow(y, p - 1, m)
@@ -185,6 +192,9 @@ class G3(GOperation):
             raise DomainError("this operation needs an odd p (exponent (p-1)/2)")
         return (p - 1) // 2
 
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return pow(x * y, self.degree(p), m)
+
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
         e = self.degree(p)
         yy = pow(y, e, m)
@@ -197,12 +207,17 @@ class G4(GOperation):
 
     name = "G4"
 
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        def half(v: int) -> int:  # v/(1 - p v^(p-1)); the divisor is 1 mod p
-            return v * pow(1 - p * pow(v, p - 1, m), -1, m)
+    @staticmethod
+    def half(v: int, p: int, m: int) -> int:
+        """v/(1 - p v^(p-1)) mod m; the divisor is 1 mod p."""
+        return v * pow(1 - p * pow(v, p - 1, m), -1, m)
 
-        hy = half(y)
-        return [(half(x) + hy) % m for x in xs]
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return (self.half(x, p, m) + self.half(y, p, m)) % m
+
+    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
+        half, hy = self.half, self.half(y, p, m)
+        return [(half(x, p, m) + hy) % m for x in xs]
 
 
 class SeriesG(GOperation):
@@ -541,8 +556,12 @@ class MultiplicativeKey(Record):
 #   (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92): while
 #   v = 1 mod p^i, digits i..i+h-1 of v name the next block x of L; v times
 #   g^(-x p^(i-1)) clears them, and the answer gains the factor
-#   g^(b x p^(i-1)).  A call takes ceil((K-k-1)/h) such steps of two lookups
-#   and two products mod M, where a power squares once per bit of e.
+#   g^(b x p^(i-1)).  It stops once v = 1 mod p^j with 4j >= K-k, after
+#   ceil((ceil((K-k)/4) - 1)/h) such steps of two lookups and two products
+#   mod M, and a binomial tail finishes exactly: with z = v - 1, p^j divides
+#   z, so (1 + z)^b = 1 + C(b,1) z + C(b,2) z^2 + C(b,3) z^3 mod M for any
+#   integer b >= 0, three Horner products (``_TAIL_ORDER``).  A modular
+#   power squares once per bit of e instead.
 # * ``_PowKernel``, from p = 11 on, so that no table grows with p: the
 #   principal units mod M form a group of order p^(K-k-1), so b acts through
 #   e = b mod p^(K-k-1).  Since <u>^e = u^e w(t)^-e, w is multiplicative and
@@ -550,9 +569,9 @@ class MultiplicativeKey(Record):
 #   w(t^((sigma - e) mod (p-1))) u^e mod M.
 #
 # The gate is p alone, the smallest precisions included: from (3,5) to (7,5)
-# a call through the log takes 0.79-0.93 of the power's time, and a key's two
-# directions take 0.01-0.03 ms more to build (2-CPU machine, best of 9, on a
-# mix of every valuation).  On the benchmark's laws and cli workloads, whose
+# a call through the log takes 0.75-1.0 of the power's time, and at (3,64)
+# and (7,64) 0.2-0.3 of it (2-CPU machine, best of 9, on a mix of every
+# valuation).  On the benchmark's laws and cli workloads, whose
 # keys live at (3,5), (5,3), (7,3) and (3,6), ten alternating pairs read the
 # same rate with these precisions on the log as with them on the power
 # (BENCH_21.json: 0.998 and 0.997 of it, inside the quartiles).
@@ -589,35 +608,37 @@ class _PowKernel:
 @cache
 def _log_tables(p: int, K: int, h: int) -> tuple[list, list[int]]:
     """The key-free half of the block log mod p^K, shared by every key at
-    (p, K): for each block of digits i..i+h-1, i = 1, 1+h, ... < K, the
-    triple (p^i, logs, clears), where the power g^(x p^(i-1)) with digits d
-    at i..i+h-1 has logs[d] = x and clears[d] = g^(-x p^(i-1)) mod p^K; and
-    the Teichmuller lifts w(t), t < p.  The powers are read mod p^(K+h), so a
-    block that runs past digit K-1 still tells its p^h values apart.  Only
-    p = 3, 5, 7 come here, so 192 contexts at most."""
-    m, top, q = p**K, p ** (K + h), p**h
+    (p, K): for each block of digits i..i+h-1, i = 1, 1+h, ... < ceil(K/4),
+    the triple (p^i, logs, clears), where the power g^(x p^(i-1)) with digits
+    d at i..i+h-1 has logs[d] = x and clears[d] = g^(-x p^(i-1)) mod p^K; and
+    the Teichmuller lifts w(t), t < p.  Every block lies below digit K, so
+    its p^h powers differ there.  Only p = 3, 5, 7 come here, so 192
+    contexts at most."""
+    m, q = p**K, p**h
     blocks, base = [], 1 + p  # base = g^(p^(i-1))
-    for i in range(1, K, h):
+    for i in range(1, -(-K // (_TAIL_ORDER + 1)), h):
         pi, logs, clears = p**i, [0] * q, [0] * q
-        power, inverse, base_inv = 1, 1, pow(base, -1, top)
+        power, inverse, base_inv = 1, 1, pow(base, -1, m)
         for x in range(q):
             d = power // pi % q
-            logs[d], clears[d] = x, inverse % m
-            power, inverse = power * base % top, inverse * base_inv % top
+            logs[d], clears[d] = x, inverse
+            power, inverse = power * base % m, inverse * base_inv % m
         blocks.append((pi, logs, clears))
         base = power
     return blocks, [pow(t, p ** (K - 1), m) for t in range(p)]
 
 
 class _LogKernel:
-    """u -> w(t)^sigma <u>^b through the block log (see above).
+    """u -> w(t)^sigma <u>^b through the block log and a binomial tail (see
+    above).
 
     Beside the shared ``_log_tables`` a kernel holds its own row per block,
     row[d] = g^(b x p^(i-1)) mod p^K for x = logs[d], built by running
-    products, and two lists over the first digit: w(t)^-1 = w(t^(p-2)) and
-    w(t)^sigma = w(t^sigma).  A level k < K reads the first ceil((K-k-1)/h)
-    blocks.  The first product is left unreduced: the digits of a block read
-    past digit K-k-1 only pick another x that serves mod M as well.
+    products; two lists over the first digit: w(t)^-1 = w(t^(p-2)) and
+    w(t)^sigma = w(t^sigma); and per level the tail's coefficients
+    c_n = C(b, n), n = 1..3.  A level k < K reads the first
+    ceil((ceil((K-k)/4) - 1)/h) blocks.  The first product is left
+    unreduced: the blocks read only digits below K-k.
     """
 
     def __init__(self, ctx: PadicContext, h: int, b: int, sigma: int, shifts, leads) -> None:
@@ -631,14 +652,21 @@ class _LogKernel:
             power = row[-1]
         self.unlift = [lifts[pow(t, p - 2, p)] for t in range(p)]
         self.first = [lifts[pow(t, sigma, p)] for t in range(p)]
-        self.levels = {p**k: (p ** (K - k), shift, lead, steps[:(K - k + h - 2) // h])
-                       for k, shift, lead in zip(range(K), shifts, leads)}
+        c1, c2, c3 = (math.comb(b, i) for i in range(1, _TAIL_ORDER + 1))
+        pw = _powers(p, K + 1, m * p)
+        self.levels = {}  # p^k -> (M, shift_k, lead_k, c_1, c_2, c_3, the blocks read)
+        for k, shift, lead in zip(range(K), shifts, leads):
+            e = K - k
+            n = (-(-e // (_TAIL_ORDER + 1)) + h - 2) // h  # blocks read, after which p^j | z
+            j = 1 + n * h  # p^(ij) divides z^i, so c_i counts only mod p^(e-ij)
+            self.levels[pw[k]] = (pw[e], shift, lead, c1 % pw[e], c2 % pw[max(e - 2 * j, 0)],
+                                  c3 % pw[max(e - 3 * j, 0)], steps[:n])
 
     def apply(self, x: int) -> int:
         if x == 0:
             return 0
         q = math.gcd(x, self.modulus)
-        M, shift, lead, steps = self.levels[q]
+        M, shift, lead, c1, c2, c3, steps = self.levels[q]
         u = x // q * shift % M
         t, Q = u % self.p, self.q
         v, acc = u * self.unlift[t], lead * self.first[t]
@@ -646,7 +674,8 @@ class _LogKernel:
             d = v // pi % Q
             v = v * clears[d] % M
             acc = acc * row[d] % M
-        return acc % M * q
+        z = v - 1  # p^j divides z and 4j >= K-k, so (1 + z)^b = 1 + c_1 z + c_2 z^2 + c_3 z^3
+        return acc * (1 + z * (c1 + z * (c2 + z * c3))) % M * q
 
 
 def _multiplicative_kernel(ctx: PadicContext, b: int, sigma: int, shift: int,
@@ -713,6 +742,12 @@ def _inverse_rows(rows: tuple[tuple[int, ...], ...], p: int) -> tuple[tuple[int,
 # The multiplicative block log reads its discrete log in the same blocks.
 
 _BLOCK_DIGITS = {2: 6, 3: 3, 5: 2, 7: 2}  # p -> h
+
+# The block log stops once v = 1 mod p^j with (_TAIL_ORDER + 1) j >= K-k, and
+# the terms of (1 + z)^b up to z^_TAIL_ORDER finish it exactly.  Order 3 reads
+# about a quarter of the blocks.  A fourth term costs a product on every call
+# and saves a block only at some precisions, none at K = 16.
+_TAIL_ORDER = 3
 
 
 @cache

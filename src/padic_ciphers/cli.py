@@ -307,7 +307,7 @@ def _check_text(r: dict, args) -> str:
         lines = [f"key: {r['family']} p={r['p']} K={r['precision']}"]
     m = r.get("measure")
     if m == "skipped":
-        lines.append(f"measure: skipped (p^K exceeds the table limit of {core.MEASURE_LIMIT})")
+        lines.append(f"measure: skipped (p^K exceeds the measure limit of {core.MEASURE_LIMIT})")
     elif m:
         lines.append(f"measure: bruteforce={_yn(m['bruteforce'])} "
                      f"vdp={_yn(m['vdp'])} coordinate={_yn(m['coordinate'])}")

@@ -258,6 +258,26 @@ def test_g4_matches_truncated_series():
             assert closed == series
 
 
+def test_g1_to_g4_state_their_own_pair():
+    """Each writes its closed form for one pair, which the formula passes call
+    at every G node, not a one-entry row of its kernel."""
+    for op in (G1, G2, G3, G4):
+        assert "pair" in vars(op) and "kernel" in vars(op), op.name
+
+
+@pytest.mark.parametrize("p,K", ((3, 3), (5, 2), (7, 2)))
+def test_g1_to_g4_pair_is_the_entry_of_the_kernel_row(p, K):
+    m, top, rng = p**K, p**64, Random(p)
+    for op in (G1(), G2(), G3(), G4()):
+        for y in range(m):
+            assert [op.pair(x, y, p, m) for x in range(m)] == op.kernel(range(m), y, p, m)
+        for _ in range(100):  # full precision
+            x, y = rng.randrange(top), rng.randrange(top)
+            assert op.pair(x, y, p, top) == op.kernel((x,), y, p, top)[0], (op, x, y)
+    with pytest.raises(DomainError, match=r"needs an odd p"):
+        G3().pair(1, 1, 2, 8)
+
+
 def test_series_g_validation_and_eval():
     terms = (((1, 1), C52.integer(2)),)
     op = SeriesG(C52.integer(0), C52.one, C52.one, terms)

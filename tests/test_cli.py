@@ -465,7 +465,7 @@ def test_skipped_measure_names_the_limit_not_the_modulus(tmp_path, capsys):
         "--seed", "7", "--out", str(path))
     code, out, err = run(capsys, "check", "--key", str(path), "--measure")
     assert code == 0
-    assert "measure: skipped (p^K exceeds the table limit of 4096)\n" in out
+    assert "measure: skipped (p^K exceeds the measure limit of 4096)\n" in out
     code, out, err = run(capsys, "check", "--key", str(path), "--measure", "--json")
     assert code == 0
     assert json.loads(out)["measure"] == "skipped"
@@ -483,7 +483,7 @@ def test_one_measure_limit_moves_check_and_the_scans_exhaustive_key_test(
         "--seed", "1", "--out", str(path))
     code, out, err = run(capsys, "check", "--key", str(path), "--measure")
     assert code == 0
-    skipped = f"measure: skipped (p^K exceeds the table limit of {limit})\n"
+    skipped = f"measure: skipped (p^K exceeds the measure limit of {limit})\n"
     assert (skipped in out) == (not measured)
     assert ("measure: bruteforce=yes vdp=yes coordinate=yes\n" in out) == measured
     tested = []
@@ -745,7 +745,7 @@ GOLDEN = {
         "overall: fail\n")),
     "check-measure-skipped": (("check", "--key", "a.key"), 0, (
         "key: additive p=5 K=16\n"
-        "measure: skipped (p^K exceeds the table limit of 4096)\n"
+        "measure: skipped (p^K exceeds the measure limit of 4096)\n"
         "law ADD exhaustive:k=1: pass (25 pairs)\n"
         "law ADD exhaustive:k=2: pass (625 pairs)\n"
         "law ADD random:K=16: pass (512 pairs)\n"

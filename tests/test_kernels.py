@@ -465,8 +465,9 @@ def test_log_tables_stay_small_and_large_primes_build_none():
             for kernel in (key.enc_int.__self__, key.dec_int.__self__):  # level 0 reads every block
                 assert isinstance(kernel, ciphers._LogKernel)
                 rows = [row for _, _, row in kernel.levels[1][-1]]
-                assert len(rows) == math.ceil((K - 1) / h)
-                assert sum(map(len, rows)) <= math.ceil((K - 1) / h) * p**h
+                blocks = math.ceil((math.ceil(K / 4) - 1) / h)
+                assert len(rows) == blocks
+                assert sum(map(len, rows)) <= blocks * p**h
     # one log half per context, which every key there shares
     contexts = 64 * len(LOG_DIGITS)
     assert ciphers._log_tables.cache_info().currsize == contexts
@@ -483,6 +484,53 @@ def test_log_tables_stay_small_and_large_primes_build_none():
             assert isinstance(kernel, ciphers._PowKernel)
             assert kernel.lift.cache_info().maxsize == ciphers._LIFTS_KEPT
     assert ciphers._log_tables.cache_info().currsize == contexts
+
+
+# The block log stops once v = 1 mod p^j with 4j >= K-k, and the binomial
+# tail 1 + C(b,1) z + C(b,2) z^2 + C(b,3) z^3, z = v - 1, finishes it.  Every
+# K in 1..64 and every level k give every e = K - k, so every e at which
+# ceil(e/4) - 1 crosses a multiple of h and the level reads one block more.
+
+
+def _plain_unit_map(ctx: PadicContext, x: int, b: int, sigma: int, shift: int,
+                    lead: int) -> int:
+    """p^k lead^k w(t)^sigma <v>^b mod p^K for x = p^k u, v = shift^k u mod
+    p^(K-k) and t = v mod p, by plain modular powers."""
+    p, K = ctx.p, ctx.precision
+    k = valuation(PadicInt(ctx, x))
+    M = p ** (K - k)
+    v = x // p**k * pow(shift, k, M) % M
+    w = pow(v % p, p ** (K - 1), M)
+    principal = v * pow(w, -1, M) % M
+    return pow(lead, k, M) * pow(w, sigma, M) * pow(principal, b, M) % M * p**k
+
+
+@pytest.mark.parametrize("p", sorted(LOG_DIGITS))
+def test_the_tail_kernel_matches_plain_powers_at_every_precision_and_level(p):
+    h, rng = LOG_DIGITS[p], Random(p)
+    blocks_read = set()
+    for K in range(1, 65):
+        ctx = PadicContext(p, K)
+        m = ctx.modulus
+        exponents = {1, p ** (K - 1) - 1, ciphers._random_unit(ctx, rng).value} - {0}
+        for b in sorted(exponents):  # p^(K-1) - 1 is no unit at K = 1
+            key = MultiplicativeKey(ciphers._random_unit(ctx, rng),
+                                    rng.choice(ciphers._coprime_exponents(p)), PadicInt(ctx, b))
+            A, s = key.A.value, key.s
+            enc = (b, s, 1, A)
+            dec = (pow(b, -1, p ** (K - 1)), pow(s, -1, p - 1), pow(A, -1, m), 1)
+            for k in range(K):
+                M = p ** (K - k)
+                blocks_read.add((K - k, len(key.enc_int.__self__.levels[p**k][-1])))
+                for u in (1, M - 1, rng.randrange(M // p) * p + rng.randrange(1, p)):
+                    x = u * p**k
+                    y = key.enc_int(x)
+                    assert y == _plain_unit_map(ctx, x, *enc)
+                    assert key.dec_int(y) == x
+                    assert key.dec_int(x) == _plain_unit_map(ctx, x, *dec)
+    # each e reads ceil((ceil(e/4) - 1)/h) blocks, so 4j >= e with j = 1 + h n
+    assert blocks_read == {(e, math.ceil((math.ceil(e / 4) - 1) / h)) for e in range(1, 65)}
+    assert all(4 * (1 + h * n) >= e > 4 * (1 + h * (n - 1)) for e, n in blocks_read if n)
 
 
 def test_a_key_at_a_61_bit_prime_keeps_a_bounded_number_of_lifts():
