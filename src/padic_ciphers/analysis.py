@@ -18,7 +18,8 @@ of the encryption values through row f(y), and the first differing x is
 looked up only on a mismatch.  Levels of at most 256 residues read their
 rows from a cached table of bytes, and each gather there is one
 ``bytes.translate``; larger levels build each row when it is needed, so no
-level holds p^(2k) entries.  Each operation has one integer kernel
+level holds p^(2k) entries, and each gather there is one
+``operator.itemgetter`` call.  Each operation has one integer kernel
 (``ciphers.Operation``): rows of MUL and of every G come from ``op.kernel``,
 and random pairs from ``op.pair``.  Two rows are built faster from their
 structure: ADD rows are slices of a doubled ramp, and XOR/AND rows join
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
+from operator import itemgetter
 from random import Random
 
 from .ciphers import (  # ADD, MUL, XOR and AND are re-exported
@@ -204,27 +206,26 @@ def homomorphism_test(
         enc = [f(v) % m for v in range(m)]
         # Row y holds op(x, y) for every x, so f(op(x, y)) for all x is one
         # gather through enc, and op(f(x), f(y)) one gather through row f(y).
-        ys = range(m)
         if m <= TABLE_RESIDUES:  # byte rows: each gather is one translate
             enc_bytes, pad = bytes(enc), bytes(256 - m)
             enc_tab = enc_bytes + pad
-            bad = next((y for y in ys if row(y).translate(enc_tab)
-                        != enc_bytes.translate(row(enc[y]) + pad)), None)
-            ys = () if bad is None else (bad,)
-        for y in ys:
-            lhs = [enc[z] for z in row(y)]
-            image = row(enc[y])
-            rhs = [image[e] for e in enc]
-            if lhs != rhs:
-                x = next(x for x in range(m) if lhs[x] != rhs[x])
-                return SearchReport(
-                    "counterexample",
-                    (x, y),
-                    y * m + x + 1,
-                    mode,
-                    {"level": k, "lhs": lhs[x], "rhs": rhs[x]},
-                )
-        return SearchReport("pass", None, m * m, mode)
+            y = next((y for y in range(m) if row(y).translate(enc_tab)
+                      != enc_bytes.translate(row(enc[y]) + pad)), None)
+        else:  # rows of ints: each gather is one itemgetter call
+            gather = itemgetter(*enc)
+            y = next((y for y in range(m) if itemgetter(*row(y))(enc)
+                      != gather(row(enc[y]))), None)
+        if y is None:
+            return SearchReport("pass", None, m * m, mode)
+        # Only the first mismatching row is gathered entry by entry, for x.
+        lhs = [enc[z] for z in row(y)]
+        image = row(enc[y])
+        rhs = [image[e] for e in enc]
+        x = next(x for x in range(m) if lhs[x] != rhs[x])
+        return SearchReport(
+            "counterexample", (x, y), y * m + x + 1, mode,
+            {"level": k, "lhs": lhs[x], "rhs": rhs[x]},
+        )
     check_trial_budget(trials)
     r = rng if rng is not None else Random(seed)
     mode = f"random:K={ctx.precision}"

@@ -304,7 +304,9 @@ def vars_used(node: Node | list) -> frozenset[str]:
 
 
 def ops_used(node: Node | list) -> frozenset[Operation]:
-    return frozenset(n for n in _tape(node) if isinstance(n, Operation))
+    # Operation.__instancecheck__ is isinstance(n, Operation) as a C function:
+    # the filter runs no Python code per node.
+    return frozenset(filter(Operation.__instancecheck__, _tape(node)))
 
 
 def _run(tape: list, ctx: PadicContext | None, names: dict, enc, linear_g, leaf) -> PadicInt:

@@ -23,15 +23,28 @@ level n of a table is the block of residues [p^n, p^(n+1)), compared with
 the level below as whole slices (the 1-Lipschitz check compares each block
 values[i:i+p^n] with values[:p^n] mod p^n), the series criterion reads level
 k's band as B[p^k:p^(k+1)][m::p^k], and a coordinate sub-function is
-phi_k[prefix::p^k].  The table text writes each canonical entry line from
-the digit texts of the residue's low and high halves, built once per call,
-and reads p^K lines in that exact spelling back in one pass through the
-same halves; any other text goes to ``core.from_text`` line by line.
+phi_k[prefix::p^k].  A criterion decides a level with builtin passes over
+whole slices (a set of the level's values, or of keys that make each
+column's or sub-function's values distinct), and walks entries one at a
+time only to name the first bad one or, in the series criterion, to keep
+the order in which it raises or returns False.
+
+The table text writes each canonical entry line from the digit texts of the
+residue's low and high halves, built once per call, and reads p^K lines in
+that exact spelling back in one pass through the same halves.  For p <= 10
+every digit is one character, so every canonical line has one width and the
+body is read as fixed-width ``struct`` records, a chunk of lines encoded at
+a time; for p >= 11 a digit may take two characters, and a regular
+expression finds each line's halves.  Any other text goes to
+``core.from_text`` line by line.
 """
 
 from __future__ import annotations
 
 import re
+import struct
+from itertools import chain
+from operator import add
 from random import Random
 from typing import Callable
 
@@ -48,9 +61,9 @@ def _check_residues(ctx: PadicContext, values: tuple[int, ...], needs: str, entr
     check_table_size(ctx)
     if len(values) != ctx.modulus:
         raise DomainError(f"{needs.format(ctx.modulus)}, got {len(values)}")
-    for v in values:
-        if not 0 <= v < ctx.modulus:
-            raise DomainError(f"{entry} {v} out of range")
+    if min(values) < 0 or max(values) >= ctx.modulus:
+        v = next(v for v in values if not 0 <= v < ctx.modulus)
+        raise DomainError(f"{entry} {v} out of range")
 
 
 def digit_length(m: int, p: int) -> int:
@@ -116,9 +129,9 @@ class CoordRep(Record):
         for k, row in enumerate(self.phi):
             if len(row) != self.ctx.p ** (k + 1):
                 raise DomainError(f"phi_{k} needs {self.ctx.p ** (k + 1)} entries")
-            for v in row:
-                if not 0 <= v < self.ctx.p:
-                    raise DomainError(f"phi_{k} value {v} is not a digit")
+            if min(row) < 0 or max(row) >= self.ctx.p:
+                v = next(v for v in row if not 0 <= v < self.ctx.p)
+                raise DomainError(f"phi_{k} value {v} is not a digit")
 
 
 # -- indicator basis ----------------------------------------------------------
@@ -213,7 +226,7 @@ def coord_from_table(table: ValueTable) -> CoordRep:
     pk = 1
     for k in range(ctx.precision):
         pk1 = pk * p
-        phi.append(tuple(v // pk % p for v in table.values[:pk1]))
+        phi.append(tuple([v // pk % p for v in table.values[:pk1]]))
         pk = pk1
     return CoordRep(ctx, tuple(phi))
 
@@ -231,13 +244,37 @@ def table_from_coord(coord: CoordRep) -> ValueTable:
 
 # -- measure preservation --------------------------------------------------------
 
+_BLOCK_KEYS = 4096  # keys _columns_distinct holds at once
+
+
+def _columns_distinct(digits: list[int] | tuple[int, ...], pk: int, p: int) -> bool:
+    """Whether every column m, the entries digits[m::pk], holds distinct digits
+    (each below p).  A block of w columns is decided by one set: its keys
+    m * p + digit, m counted from the block's first column, are distinct
+    exactly when its columns are.  w is a power of p, so blocks tile the
+    columns, and a block holds at most _BLOCK_KEYS keys unless one column does."""
+    rows = len(digits) // pk
+    width = pk
+    while width > 1 and width * rows > _BLOCK_KEYS:
+        width //= p
+    offsets = [*range(0, width * p, p)] * rows
+    for a in range(0, pk, width):
+        block = []
+        for r in range(a, len(digits), pk):
+            block += digits[r:r + width]
+        if len(set(map(add, offsets, block))) != len(block):
+            return False
+    return True
+
 
 def check_measure_bruteforce(table: ValueTable) -> bool:
     """Bijectivity of every reduction mod p^k, k = 1..K (input must be 1-Lipschitz)."""
-    ctx = table.ctx
-    for k in range(1, ctx.precision + 1):
+    ctx, values = table.ctx, table.values
+    if len(set(values)) != ctx.modulus:  # level K: the entries are residues already
+        return False
+    for k in range(1, ctx.precision):
         pk = ctx.p**k
-        if len({v % pk for v in table.values[:pk]}) != pk:
+        if len({v % pk for v in values[:pk]}) != pk:
             return False
     return True
 
@@ -265,19 +302,20 @@ def check_measure_vdp(series: VdpSeries, min_level: int = 1) -> bool:
         pk = p**k
         # Level k's band: b_(m + i p^k) for i = 1..p-1 is band[m::pk][i - 1].
         band = B[pk:pk * p]
-        columns = range(pk)
-        bad = [j for j, c in enumerate(band) if c % pk]
-        if bad:
-            # The first coefficient b() would reject, visiting m then i:
-            # columns before it are still checked, and may return False first.
-            first = min(bad, key=lambda j: (j % pk, j))
-            columns = range(first % pk)
         b = [c // pk % p for c in band]
-        for m in columns:
+        if {c % pk for c in band} == {0}:
+            # No b() can raise: the level holds exactly when every column
+            # holds p - 1 distinct nonzero digits.
+            if 0 in b or not _columns_distinct(b, pk, p):
+                return False
+            continue
+        # The first coefficient b() would reject, visiting m then i: columns
+        # before it are still checked, and may return False first.
+        first = min((j for j, c in enumerate(band) if c % pk), key=lambda j: (j % pk, j))
+        for m in range(first % pk):
             if set(b[m::pk]) != nonzero:
                 return False
-        if bad:
-            series.b(pk + first)  # raises NotOneLipschitzError
+        series.b(pk + first)  # raises NotOneLipschitzError
     return True
 
 
@@ -286,9 +324,8 @@ def check_measure_coord(coord: CoordRep) -> bool:
     p = coord.ctx.p
     pk = 1
     for row in coord.phi:  # the sub-function of phi_k at a prefix is row[prefix::pk]
-        for prefix in range(pk):
-            if len(set(row[prefix::pk])) != p:
-                return False
+        if not _columns_distinct(row, pk, p):  # p distinct digits are all p of them
+            return False
         pk *= p
     return True
 
@@ -365,17 +402,37 @@ def serialize_table_text(obj: ValueTable | VdpSeries) -> str:
 
 def _canonical_entries(body: str, ctx: PadicContext) -> list[int] | None:
     """The values of a body of exactly p**K canonical lines, each ending in a
-    newline, read in one pass through ``_half_texts``; None for any other body."""
+    newline, read in one pass through ``_half_texts``; None for any other body.
+
+    For p <= 10 every digit is one character, so every canonical line has the
+    same width: the body is read as fixed-width records of a low and a high
+    half, encoded p**(K-h) lines at a time.  For p >= 11 a regular
+    expression finds the halves of each line."""
     p, K, n = ctx.p, ctx.precision, ctx.modulus
     if body.count("\n") != n or not body.endswith("\n"):
         return None
     h, low, high = _half_texts(p, K)
-    low = {t: v for v, t in enumerate(low)}
-    high = {t: v * p**h for v, t in enumerate(high)}
-    # A match spans one whole line, so n matches cover all n lines.
-    lines = re.finditer(rf"^{p}:{K}:((?:[^,\n]*,){{{h}}})([^\n]*)\n", body, re.M)
+    prefix, ph = f"{p}:{K}:", p**h
+    if p > 10:
+        low = {t: v for v, t in enumerate(low)}
+        high = {t: v * ph for v, t in enumerate(high)}
+        # A match spans one whole line, so n matches cover all n lines.
+        halves = map(re.Match.groups, re.finditer(
+            rf"^{prefix}((?:[^,\n]*,){{{h}}})([^\n]*)\n", body, re.M))
+    else:
+        # A record is one line when its halves are canonical, for the high
+        # half ends in the line's only newline: n records cover all n lines.
+        width = len(prefix) + 2 * K
+        if len(body) != n * width or not body.isascii():
+            return None
+        low = {(prefix + t).encode(): v for v, t in enumerate(low)}
+        high = {(t + "\n").encode(): v * ph for v, t in enumerate(high)}
+        records = struct.Struct(f"{len(prefix) + 2 * h}s{2 * (K - h)}s").iter_unpack
+        step = width * len(high)
+        halves = chain.from_iterable(records(body[i:i + step].encode())
+                                     for i in range(0, len(body), step))
     try:
-        entries = [low[m[1]] + high[m[2]] for m in lines]
+        entries = [low[a] + high[b] for a, b in halves]
     except KeyError:
         return None
     return entries if len(entries) == n else None

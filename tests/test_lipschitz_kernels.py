@@ -11,10 +11,11 @@ exception with the identical message.
 
 from __future__ import annotations
 
+import tracemalloc
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padic_ciphers.ciphers import FAMILIES, encryption_table, keygen
@@ -313,6 +314,29 @@ def test_coordinate_criterion_sees_each_single_broken_subfunction(p, K):
             assert check_measure_coord(one_broken) is ref_check_measure_coord(one_broken) is False
 
 
+# Levels of more than 4096 digits, which the criteria decide a block of
+# columns at a time: one sub-function or band column broken in the first or
+# the last block.
+@pytest.mark.parametrize("p,K", [(2, 13), (3, 9)])
+def test_measure_criteria_match_the_reference_across_blocks(p, K):
+    ctx = PadicContext(p, K)
+    table = random_one_lipschitz_table(ctx, Random(K), 1.0)
+    coord, series = coord_from_table(table), vdp_interpolate(table)
+    assert check_measure_coord(coord) and check_measure_vdp(series)
+    pk = p ** (K - 1)
+    for column in (0, pk - 1):
+        row = list(coord.phi[-1])
+        row[column + pk] = row[column]
+        broken = CoordRep(ctx, coord.phi[:-1] + (tuple(row),))
+        assert check_measure_coord(broken) is ref_check_measure_coord(broken) is False
+        zero, repeat = list(series.B), list(series.B)
+        zero[pk + column] = 0  # b = 0: divisible, but not a nonzero residue
+        repeat[pk + column] = repeat[pk + column + pk] if p > 2 else 0
+        for B in (zero, repeat):
+            s = VdpSeries(ctx, tuple(B))
+            assert check_measure_vdp(s) is ref_check_measure_vdp(s) is False, column
+
+
 def test_measure_vdp_min_level_below_one_is_refused():
     series = vdp_interpolate(random_one_lipschitz_table(PadicContext(3, 2), Random(1)))
     assert outcome(check_measure_vdp, series, 0) == outcome(ref_check_measure_vdp, series, 0)
@@ -346,6 +370,8 @@ def near_canonical(text: str, p: int, K: int) -> list[tuple[str, str]]:
             [prefix + "0" + lines[0][len(prefix):]] + lines[1:]) + "\n"),
         ("digit p", head + "\n" + "\n".join(
             [prefix + ",".join([str(p)] + ["0"] * (K - 1))] + lines[1:]) + "\n"),
+        # One character, as wide as the digit it replaces, but two UTF-8 bytes.
+        ("non-ascii digit", text[:-2] + "٠١٢٣٤٥٦٧٨٩"[int(text[-2])] + "\n"),
     ]
 
 
@@ -370,6 +396,22 @@ def test_one_pass_reading_matches_the_per_line_path(p, K):
                           text.replace("\n", "\x0c", 1), "  " + text,
                           "\n \n" + text, "\x0c" + text, head + "\x0c" + text[len(head):]):
                 assert outcome(parse_table_text, other) == outcome(ref_parse_table_text, other)
+
+
+def test_reading_canonical_text_encodes_it_a_chunk_at_a_time():
+    text = serialize_table_text(random_one_lipschitz_table(PadicContext(2, 16), Random(16), 1.0))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        table = parse_table_text(text)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert len(table.values) == 2**16
+    # The body and the parsed values take about 2.3 times the text; a reader
+    # that encoded the whole body at once would take about 3.1 times.
+    assert peak <= 2.6 * len(text), peak / len(text)
 
 
 # -- entry lines drawn from a grammar ------------------------------------------
@@ -420,5 +462,8 @@ def table_texts(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(table_texts())
+# Every line as wide as a canonical one, the last holding a two-byte digit.
+@example("2 3 table\n" + "".join(f"2:3:{x % 2},{x // 2 % 2},{x // 4}\n" for x in range(7))
+         + "2:3:1,1,٠\n")
 def test_parse_matches_reference_on_grammar_lines(text):
     assert outcome(parse_table_text, text) == outcome(ref_parse_table_text, text)

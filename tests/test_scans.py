@@ -238,6 +238,25 @@ def test_exhaustive_scans_match_reference(p):
                 assert got == want, (subject, op, k)
 
 
+# The first witness on levels of 512 and 729 residues, where the scan finds
+# the first mismatching row by itemgetter gathers: the identity table, which
+# respects every operation, with one entry early or late given a wrong top
+# digit.  AND meets the late one only at y = p^(K-1), a third of the way or more.
+@pytest.mark.parametrize("p,K", [(2, 9), (3, 6)])
+@pytest.mark.parametrize("planted", ("early", "late"))
+def test_first_witness_above_256_residues_matches_reference(p, K, planted):
+    ctx = PadicContext(p, K)
+    m = ctx.modulus
+    x = 5 if planted == "early" else m - 3
+    values = list(range(m))
+    values[x] = (x + m // p) % m
+    table = ValueTable(ctx, tuple(values))
+    for op in (ADD, MUL, XOR, AND):
+        got = homomorphism_test(table, op, exhaustive_k=K)
+        assert got.verdict == "counterexample", op
+        assert got == reference_test(table, op, exhaustive_k=K), op
+
+
 @pytest.mark.parametrize("p", (2, 3, 5, 7))
 @pytest.mark.parametrize("K", (3, 16))
 def test_random_scans_match_reference(p, K):
