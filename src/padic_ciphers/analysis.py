@@ -321,10 +321,12 @@ def intersection_scan(
     verdict is a proof of such shared membership; those keys carry no violation
     to find, so the scan redraws instead of reporting them.  At scales the
     escalation cannot exhaust, nothing is redrawn and "exhausted" verdicts
-    surface as-is.  A scan of more than PAIR_BUDGET pairs, counted as n_keys
-    times p^(2k) + random_trials at escalation depth k, is refused up front,
-    as is a negative n_keys or random_trials.  One Random(seed) drives every
-    draw: the keys, and the random pairs of each key's search.
+    surface as-is.  A search takes up to p^2 + ... + p^(2k) + random_trials
+    pairs at escalation depth k.  A scan whose n_keys searches could pass
+    PAIR_BUDGET is refused up front, as is a negative n_keys or random_trials,
+    and so is a search that could pass it after those run so far, a redrawn
+    key's included.  One Random(seed) drives every draw: the keys, and the
+    random pairs of each key's search.
     """
     family = next((name for name, cls in FAMILIES.items() if cls.laws == (first,)), None)
     if family is None:
@@ -333,24 +335,28 @@ def intersection_scan(
     if n_keys < 0:
         raise DomainError(f"a count of keys cannot be negative, got {n_keys}")
     check_trial_budget(random_trials)
-    pairs = n_keys * (ctx.p ** (2 * depth) + random_trials)
-    if pairs > core.PAIR_BUDGET:
-        raise DomainError(f"a scan of {n_keys} keys takes up to {pairs} pairs, "
+    search = sum(ctx.p ** (2 * k) for k in range(1, depth + 1)) + random_trials
+    if n_keys * search > core.PAIR_BUDGET:
+        raise DomainError(f"a scan of {n_keys} keys takes up to {n_keys * search} pairs, "
                           f"over the budget of {core.PAIR_BUDGET}")
     r = Random(seed)
     proves_membership = depth >= ctx.precision
     reports = []
-    draws = 0
+    draws = spent = 0
     while len(reports) < n_keys:
         draws += 1
         if draws > core.SCAN_DRAW_LIMIT + core.SCAN_DRAWS_PER_KEY * n_keys:
             raise DomainError(
                 f"sampling stalled: {family} keys keep satisfying {second.name}"
             )
+        if spent + search > core.PAIR_BUDGET:
+            raise DomainError(f"a scan that has run {spent} pairs takes up to {search} more, "
+                              f"over the budget of {core.PAIR_BUDGET}")
         key = _nonidentity_key(ctx, family, r)
         rep = counterexample_search(
             key, second, max_k=max_k, random_trials=random_trials, rng=r
         )
+        spent += rep.trials
         if rep.verdict == "exhausted" and proves_membership:
             continue
         detail = dict(rep.detail or {})

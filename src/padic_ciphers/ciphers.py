@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, cached_property
 from itertools import accumulate, repeat
 from random import Random
 
@@ -60,6 +60,7 @@ from .core import (
     is_unit,
     pow_nat,
     teichmuller,
+    teichmuller_residue,
     to_text,
 )
 
@@ -441,8 +442,8 @@ _OPERATION = (_dump_operation, _load_operation)
 # costs nothing extra.  FheKey is an AdditiveKey with the further constraint
 # A^d = 1.  Only the xor, and and multiplicative kernels fill tables over
 # digit values, and only for p <= 7, where a block table has at most 64
-# entries; from p = 11 on they read one digit at a time or take one modular
-# power, so no key does work that grows with p.
+# entries; from p = 11 on they read one digit at a time or lift the first
+# digit by Newton's step, so no key does work that grows with p.
 
 
 def _check_draw_budget(p: int) -> None:
@@ -529,28 +530,28 @@ class MultiplicativeKey(Record):
 
     @cached_property
     def enc_int(self) -> Callable[[int], int]:
-        return _multiplicative_kernel(self.ctx, self.a.value, self.s, 1, self.A.value)
+        return _UnitKernel(self.ctx, self.a.value, self.s, 1, self.A.value).apply
 
     @cached_property
     def dec_int(self) -> Callable[[int], int]:
         p, K, m = self.ctx.p, self.ctx.precision, self.ctx.modulus
         a_inv, s_inv = pow(self.a.value, -1, p ** (K - 1)), pow(self.s, -1, p - 1)
-        return _multiplicative_kernel(self.ctx, a_inv, s_inv, pow(self.A.value, -1, m), 1)
+        return _UnitKernel(self.ctx, a_inv, s_inv, pow(self.A.value, -1, m), 1).apply
 
 
-# -- the multiplicative kernels ----------------------------------------------------
+# -- the multiplicative kernel -----------------------------------------------------
 #
 # A nonzero x = p^k u, with t = u mod p, encrypts to p^k A^k w(t)^s <u>^a where
 # <u> = u / w(t) = 1 mod p.  Only the unit factor mod M = p^(K-k) survives the
 # shift by p^k.  Decryption divides y = p^k y' by p^k A^k to get the unit
 # w1 = w(t)^s <u>^a, whose first digit is t^s, and applies the same map with
 # s^-1 mod (p-1) and a^-1 mod p^(K-1): w(t^s)^(s^-1) <u>^(a a^-1) = u.  So
-# one kernel serves both directions.  At level k it multiplies the unit by
-# shift_k (1, or A^-k) and the result by lead_k (A^k, or 1), and maps
-# u -> w(t)^sigma <u>^b.  It does so in one of two ways, chosen by p alone:
+# one kernel, ``_UnitKernel``, serves both directions at every p.  At level k
+# it multiplies the unit by shift_k (1, or A^-k) and the result by lead_k
+# (A^k, or 1), and maps u -> w(t)^sigma <u>^b in two stages:
 #
-# * ``_LogKernel``, for p = 3, 5, 7: the group 1 + pZ_p is generated by
-#   g = 1 + p, so <u> = g^L and <u>^b = g^(bL).  The digit-by-digit log of
+# * For p = 3, 5, 7, a blocked discrete log: the group 1 + pZ_p is generated
+#   by g = 1 + p, so <u> = g^L and <u>^b = g^(bL).  The digit-by-digit log of
 #   Pohlig and Hellman (IEEE Trans. Inf. Theory 24, 1978) reads L h digits at
 #   a time, in the blocks of ``_BLOCK_DIGITS``, through fixed-base tables
 #   (Brickell, Gordon, McCurley and Wilson, EUROCRYPT '92): while
@@ -558,51 +559,19 @@ class MultiplicativeKey(Record):
 #   g^(-x p^(i-1)) clears them, and the answer gains the factor
 #   g^(b x p^(i-1)).  It stops once v = 1 mod p^j with 4j >= K-k, after
 #   ceil((ceil((K-k)/4) - 1)/h) such steps of two lookups and two products
-#   mod M, and a binomial tail finishes exactly: with z = v - 1, p^j divides
-#   z, so (1 + z)^b = 1 + C(b,1) z + C(b,2) z^2 + C(b,3) z^3 mod M for any
-#   integer b >= 0, three Horner products (``_TAIL_ORDER``).  A modular
-#   power squares once per bit of e instead.
-# * ``_PowKernel``, from p = 11 on, so that no table grows with p: the
-#   principal units mod M form a group of order p^(K-k-1), so b acts through
-#   e = b mod p^(K-k-1).  Since <u>^e = u^e w(t)^-e, w is multiplicative and
-#   w^(p-1) = 1, one modular power and one Teichmuller lift are left:
-#   w(t^((sigma - e) mod (p-1))) u^e mod M.
+#   mod M.  From p = 11 on, where a table would grow with p, it reads no
+#   block: j = 1.
+# * A binomial tail finishes exactly: with z = v - 1, p^j divides z, so
+#   (1 + z)^b = 1 + C(b,1) z + ... + C(b,r) z^r mod M for any integer b >= 0,
+#   r the least with (r+1) j >= K-k: at most 3 (``_TAIL_ORDER``) after the
+#   log, K-k-1 from p = 11 on.  Horner's rule takes one product and one
+#   reduction per term past z^3 and writes the last three out, so the short
+#   tail runs no loop.  A modular power squares once per bit of
+#   e = b mod p^(K-k-1) instead, thousands of bits at a large p.
 #
-# The gate is p alone, the smallest precisions included: from (3,5) to (7,5)
-# a call through the log takes 0.75-1.0 of the power's time, and at (3,64)
-# and (7,64) 0.2-0.3 of it (2-CPU machine, best of 9, on a mix of every
-# valuation).  On the benchmark's laws and cli workloads, whose
-# keys live at (3,5), (5,3), (7,3) and (3,6), ten alternating pairs read the
-# same rate with these precisions on the log as with them on the power
-# (BENCH_21.json: 0.998 and 0.997 of it, inside the quartiles).
-
-
-_LIFTS_KEPT = 256  # the most Teichmuller lifts a pow-path kernel caches
-
-
-class _PowKernel:
-    """u -> w(t)^sigma <u>^b through one modular power per call (see above).
-
-    Lifts w(c) = c^(p^(K-1)) mod p^K are cached, at most ``_LIFTS_KEPT`` of
-    them, so a key at a large prime holds a bounded number however many
-    leading digits it meets.
-    """
-
-    def __init__(self, ctx: PadicContext, b: int, sigma: int, shifts, leads) -> None:
-        p, K, m = ctx.p, ctx.precision, ctx.modulus
-        self.p, self.modulus, self.levels = p, m, {}  # p^k -> (M, shift_k, lead_k, e, j)
-        for k, shift, lead in zip(range(K), shifts, leads):
-            e = b % p ** (K - k - 1)
-            self.levels[p**k] = (p ** (K - k), shift, lead, e, (sigma - e) % (p - 1))
-        self.lift = lru_cache(_LIFTS_KEPT)(partial(pow, exp=p ** (K - 1), mod=m))
-
-    def apply(self, x: int) -> int:
-        if x == 0:
-            return 0
-        q = math.gcd(x, self.modulus)  # p^k, k the valuation of x
-        M, shift, lead, e, j = self.levels[q]
-        u = x // q * shift % M
-        return lead * self.lift(pow(u, j, self.p)) * pow(u, e, M) % M * q
+# The lifts w(t) come from ``core.teichmuller_residue``: listed by first digit
+# where block tables exist, else lifted at each call, so a key at a large
+# prime holds no lift.
 
 
 @cache
@@ -625,69 +594,83 @@ def _log_tables(p: int, K: int, h: int) -> tuple[list, list[int]]:
             power, inverse = power * base % m, inverse * base_inv % m
         blocks.append((pi, logs, clears))
         base = power
-    return blocks, [pow(t, p ** (K - 1), m) for t in range(p)]
+    return blocks, [teichmuller_residue(t, p, K) for t in range(p)]
 
 
-class _LogKernel:
-    """u -> w(t)^sigma <u>^b through the block log and a binomial tail (see
-    above).
+class _Lifts:
+    """lifts[t] = w(t^n mod p) mod p^e, by Newton's step at each read."""
 
-    Beside the shared ``_log_tables`` a kernel holds its own row per block,
-    row[d] = g^(b x p^(i-1)) mod p^K for x = logs[d], built by running
-    products; two lists over the first digit: w(t)^-1 = w(t^(p-2)) and
-    w(t)^sigma = w(t^sigma); and per level the tail's coefficients
-    c_n = C(b, n), n = 1..3.  A level k < K reads the first
-    ceil((ceil((K-k)/4) - 1)/h) blocks.  The first product is left
-    unreduced: the blocks read only digits below K-k.
+    def __init__(self, n: int, p: int, e: int) -> None:
+        self.n, self.p, self.e = n, p, e
+
+    def __getitem__(self, t: int) -> int:
+        return teichmuller_residue(pow(t, self.n, self.p), self.p, self.e)
+
+
+class _UnitKernel:
+    """x = p^k u -> p^k lead^k w(t)^sigma <v>^b with v = shift^k u mod p^(K-k)
+    and t = v mod p, at every p (see above).
+
+    Where ``_BLOCK_DIGITS`` lists p, beside the shared ``_log_tables`` it holds
+    its own row per block, row[d] = g^(b x p^(i-1)) mod p^K for x = logs[d],
+    built by running products, and two lists over the first digit: w(t)^-1 =
+    w(t^(p-2)) and w(t)^sigma = w(t^sigma); elsewhere ``_Lifts`` lifts those
+    two at each call.  Per level it keeps lead_k and the tail's terms
+    lead_k C(b, n) mod p^(K-k-nj), as p^(nj) divides z^n, and reads the first
+    ceil((ceil((K-k)/4) - 1)/h) blocks.  The first product is left unreduced:
+    the blocks read only digits below K-k.
     """
 
-    def __init__(self, ctx: PadicContext, h: int, b: int, sigma: int, shifts, leads) -> None:
+    def __init__(self, ctx: PadicContext, b: int, sigma: int, shift: int, lead: int) -> None:
         p, K, m = ctx.p, ctx.precision, ctx.modulus
-        blocks, lifts = _log_tables(p, K, h)
-        self.p, self.modulus, self.q = p, m, p**h
-        steps, power = [], pow(1 + p, b, m)  # power = g^(b p^(i-1))
-        for pi, logs, clears in blocks:
-            row = _powers(power, self.q + 1, m)  # its last entry is the next block's power
-            steps.append((pi, clears, [row[x] for x in logs]))
-            power = row[-1]
-        self.unlift = [lifts[pow(t, p - 2, p)] for t in range(p)]
-        self.first = [lifts[pow(t, sigma, p)] for t in range(p)]
-        c1, c2, c3 = (math.comb(b, i) for i in range(1, _TAIL_ORDER + 1))
+        h = _BLOCK_DIGITS.get(p)
+        self.p, self.modulus, self.q = p, m, p ** (h or 1)
+        steps, unlift, first = [], None, None
+        if h:
+            blocks, lifts = _log_tables(p, K, h)
+            power = pow(1 + p, b, m)  # power = g^(b p^(i-1))
+            for pi, logs, clears in blocks:
+                row = _powers(power, self.q + 1, m)  # its last entry is the next block's power
+                steps.append((pi, clears, [row[x] for x in logs]))
+                power = row[-1]
+            unlift = [lifts[pow(t, p - 2, p)] for t in range(p)]
+            first = [lifts[pow(t, sigma, p)] for t in range(p)]
+        # C(b, n) mod p^K for n up to the longest tail r: the falling factorial
+        # b(b-1)...(b-n+1), kept mod r! p^K, a multiple of n! p^K, stays a multiple of n!
+        r = _TAIL_ORDER if h else K - 1
+        bound, falling, coefficients = m * math.factorial(r), 1, [1]
+        for n in range(1, r + 1):
+            falling = falling * (b - n + 1) % bound
+            coefficients.append(falling // math.factorial(n) % m)
         pw = _powers(p, K + 1, m * p)
-        self.levels = {}  # p^k -> (M, shift_k, lead_k, c_1, c_2, c_3, the blocks read)
-        for k, shift, lead in zip(range(K), shifts, leads):
+        self.levels = {}  # p^k -> (M, shift_k, lead_k, lifts, c_1, c_2, c_r, c_(r-1)..c_3, blocks)
+        for k, shift_k, lead_k in zip(range(K), _powers(shift, K, m), _powers(lead, K, m)):
             e = K - k
-            n = (-(-e // (_TAIL_ORDER + 1)) + h - 2) // h  # blocks read, after which p^j | z
-            j = 1 + n * h  # p^(ij) divides z^i, so c_i counts only mod p^(e-ij)
-            self.levels[pw[k]] = (pw[e], shift, lead, c1 % pw[e], c2 % pw[max(e - 2 * j, 0)],
-                                  c3 % pw[max(e - 3 * j, 0)], steps[:n])
+            n = (-(-e // (_TAIL_ORDER + 1)) + h - 2) // h if h else 0  # blocks read
+            j = 1 + n * (h or 1)  # p^j divides z after them
+            r = -(-e // j) - 1  # the least with (r+1) j >= e
+            c = [0, *(lead_k * coefficients[i] % pw[e - i * j] for i in range(1, r + 1)), 0, 0, 0]
+            top = max(r, 3)  # c[n] = lead_k c_n, 0 past r; apply writes out the terms to z^3
+            lifts = (unlift, first) if h else (_Lifts(p - 2, p, e), _Lifts(sigma, p, e))
+            self.levels[pw[k]] = (pw[e], shift_k, lead_k % pw[e], *lifts,
+                                  c[1], c[2], c[top], tuple(c[top - 1:2:-1]), steps[:n])
 
     def apply(self, x: int) -> int:
         if x == 0:
             return 0
         q = math.gcd(x, self.modulus)
-        M, shift, lead, c1, c2, c3, steps = self.levels[q]
+        M, shift, lead, unlift, first, c1, c2, s, high, steps = self.levels[q]
         u = x // q * shift % M
         t, Q = u % self.p, self.q
-        v, acc = u * self.unlift[t], lead * self.first[t]
+        v, acc = u * unlift[t], first[t]
         for pi, clears, row in steps:
             d = v // pi % Q
             v = v * clears[d] % M
             acc = acc * row[d] % M
-        z = v - 1  # p^j divides z and 4j >= K-k, so (1 + z)^b = 1 + c_1 z + c_2 z^2 + c_3 z^3
-        return acc * (1 + z * (c1 + z * (c2 + z * c3))) % M * q
-
-
-def _multiplicative_kernel(ctx: PadicContext, b: int, sigma: int, shift: int,
-                           lead: int) -> Callable[[int], int]:
-    """x = p^k u -> p^k lead^k w(t)^sigma <v>^b with v = shift^k u mod p^(K-k)
-    and t = v mod p, through the block log for p = 3, 5, 7 and one modular
-    power from p = 11 on."""
-    K, m, h = ctx.precision, ctx.modulus, _BLOCK_DIGITS.get(ctx.p)
-    shifts, leads = _powers(shift, K, m), _powers(lead, K, m)
-    if h is None:
-        return _PowKernel(ctx, b, sigma, shifts, leads).apply
-    return _LogKernel(ctx, h, b, sigma, shifts, leads).apply
+        z = v - 1  # lead (1 + z)^b = lead (1 + c_1 z + ... + c_r z^r) mod M
+        for c in high:  # lead c_n for n = r-1, ..., 3, after s = lead c_r: none after the log
+            s = s * z % M + c
+        return acc * (lead + z * (c1 + z * (c2 + z * s))) % M * q
 
 
 class _SlotMatrix:

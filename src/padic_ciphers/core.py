@@ -372,17 +372,25 @@ def pow_unit(base: PadicInt, exponent: PadicInt | int) -> PadicInt:
 
 
 def teichmuller(ctx: PadicContext, a: int) -> PadicInt:
-    """The unique (p-1)-th root of unity congruent to a mod p (p odd).
-
-    Closed form w(a) = a^(p^(K-1)) mod p^K: it is = a mod p by Fermat, and its
-    (p-1)-th power is (a^(p-1))^(p^(K-1)) = 1, because a^(p-1) lies in 1 + pZ,
-    a group of order p^(K-1) mod p^K.
-    """
+    """The (p-1)-th root of unity congruent to a mod p (p odd), as a PadicInt."""
     if ctx.p == 2:
         raise OddPrimeRequiredError("Teichmuller lift needs odd p")
     if not 1 <= a <= ctx.p - 1:
         raise DomainError(f"leading digit must be in [1, {ctx.p - 1}], got {a}")
-    return PadicInt(ctx, pow(a, ctx.p ** (ctx.precision - 1), ctx.modulus))
+    return PadicInt(ctx, teichmuller_residue(a, ctx.p, ctx.precision))
+
+
+def teichmuller_residue(t: int, p: int, K: int) -> int:
+    """w(t) mod p^K, 0 <= t < p, p odd: the root of x^(p-1) = 1 that is = t mod p,
+    by Newton's step x <- x (1 - (x^(p-1) - 1)/(p-1)) mod p^j from x = t, j doubling
+    to K (Hensel's lemma; Koblitz, GTM 58, ch. I), with -1/(p-1) = 1 + p + ... +
+    p^(j-1): ceil(log2 K) powers with exponent p - 1, not one with p^(K-1)."""
+    x, j = t, 1
+    while j < K:
+        j = min(2 * j, K)
+        m = p**j
+        x = x * (1 + (pow(x, p - 1, m) - 1) * ((m - 1) // (p - 1))) % m
+    return x
 
 
 # -- digitwise operations -----------------------------------------------------

@@ -18,6 +18,7 @@ from padic_ciphers.analysis import (
 from padic_ciphers.ciphers import (
     ADD,
     MUL,
+    XOR,
     AdditiveKey,
     MultiplicativeKey,
     encryption_table,
@@ -214,3 +215,20 @@ def test_the_scan_draw_limits_move_the_stalled_scan(monkeypatch, base, per_key):
                                           "satisfying MUL$"):
         intersection_scan(ADD, MUL, C32, n_keys=3)
     assert len(drawn) == base + per_key * 3
+
+
+@pytest.mark.parametrize("budget", [1000, 10**4])
+def test_a_scan_runs_no_more_pairs_than_the_budget(monkeypatch, budget):
+    """At (2, 2) a xor key's search of ADD exhausts both levels, so the scan
+    redraws it; each search takes 2^2 + 2^4 + 256 = 276 pairs, and every one
+    counts against the budget, the redrawn ones too."""
+    monkeypatch.setattr(core, "PAIR_BUDGET", budget)
+    pairs = []
+    search = analysis.counterexample_search
+    monkeypatch.setattr(analysis, "counterexample_search", lambda *args, **kwargs: (
+        pairs.append((rep := search(*args, **kwargs)).trials) or rep))
+    runs = budget // 276
+    with pytest.raises(DomainError, match=f"^a scan that has run {276 * runs} pairs takes up to "
+                                          f"276 more, over the budget of {budget}$"):
+        intersection_scan(XOR, ADD, PadicContext(2, 2), n_keys=1)
+    assert pairs == [276] * runs

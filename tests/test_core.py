@@ -334,6 +334,24 @@ def test_teichmuller_closed_form_equals_fixed_point():
                 assert teichmuller(ctx, a).value == _teichmuller_fixed_point(p, K, a)
 
 
+# Where no block table lists the lifts, the kernel lifts by Newton's step at
+# every call; the closed form t^(p^(K-1)) mod p^K is the reference here.
+NEWTON_PRECISIONS = {11: range(1, 65), 13: range(1, 65), 101: range(1, 65),
+                     65537: (1, 2, 3, 16, 64), 3317044064679887385961813: (1, 2, 3, 17, 33)}
+
+
+@pytest.mark.parametrize("p", sorted(NEWTON_PRECISIONS))
+def test_the_newton_lift_equals_the_closed_form(p):
+    rng = random.Random(p)
+    for K in NEWTON_PRECISIONS[p]:
+        ctx = PadicContext(p, K)
+        for a in sorted({1, 2, p - 1, rng.randrange(1, p)}):
+            assert teichmuller(ctx, a).value == pow(a, p ** (K - 1), ctx.modulus)
+        assert core.teichmuller_residue(0, p, K) == 0
+    if p > 65537:  # one lift at the largest admitted p and K: its closed form takes 0.4 s
+        assert teichmuller(PadicContext(p, 64), 2).value == pow(2, p**63, p**64)
+
+
 def test_teichmuller_multiplicative():
     for p, K in [(3, 3), (5, 2), (7, 4)]:
         ctx = PadicContext(p, K)

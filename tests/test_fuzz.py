@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import tempfile
 import time
@@ -190,3 +191,40 @@ def test_cli_commands_end_quickly_with_a_documented_exit_code(session):
                 assert time.perf_counter() - start < 2, argv
         finally:
             os.chdir(cwd)
+
+
+# Hand-written multiplicative keys at the largest admitted p and K, which keygen
+# cannot draw (DRAW_BUDGET): there the kernel lifts each first digit by Newton's
+# step and runs the binomial tail to full order, in well under a second a command.
+BIG_PRIME = 3317044064679887385961813  # the largest prime below core.PRIME_BOUND
+LARGEST_KEYS = [
+    {"A": "2", "s": 1, "a": "3"},
+    {"A": str(BIG_PRIME**64 - 2), "s": BIG_PRIME - 2, "a": str(BIG_PRIME**64 - 1)},
+    {"A": str(7 * BIG_PRIME**40 + 5), "s": 5, "a": str(3**160 + BIG_PRIME)},
+]
+
+
+def _run_timed(argv: list[str], seconds: float):
+    """The JSON output of a CLI command that exits 0 within the given time."""
+    out = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out):
+        code = run_command([*argv, "--json"])
+    assert code == 0, argv
+    assert time.perf_counter() - start < seconds, argv
+    return json.loads(out.getvalue())["output"]
+
+
+@settings(max_examples=6, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@example(LARGEST_KEYS[1], 0, BIG_PRIME**64 - 2)  # a unit: the tail runs to z^63
+@example(LARGEST_KEYS[2], 1, 5**150)
+@given(st.sampled_from(LARGEST_KEYS), st.integers(0, 63), st.integers(1, BIG_PRIME**64 - 1))
+def test_cli_round_trips_at_the_largest_admitted_p_and_k(fields, k, x):
+    x = x * BIG_PRIME**k % BIG_PRIME**64  # of valuation k or more, or zero
+    key = {"family": "multiplicative", "p": BIG_PRIME, "precision": 64, **fields}
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "k.key")
+        with open(path, "w") as fh:
+            json.dump(key, fh)
+        y = _run_timed(["encrypt", "--key", path, str(x)], 1)
+        assert _run_timed(["decrypt", "--key", path, str(y)], 1) == x

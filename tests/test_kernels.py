@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 
-from padic_ciphers import ciphers
+from padic_ciphers import ciphers, core
 from padic_ciphers.ciphers import (
     AdditiveKey,
     AndKey,
@@ -363,10 +363,11 @@ def test_an_and_key_with_an_exponent_not_its_own_inverse_builds_a_decrypt_kernel
 # -- the multiplicative block log ---------------------------------------------------
 #
 # For p = 3, 5, 7 the multiplicative kernel reads the discrete log of the
-# principal unit h digits at a time, h from ``_BLOCK_DIGITS``; from p = 11 on
-# it takes one modular power per call.  Both paths must agree with the power
-# kernel they started from, kept below as it was, and with the per-digit
-# reference above, at every valuation and in both directions.
+# principal unit h digits at a time, h from ``_BLOCK_DIGITS``, and finishes
+# with a short binomial tail; from p = 11 on it reads no block and the tail
+# runs to full order.  Both must agree with the power kernel they started from,
+# kept below as it was, and with the per-digit reference above, at every
+# valuation and in both directions.
 
 
 class PowKernel:
@@ -437,7 +438,7 @@ def _check_multiplicative(key: MultiplicativeKey, ctx: PadicContext, rng: Random
 
 LOG_DIGITS = {p: h for p, h in ciphers._BLOCK_DIGITS.items() if p > 2}  # p -> h, p odd
 
-# The block log at K = 1, 2, h, h + 1, 16 and 64; the power from p = 11 on.
+# The block log at K = 1, 2, h, h + 1, 16 and 64; the full tail from p = 11 on.
 MULTIPLICATIVE_CASES = [
     PadicContext(p, K) for p, h in LOG_DIGITS.items() for K in sorted({1, 2, h, h + 1, 16, 64})
 ] + [PadicContext(p, K) for p, K in ((11, 1), (11, 2), (11, 16), (13, 64), (41, 5))]
@@ -447,7 +448,7 @@ MULTIPLICATIVE_CASES = [
     "ctx", MULTIPLICATIVE_CASES, ids=[f"{c.p}^{c.precision}" for c in MULTIPLICATIVE_CASES]
 )
 def test_both_paths_match_the_power_kernel_and_the_reference(ctx):
-    kernel = ciphers._LogKernel if ctx.p in LOG_DIGITS else ciphers._PowKernel
+    kernel = ciphers._UnitKernel  # one kernel at every p
     rng = Random(ctx.p * 100 + ctx.precision)
     for key in _multiplicative_keys(ctx, rng):
         _check_multiplicative(key, ctx, rng)
@@ -463,7 +464,7 @@ def test_log_tables_stay_small_and_large_primes_build_none():
             key = keygen(ctx, "multiplicative", Random(K))
             key.dec_int(key.enc_int(ctx.modulus - 1))
             for kernel in (key.enc_int.__self__, key.dec_int.__self__):  # level 0 reads every block
-                assert isinstance(kernel, ciphers._LogKernel)
+                assert isinstance(kernel, ciphers._UnitKernel)
                 rows = [row for _, _, row in kernel.levels[1][-1]]
                 blocks = math.ceil((math.ceil(K / 4) - 1) / h)
                 assert len(rows) == blocks
@@ -475,14 +476,16 @@ def test_log_tables_stay_small_and_large_primes_build_none():
     first, second = (keygen(ctx, "multiplicative", Random(i)).enc_int.__self__ for i in (1, 2))
     assert all(a[1] is b[1] for a, b in zip(first.levels[1][-1], second.levels[1][-1]))
     assert ciphers._log_tables.cache_info().currsize == contexts
-    # from p = 11 on, up to p = 65537, no table at all
+    # from p = 11 on, up to p = 65537, no table and no list of lifts at all
     for p, K in ((11, 64), (13, 5), (65537, 2)):
         ctx = PadicContext(p, K)
         key = keygen(ctx, "multiplicative", Random(p))
         key.dec_int(key.enc_int(ctx.modulus - 1))
         for kernel in (key.enc_int.__self__, key.dec_int.__self__):
-            assert isinstance(kernel, ciphers._PowKernel)
-            assert kernel.lift.cache_info().maxsize == ciphers._LIFTS_KEPT
+            assert isinstance(kernel, ciphers._UnitKernel)
+            for M, shift, lead, unlift, first, *tail, steps in kernel.levels.values():
+                assert steps == []
+                assert not isinstance(unlift, list) and not isinstance(first, list)
     assert ciphers._log_tables.cache_info().currsize == contexts
 
 
@@ -490,6 +493,7 @@ def test_log_tables_stay_small_and_large_primes_build_none():
 # tail 1 + C(b,1) z + C(b,2) z^2 + C(b,3) z^3, z = v - 1, finishes it.  Every
 # K in 1..64 and every level k give every e = K - k, so every e at which
 # ceil(e/4) - 1 crosses a multiple of h and the level reads one block more.
+# From p = 11 on no block is read, and the tail runs to z^(e-1).
 
 
 def _plain_unit_map(ctx: PadicContext, x: int, b: int, sigma: int, shift: int,
@@ -505,17 +509,36 @@ def _plain_unit_map(ctx: PadicContext, x: int, b: int, sigma: int, shift: int,
     return pow(lead, k, M) * pow(w, sigma, M) * pow(principal, b, M) % M * p**k
 
 
-@pytest.mark.parametrize("p", sorted(LOG_DIGITS))
+BIG_PRIME = 3317044064679887385961813  # the largest prime below core.PRIME_BOUND
+# The precisions tested per p: every one where a block table exists, and from
+# p = 11 on fewer, as the plain powers of the reference grow long; at p = 11
+# they still give every e = K - k in 1..64.
+TAIL_PRECISIONS = {**{p: range(1, 65) for p in LOG_DIGITS}, 11: (*range(1, 64, 2), 64),
+                   13: range(1, 65, 5), 101: (1, 2, 3, 5, 8, 16, 33, 64),
+                   65537: (1, 2, 3, 8, 16), BIG_PRIME: (1, 2, 5, 9)}
+
+
+def _digit_exponent(p: int, rng: Random) -> int:
+    """A random s coprime to p - 1: from keygen's list where p - 1 is within
+    DRAW_BUDGET, else drawn again until coprime."""
+    if p - 1 <= core.DRAW_BUDGET:
+        return rng.choice(ciphers._coprime_exponents(p))
+    while math.gcd(s := rng.randrange(1, p), p - 1) != 1:
+        pass
+    return s
+
+
+@pytest.mark.parametrize("p", sorted(TAIL_PRECISIONS))
 def test_the_tail_kernel_matches_plain_powers_at_every_precision_and_level(p):
-    h, rng = LOG_DIGITS[p], Random(p)
+    h, rng = LOG_DIGITS.get(p), Random(p)
     blocks_read = set()
-    for K in range(1, 65):
+    for K in TAIL_PRECISIONS[p]:
         ctx = PadicContext(p, K)
         m = ctx.modulus
         exponents = {1, p ** (K - 1) - 1, ciphers._random_unit(ctx, rng).value} - {0}
         for b in sorted(exponents):  # p^(K-1) - 1 is no unit at K = 1
             key = MultiplicativeKey(ciphers._random_unit(ctx, rng),
-                                    rng.choice(ciphers._coprime_exponents(p)), PadicInt(ctx, b))
+                                    _digit_exponent(p, rng), PadicInt(ctx, b))
             A, s = key.A.value, key.s
             enc = (b, s, 1, A)
             dec = (pow(b, -1, p ** (K - 1)), pow(s, -1, p - 1), pow(A, -1, m), 1)
@@ -528,6 +551,9 @@ def test_the_tail_kernel_matches_plain_powers_at_every_precision_and_level(p):
                     assert y == _plain_unit_map(ctx, x, *enc)
                     assert key.dec_int(y) == x
                     assert key.dec_int(x) == _plain_unit_map(ctx, x, *dec)
+    if h is None:  # no block table: no block read, and the tail runs to z^(e-1)
+        assert {n for _, n in blocks_read} == {0}
+        return
     # each e reads ceil((ceil(e/4) - 1)/h) blocks, so 4j >= e with j = 1 + h n
     assert blocks_read == {(e, math.ceil((math.ceil(e / 4) - 1) / h)) for e in range(1, 65)}
     assert all(4 * (1 + h * n) >= e > 4 * (1 + h * (n - 1)) for e, n in blocks_read if n)
@@ -535,7 +561,7 @@ def test_the_tail_kernel_matches_plain_powers_at_every_precision_and_level(p):
 
 def test_a_key_at_a_61_bit_prime_keeps_a_bounded_number_of_lifts():
     """Almost every value at this p has a leading digit not seen before; the
-    power path must not keep a lift for each of them."""
+    kernel must not keep a lift for each of them."""
     ctx = PadicContext(2**61 - 1, 4)
     key = MultiplicativeKey(A=PadicInt(ctx, 2), s=1, a=PadicInt(ctx, 3))
     rng = Random(61)
@@ -546,11 +572,10 @@ def test_a_key_at_a_61_bit_prime_keeps_a_bounded_number_of_lifts():
 
     tracemalloc.start()  # before the first lift, so that dropping one counts too
     try:
-        encrypt_many(2 * ciphers._LIFTS_KEPT)
+        encrypt_many(512)
         before = tracemalloc.get_traced_memory()[0]
         encrypt_many(1000)
         grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert grown < 16 * 1024  # 1000 kept lifts take about 150 KiB
-    assert key.enc_int.__self__.lift.cache_info().currsize <= ciphers._LIFTS_KEPT
