@@ -17,14 +17,20 @@ is a gather of row y through the encryption values, op(f(x), f(y)) a gather
 of the encryption values through row f(y), and the first differing x is
 looked up only on a mismatch.  Levels of at most 256 residues read their
 rows from a cached table of bytes, and each gather there is one
-``bytes.translate``; larger levels build each row when it is needed, so no
-level holds p^(2k) entries, and each gather there is one
-``operator.itemgetter`` call.  Each operation has one integer kernel
-(``ciphers.Operation``): rows of MUL and of every G come from ``op.kernel``,
-and random pairs from ``op.pair``.  Two rows are built faster from their
-structure: ADD rows are slices of a doubled ramp, and XOR/AND rows join
-per-digit chunks in the order of the level k-1 row.  A level of more than
-core.PAIR_BUDGET pairs is refused with DomainError before any of it is built.
+``bytes.translate``; larger levels build each row when it is needed, and
+each gather there is one ``operator.itemgetter`` call.  Each operation has
+one integer kernel (``ciphers.Operation``), and random pairs come from
+``op.pair``.  Rows are built from structure, with no Python arithmetic per
+entry where the operation allows it: ADD rows are slices of a doubled ramp,
+MUL rows join about sqrt(m) stride slices of a ramp of ceil(sqrt(m)) copies
+of range(m) (m = p^k), and XOR/AND rows join per-digit chunks in the order
+of the level k-1 row.  An operation that states a split op(x, y) =
+base(u(x), w(y)) with base ADD or MUL (``Operation.split``: G1, G3, G4 and
+LinearG) reads row y as the base row of w(y) through a per-level vector of
+u(x); the others take their rows from ``op.rows``.  So a level holds
+O(m^1.5) entries besides its rows, never the m^2 of a whole table of lists.
+A level of more than core.PAIR_BUDGET pairs is refused with DomainError
+before any of it is built.
 
 The coefficient probe cross-checks the multiplicative cipher against its
 interpolation series: the normalized coefficients must reduce mod p to
@@ -37,6 +43,7 @@ map itself.
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
@@ -118,15 +125,27 @@ def check_trial_budget(trials: int) -> None:
 
 
 def _row_builder(op: Operation, ctx: PadicContext):
-    """The function y -> [op(x, y) for x in range(p^k)] at level ctx = (p, k):
-    the operation's kernel, but for the ADD ramp and the XOR/AND join."""
+    """The function y -> [op(x, y) for x in range(p^k)] at level ctx = (p, k),
+    as bytes up to TABLE_RESIDUES residues and as a list above."""
     p, m = ctx.p, ctx.modulus
-    if op is ADD:  # slices of a doubled ramp, of bytes up to 256 residues
-        ramp = (bytes(range(m)) if m <= TABLE_RESIDUES else [*range(m)]) * 2
-        return lambda y: ramp[y:y + m]
+    if op is ADD or op is MUL:
+        return _ramp_rows(op, m)
     if op is not XOR and op is not AND:
-        kernel, xs = op.kernel, range(m)
-        return lambda y: kernel(xs, y, p, m)
+        split = op.split(p, m)
+        if split is None:
+            return op.rows(range(m), p, m)
+        # op(x, y) = base(u(x), w(y)): row y is the base row of w(y) read at
+        # each u(x), by one translate or itemgetter call through a vector.
+        base, u, w = split
+        rows, ws = _rows(base, ctx), [*map(w, range(m))]
+        if u is None:
+            return lambda y: rows(ws[y])
+        us = ws if u is w else [*map(u, range(m))]
+        if m <= TABLE_RESIDUES:
+            us, pad = bytes(us), bytes(256 - m)
+            return lambda y: us.translate(rows(ws[y]) + pad)
+        gather = itemgetter(*us)
+        return lambda y: [*gather(rows(ws[y]))]
     # Digitwise: x = x0 + p*x' takes digit 0 from the level-1 ADD or MUL row
     # and the rest from the level k-1 row, in the order of x.
     digit = _rows(ADD if op is XOR else MUL, PadicContext(p, 1))
@@ -142,6 +161,33 @@ def _row_builder(op: Operation, ctx: PadicContext):
     return lambda y: [*chain.from_iterable(map(chunks[y % p].__getitem__, lower(y // p)))]
 
 
+def _ramp_rows(op: Operation, m: int):
+    """Rows of ADD or MUL mod m, as slices of a ramp of copies of range(m)."""
+    ramp = bytes(range(m)) if m <= TABLE_RESIDUES else [*range(m)]
+    if op is ADD:
+        ramp *= 2
+        return lambda y: ramp[y:y + m]
+    # Row y of MUL holds x*y for x = qn + r, 0 <= r < n: chunk q is the
+    # stride-y reading ramp[c:c + n*y:y] of n copies of range(m), from
+    # c = qny mod m.  With n = ceil(sqrt(m)) the ceil(m/n) <= n starts c are
+    # the stride-ny reading of the same ramp, so a row takes about sqrt(m)
+    # slices and the ramp n*m entries.  At k = 1, n is not a power of p: the
+    # least one over sqrt(m) is p itself, which would make a ramp of m^2.
+    n = math.isqrt(m - 1) + 1
+    chunks, zero = -(-m // n), ramp[:1] * m
+    ramp *= n
+
+    def mul_row(y):
+        if not y:
+            return zero
+        s = n * y % m
+        row = ramp[:0]
+        for c in ramp[:chunks * s:s] if s else zero[:chunks]:
+            row += ramp[c:c + n * y:y]
+        return row[:m]
+    return mul_row
+
+
 def _rows(op: Operation, ctx: PadicContext):
     """Row function of an operation at a level: read from the cached table
     when the level has at most TABLE_RESIDUES residues, else built per call."""
@@ -154,9 +200,13 @@ def _rows(op: Operation, ctx: PadicContext):
 def _op_table(op: Operation, ctx: PadicContext) -> tuple[bytes, ...]:
     """Row y of op at a level of at most 256 residues, one byte per entry.
 
-    A table takes at most 256 * (256 + 33) + 2088 bytes (76 KB) and the cache
-    at most 128 of them (9.7 MB).  Certifying keys at (3,5), (5,3), (7,3) and
-    refuting at (3,3), (3,4), (5,2), (7,2) use 74 distinct tables.
+    A table takes at most 256 * (256 + 33) + 2088 bytes (76 KB), a G1 table
+    only its 2088-byte tuple, as its rows are those of the MUL table, and
+    the cache at most 128 tables (9.7 MB).  A build frees what else it holds
+    (a MUL ramp of at most 16 * 256 bytes, a split's vectors).  A split G
+    builds its base table first, yet certifying keys at (3,5), (5,3), (7,3)
+    and refuting at (3,3), (3,4), (5,2), (7,2) still use 74 distinct tables
+    (over 40 seeds of the benchmark's inputs): each base table is among them.
     """
     build = _row_builder(op, ctx)
     return tuple(bytes(build(y)) for y in range(ctx.modulus))

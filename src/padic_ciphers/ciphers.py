@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 from itertools import accumulate, repeat
 from random import Random
 
@@ -80,14 +80,19 @@ class InvalidKeyError(PadicError):
 # level k <= K as its value mod p^k, which the final reduction mod m does, so
 # kernels use ``value`` as is.  ``coefficients`` lists the PadicInt
 # coefficients, for the context checks.
+#
+# For whole rows at one level, ``split(p, m)`` states op(x, y) =
+# base(u(x), w(y)) mod m with base ADD or MUL where such a split exists (G1,
+# G3, G4, LinearG), so the law scans build their rows as rows of ADD or MUL;
+# ``rows(xs, p, m)`` gives the others' row function y -> kernel(xs, y, p, m),
+# computing what depends on x alone once (G2 reads x^(p-1) from a list).
 
 
 class Operation:
     """A named two-argument operation on residues mod p^k.
 
     A subclass states ``pair`` or ``kernel``, or both where deriving either
-    costs time (MUL, G1-G4).  An Operation stating neither is a name alone:
-    GLIN.
+    costs time (G1-G4).  An Operation stating neither is a name alone: GLIN.
     """
 
     coefficients = ()
@@ -107,6 +112,17 @@ class Operation:
     def pair(self, x: int, y: int, p: int, m: int) -> int:
         return self.kernel((x,), y, p, m)[0]
 
+    def split(self, p: int, m: int):
+        """(base, u, w) with op(x, y) = base(u(x), w(y)) mod m for all residues
+        x and y, base ADD or MUL, u and w maps of residues to residues (u None
+        for the identity); None where the operation states no such split."""
+        return None
+
+    def rows(self, xs, p: int, m: int):
+        """The row function y -> kernel(xs, y, p, m)."""
+        kernel = self.kernel
+        return lambda y: kernel(xs, y, p, m)
+
 
 class _Add(Operation):
     def pair(self, x: int, y: int, p: int, m: int) -> int:
@@ -116,9 +132,6 @@ class _Add(Operation):
 class _Mul(Operation):
     def pair(self, x: int, y: int, p: int, m: int) -> int:
         return x * y % m
-
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        return [x * y % m for x in xs]
 
 
 class _Xor(Operation):
@@ -152,9 +165,12 @@ class LinearG(GOperation):
     def coefficients(self) -> tuple[PadicInt, ...]:
         return (self.a, self.b)
 
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        a, by = self.a.value, self.b.value * y
-        return [(a * x + by) % m for x in xs]
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        return (self.a.value * x + self.b.value * y) % m
+
+    def split(self, p: int, m: int):
+        a, b = self.a.value, self.b.value
+        return ADD, lambda x: a * x % m, lambda y: b * y % m
 
 
 class G1(GOperation):
@@ -169,6 +185,9 @@ class G1(GOperation):
         yy = pow(y, p - 1, m)
         return [x * yy % m for x in xs]
 
+    def split(self, p: int, m: int):
+        return MUL, None, partial(pow, exp=p - 1, mod=m)
+
 
 class G2(GOperation):
     """G(x, y) = x**(p-1) * y + x * y**(p-1)."""
@@ -179,8 +198,15 @@ class G2(GOperation):
         return (pow(x, p - 1, m) * y + x * pow(y, p - 1, m)) % m
 
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        yy = pow(y, p - 1, m)
-        return [(pow(x, p - 1, m) * y + x * yy) % m for x in xs]
+        return self.rows(xs, p, m)(y)
+
+    def rows(self, xs, p: int, m: int):
+        terms = [(x, pow(x, p - 1, m)) for x in xs]  # each x^(p-1) once, for every y
+
+        def row(y: int) -> list[int]:
+            yy = pow(y, p - 1, m)
+            return [(xx * y + x * yy) % m for x, xx in terms]
+        return row
 
 
 class G3(GOperation):
@@ -201,6 +227,10 @@ class G3(GOperation):
         yy = pow(y, e, m)
         return [pow(x, e, m) * yy % m for x in xs]
 
+    def split(self, p: int, m: int):
+        power = partial(pow, exp=self.degree(p), mod=m)
+        return MUL, power, power
+
 
 class G4(GOperation):
     """G(x, y) = x/(1 - p x**(p-1)) + y/(1 - p y**(p-1))
@@ -219,6 +249,13 @@ class G4(GOperation):
     def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
         half, hy = self.half, self.half(y, p, m)
         return [(half(x, p, m) + hy) % m for x in xs]
+
+    def split(self, p: int, m: int):
+        half = self.half
+
+        def reduced(v: int) -> int:
+            return half(v, p, m) % m
+        return ADD, reduced, reduced
 
 
 class SeriesG(GOperation):

@@ -1,0 +1,142 @@
+"""The rows an exhaustive scan reads, against the pair form of each operation.
+
+A level of at most 256 residues reads rows of bytes from ``_op_table``, a
+larger one lists built by ``_rows``: MUL rows from stride slices of a ramp,
+G1, G3, G4 and LinearG rows from a row of ADD or MUL through their split,
+the rest from ``op.rows``.  Every row must equal the list of ``op.pair``
+values, and no scan of an operation with a split may call a kernel.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+from random import Random
+
+import pytest
+
+from padic_ciphers import analysis
+from padic_ciphers.analysis import MUL, homomorphism_test
+from padic_ciphers.ciphers import (
+    G1,
+    G3,
+    G4,
+    GLIN,
+    OP_NAMES,
+    LinearG,
+    Operation,
+    SeriesG,
+    keygen,
+)
+from padic_ciphers.core import DomainError, PadicContext, PadicInt
+from padic_ciphers.lipschitz import ValueTable
+from test_scans import outcome, reference_test
+
+
+def _operations(ctx: PadicContext, rng: Random) -> list[Operation]:
+    """Every named operation but GLIN (G3 needs an odd p), LinearG with unit,
+    non-unit and zero coefficients, and one SeriesG."""
+    p, m = ctx.p, ctx.modulus
+    i = ctx.integer
+    unit = (p * rng.randrange(m) + rng.randrange(1, p)) % m
+    ops = [op for op in OP_NAMES.values() if op is not GLIN and (p > 2 or op.name != "G3")]
+    ops += [LinearG(i(unit), i(p * rng.randrange(m))), LinearG(i(0), i(unit)),
+            LinearG(i(p), i(0)), LinearG(i(0), i(0)),
+            SeriesG(i(0), i(unit), i(p), (((1, 1), i(rng.randrange(m))), ((2, 1), i(1))))]
+    return ops
+
+
+def _assert_rows(ctx: PadicContext, ys, rng: Random) -> None:
+    p, m = ctx.p, ctx.modulus
+    for op in _operations(ctx, rng):
+        rows = analysis._rows(op, ctx)
+        table = analysis._op_table(op, ctx) if m <= 256 else None
+        for y in ys:
+            want = [op.pair(x, y, p, m) for x in range(m)]
+            if table is None:
+                assert rows(y) == want, (op, ctx, y)
+            else:
+                assert rows(y) == table[y] == bytes(want), (op, ctx, y)
+
+
+@pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
+def test_byte_rows_equal_the_pair_form_at_every_y(p):
+    rng = Random(p)
+    analysis._op_table.cache_clear()
+    k = 1
+    while p**k <= 256:
+        ctx = PadicContext(p, k)
+        _assert_rows(ctx, range(ctx.modulus), rng)
+        k += 1
+
+
+# Above 256 residues: levels whose ceil(sqrt(m)) chunk length is a power of p
+# (3^6, 5^4, 17^2) and is not (7^3, 2^9), and k = 1 at primes above 256,
+# where no power of p lies between 1 and m.
+@pytest.mark.parametrize("p,k", [(7, 3), (3, 6), (2, 9), (5, 4), (17, 2), (257, 1), (4093, 1)])
+def test_list_rows_equal_the_pair_form(p, k):
+    ctx = PadicContext(p, k)
+    m = ctx.modulus
+    rng = Random(m)
+    ys = {0, 1, p % m, p ** (k - 1), m - 1, *rng.sample(range(m), 4)}
+    _assert_rows(ctx, sorted(ys), rng)
+
+
+# The split of G3 raises at p = 2 when the rows are set up, not at the first
+# row read; the scan must still raise what the per-pair scan raised, and in
+# the same order as the level and prime checks.
+@pytest.mark.parametrize("K", (3, 9))
+def test_errors_match_the_reference_at_byte_and_list_levels(K):
+    ctx = PadicContext(2, K)
+    rng = Random(K)
+    table = ValueTable(ctx, tuple(rng.randrange(ctx.modulus) for _ in range(ctx.modulus)))
+    key = keygen(ctx, "additive", rng)
+    for subject in (table, key):
+        for kwargs in ({"exhaustive_k": K}, {"exhaustive_k": 1}, {"exhaustive_k": K + 1},
+                       {"trials": 10, "seed": 0}):
+            got = outcome(homomorphism_test, subject, G3(), **kwargs)
+            assert got == outcome(reference_test, subject, G3(), **kwargs), (subject, kwargs)
+            assert isinstance(got, tuple) and got[0] is DomainError
+    other = PadicContext(3, 2)
+    five = PadicContext(5, 4)
+    key = keygen(five, "additive", rng)
+    for op in (LinearG(other.one, other.integer(2)), LinearG(five.one, PadicInt(other, 1))):
+        for kwargs in ({"exhaustive_k": 2}, {"exhaustive_k": 4}, {"trials": 10, "seed": 0}):
+            got = outcome(homomorphism_test, key, op, **kwargs)
+            assert got == outcome(reference_test, key, op, **kwargs), (op, kwargs)
+            assert got == (DomainError, "operation coefficients use a different prime")
+
+
+def test_scans_of_split_operations_call_no_kernel(monkeypatch):
+    """MUL builds its rows from a ramp, and G1, G3, G4 and LinearG from a row
+    of ADD or MUL: with every kernel raising, full scans still pass."""
+    def kernel(*args):
+        raise AssertionError("a row was built by a kernel")
+
+    for ctx in (PadicContext(3, 5), PadicContext(7, 3)):  # 243 and 343 residues
+        ops = [MUL, G1(), G3(), G4(), LinearG(ctx.integer(3), ctx.integer(7 * ctx.p))]
+        for cls in {Operation, *map(type, ops)}:
+            monkeypatch.setattr(cls, "kernel", kernel)
+        analysis._op_table.cache_clear()
+        identity = ValueTable(ctx, tuple(range(ctx.modulus)))
+        for op in ops:
+            for k in range(1, ctx.precision + 1):
+                rep = homomorphism_test(identity, op, exhaustive_k=k)
+                assert rep.verdict == "pass" and rep.trials == ctx.p ** (2 * k), (op, k)
+    analysis._op_table.cache_clear()
+
+
+# A ramp of ceil(sqrt(m)) copies of range(m) is 64 * m list entries, 2 MiB at
+# either level; the whole m * m table it stands in for would be 134 MB.
+@pytest.mark.parametrize("p,k", [(4093, 1), (2, 12)])
+def test_mul_rows_take_no_table_of_the_level(p, k):
+    ctx = PadicContext(p, k)
+    m = ctx.modulus
+    tracemalloc.start()
+    try:
+        rows = analysis._rows(MUL, ctx)
+        read = [rows(y) for y in (1, m // 2 + 1, m - 1)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert read[0] == list(range(m))
+    assert peak < 4 << 20, peak
