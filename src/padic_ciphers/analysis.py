@@ -18,16 +18,16 @@ of the encryption values through row f(y), and the first differing x is
 looked up only on a mismatch.  Levels of at most 256 residues read their
 rows from a cached table of bytes, and each gather there is one
 ``bytes.translate``; larger levels build each row when it is needed, and
-each gather there is one ``operator.itemgetter`` call.  Each operation has
-one integer kernel (``ciphers.Operation``), and random pairs come from
-``op.pair``.  Rows are built from structure, with no Python arithmetic per
-entry where the operation allows it: ADD rows are slices of a doubled ramp,
-MUL rows join about sqrt(m) stride slices of a ramp of ceil(sqrt(m)) copies
-of range(m) (m = p^k), and XOR/AND rows join per-digit chunks in the order
-of the level k-1 row.  An operation that states a split op(x, y) =
+each gather there is one ``operator.itemgetter`` call.  Random pairs come
+from ``op.pair``, each operation's one integer kernel (``ciphers.Operation``).
+Rows are built from structure, with no Python arithmetic per entry where
+the operation allows it: ADD rows are slices of a doubled ramp, MUL rows
+join about sqrt(m) stride slices of a ramp of ceil(sqrt(m)) copies of
+range(m) (m = p^k), and XOR/AND rows join per-digit chunks in the order of
+the level k-1 row.  An operation that states a split op(x, y) =
 base(u(x), w(y)) with base ADD or MUL (``Operation.split``: G1, G3, G4 and
 LinearG) reads row y as the base row of w(y) through a per-level vector of
-u(x); the others take their rows from ``op.rows``.  So a level holds
+u(x); G2 and SeriesG state ``rows`` instead.  So a level holds
 O(m^1.5) entries besides its rows, never the m^2 of a whole table of lists.
 A level of more than core.PAIR_BUDGET pairs is refused with DomainError
 before any of it is built.

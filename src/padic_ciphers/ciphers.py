@@ -73,27 +73,23 @@ class InvalidKeyError(PadicError):
 #
 # Every operation, ADD, MUL, XOR and AND as much as the paper's G (G1-G4,
 # LinearG, SeriesG), is one Operation with one integer kernel on residues mod
-# m = p^k, in two forms: ``kernel(xs, y, p, m)`` is the list of op(x, y) mod m
-# for every x in ``xs``, and ``pair(x, y, p, m)`` a single value.  A G kernel
-# computes what depends on y alone once per call, so one call gives a whole
-# row of an operation table.  A coefficient stored at precision K reads at
-# level k <= K as its value mod p^k, which the final reduction mod m does, so
-# kernels use ``value`` as is.  ``coefficients`` lists the PadicInt
-# coefficients, for the context checks.
+# m = p^k: ``pair(x, y, p, m)``, the value op(x, y) mod m.  A coefficient
+# stored at precision K reads at level k <= K as its value mod p^k, which the
+# final reduction mod m does, so kernels use ``value`` as is.
+# ``coefficients`` lists the PadicInt coefficients, for the context checks.
 #
-# For whole rows at one level, ``split(p, m)`` states op(x, y) =
-# base(u(x), w(y)) mod m with base ADD or MUL where such a split exists (G1,
-# G3, G4, LinearG), so the law scans build their rows as rows of ADD or MUL;
-# ``rows(xs, p, m)`` gives the others' row function y -> kernel(xs, y, p, m),
-# computing what depends on x alone once (G2 reads x^(p-1) from a list).
+# For the law scans' whole rows at one level, a G states one form besides:
+# ``split(p, m)``, op(x, y) = base(u(x), w(y)) mod m with base ADD or MUL
+# (G1, G3, G4, LinearG), so its rows are rows of ADD or MUL; or else
+# ``rows(xs, p, m)``, the row function y -> [op(x, y) for x in xs], which
+# computes x^(p-1) once per level (G2) or the factors of y once per row
+# (SeriesG).  The scans build ADD, MUL, XOR and AND rows from structure.
 
 
 class Operation:
-    """A named two-argument operation on residues mod p^k.
-
-    A subclass states ``pair`` or ``kernel``, or both where deriving either
-    costs time (G1-G4).  An Operation stating neither is a name alone: GLIN.
-    """
+    """A named two-argument operation on residues mod p^k: a subclass states
+    ``pair`` and, if a G, one of ``split`` or ``rows``.  One stating no
+    ``pair`` is a name alone, GLIN, and refuses to compute."""
 
     coefficients = ()
 
@@ -105,23 +101,14 @@ class Operation:
 
     __reduce__ = __repr__  # copy and pickle give back the module's ADD, MUL, XOR, AND or GLIN
 
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        pair = self.pair
-        return [pair(x, y, p, m) for x in xs]
-
     def pair(self, x: int, y: int, p: int, m: int) -> int:
-        return self.kernel((x,), y, p, m)[0]
+        raise DomainError(f"operation {self.name} is unbound: it has no integer kernel")
 
     def split(self, p: int, m: int):
         """(base, u, w) with op(x, y) = base(u(x), w(y)) mod m for all residues
         x and y, base ADD or MUL, u and w maps of residues to residues (u None
         for the identity); None where the operation states no such split."""
         return None
-
-    def rows(self, xs, p: int, m: int):
-        """The row function y -> kernel(xs, y, p, m)."""
-        kernel = self.kernel
-        return lambda y: kernel(xs, y, p, m)
 
 
 class _Add(Operation):
@@ -181,10 +168,6 @@ class G1(GOperation):
     def pair(self, x: int, y: int, p: int, m: int) -> int:
         return x * pow(y, p - 1, m) % m
 
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        yy = pow(y, p - 1, m)
-        return [x * yy % m for x in xs]
-
     def split(self, p: int, m: int):
         return MUL, None, partial(pow, exp=p - 1, mod=m)
 
@@ -196,9 +179,6 @@ class G2(GOperation):
 
     def pair(self, x: int, y: int, p: int, m: int) -> int:
         return (pow(x, p - 1, m) * y + x * pow(y, p - 1, m)) % m
-
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        return self.rows(xs, p, m)(y)
 
     def rows(self, xs, p: int, m: int):
         terms = [(x, pow(x, p - 1, m)) for x in xs]  # each x^(p-1) once, for every y
@@ -222,11 +202,6 @@ class G3(GOperation):
     def pair(self, x: int, y: int, p: int, m: int) -> int:
         return pow(x * y, self.degree(p), m)
 
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        e = self.degree(p)
-        yy = pow(y, e, m)
-        return [pow(x, e, m) * yy % m for x in xs]
-
     def split(self, p: int, m: int):
         power = partial(pow, exp=self.degree(p), mod=m)
         return MUL, power, power
@@ -245,10 +220,6 @@ class G4(GOperation):
 
     def pair(self, x: int, y: int, p: int, m: int) -> int:
         return (self.half(x, p, m) + self.half(y, p, m)) % m
-
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        half, hy = self.half, self.half(y, p, m)
-        return [(half(x, p, m) + hy) % m for x in xs]
 
     def split(self, p: int, m: int):
         half = self.half
@@ -287,13 +258,20 @@ class SeriesG(GOperation):
         # g_eval names the first coefficient in another context, in this order
         return (self.a, self.c, self.b, *(coeff for _, coeff in self.terms))
 
-    def kernel(self, xs, y: int, p: int, m: int) -> list[int]:
-        base = self.c.value + self.b.value * y
-        a = self.a.value
-        terms = [(i, coeff.value * pow(y, j, m)) for (i, j), coeff in self.terms]
-        return [
-            (base + a * x + sum(cy * pow(x, i, m) for i, cy in terms)) % m for x in xs
-        ]
+    def pair(self, x: int, y: int, p: int, m: int) -> int:
+        total = self.c.value + self.a.value * x + self.b.value * y
+        for (i, j), coeff in self.terms:
+            total += coeff.value * pow(x, i, m) * pow(y, j, m)
+        return total % m
+
+    def rows(self, xs, p: int, m: int):
+        c, a, b = self.c.value, self.a.value, self.b.value
+
+        def row(y: int) -> list[int]:
+            base = c + b * y
+            terms = [(i, coeff.value * pow(y, j, m)) for (i, j), coeff in self.terms]
+            return [(base + a * x + sum(cy * pow(x, i, m) for i, cy in terms)) % m for x in xs]
+        return row
 
 
 # Every operation by the name the CLI and formulas use for it, the G names last.

@@ -314,8 +314,9 @@ def _run(tape: list, ctx: PadicContext | None, names: dict, enc, linear_g, leaf)
     ints: a Var pushes ``names[n.name]``, a Lit ``enc`` of its residue, and an
     op pops x and replaces the top y with op(x, y).  Where a check of
     ``op_apply`` could fail (no ctx, a name not in ``names``, a leaf or
-    coefficient elsewhere, GLIN unbound, a kernel's error), ``_fold`` walks the
-    tape with ``leaf`` and ``op_apply``, which raise what a recursive walk meets first."""
+    coefficient elsewhere, GLIN unbound, an error of ``op.pair``), ``_fold``
+    walks the tape with ``leaf`` and ``op_apply``, which raise what a
+    recursive walk meets first."""
     stack = []
     try:
         p, m = ctx.p, ctx.modulus

@@ -6,6 +6,7 @@ from random import Random
 
 import pytest
 
+from padic_ciphers import ciphers
 from padic_ciphers.analysis import vdp_coefficient_probe
 from padic_ciphers.ciphers import (
     ADD,
@@ -26,6 +27,7 @@ from padic_ciphers.ciphers import (
     InvalidKeyError,
     LinearG,
     MultiplicativeKey,
+    Operation,
     SeriesG,
     XorKey,
     admissible_multipliers,
@@ -57,6 +59,7 @@ from padic_ciphers.core import (
     xor_p,
 )
 from padic_ciphers.lipschitz import check_measure_bruteforce
+from test_scans import reference_g_eval
 
 C32 = PadicContext(3, 2)
 C33 = PadicContext(3, 3)
@@ -259,23 +262,41 @@ def test_g4_matches_truncated_series():
 
 
 def test_g1_to_g4_state_their_own_pair():
-    """Each writes its closed form for one pair, which the formula passes call
-    at every G node, not a one-entry row of its kernel."""
-    for op in (G1, G2, G3, G4):
-        assert "pair" in vars(op) and "kernel" in vars(op), op.name
+    """Each G writes its closed form for one pair, its one integer kernel,
+    which the formula passes call at every G node, and one whole-row form for
+    the law scans: a ``split`` into ADD or MUL, or else ``rows``.  No class
+    states a second kernel."""
+    assert [name for name, cls in vars(ciphers).items()
+            if isinstance(cls, type) and "kernel" in vars(cls)] == []
+    for op in (G1, G2, G3, G4, LinearG, SeriesG):
+        assert "pair" in vars(op), op.__name__
+        assert ("split" in vars(op)) != ("rows" in vars(op)), op.__name__
 
 
 @pytest.mark.parametrize("p,K", ((3, 3), (5, 2), (7, 2)))
-def test_g1_to_g4_pair_is_the_entry_of_the_kernel_row(p, K):
-    m, top, rng = p**K, p**64, Random(p)
+def test_g1_to_g4_pair_matches_the_reference(p, K):
+    """``pair`` against the PadicInt formula of each G, at every pair of a
+    level and at 100 random pairs at precision 64."""
+    ctx, top, rng = PadicContext(p, K), PadicContext(p, 64), Random(p)
     for op in (G1(), G2(), G3(), G4()):
-        for y in range(m):
-            assert [op.pair(x, y, p, m) for x in range(m)] == op.kernel(range(m), y, p, m)
-        for _ in range(100):  # full precision
-            x, y = rng.randrange(top), rng.randrange(top)
-            assert op.pair(x, y, p, top) == op.kernel((x,), y, p, top)[0], (op, x, y)
+        for y, x in product(ctx.residues(), repeat=2):
+            want = reference_g_eval(op, PadicInt(ctx, x), PadicInt(ctx, y)).value
+            assert op.pair(x, y, p, ctx.modulus) == want, (op, x, y)
+        for _ in range(100):
+            x, y = rng.randrange(top.modulus), rng.randrange(top.modulus)
+            want = reference_g_eval(op, PadicInt(top, x), PadicInt(top, y)).value
+            assert op.pair(x, y, p, top.modulus) == want, (op, x, y)
     with pytest.raises(DomainError, match=r"needs an odd p"):
         G3().pair(1, 1, 2, 8)
+
+
+def test_an_unbound_operation_refuses_to_compute():
+    """GLIN and any Operation that states no ``pair`` are names alone: asking
+    one for a value raises DomainError, not RecursionError."""
+    for op in (GLIN, Operation("X")):
+        unbound = rf"^operation {op.name} is unbound: it has no integer kernel$"
+        with pytest.raises(DomainError, match=unbound):
+            op.pair(1, 2, 5, 25)
 
 
 def test_series_g_validation_and_eval():
@@ -343,7 +364,7 @@ def test_roots_of_unity_match_one_lift_per_root():
 def _commuting_units(ctx: PadicContext, op) -> set[int]:
     """Every unit A with A*G(x, y) = G(Ax, Ay) for all x and y, by brute force."""
     p, m = ctx.p, ctx.modulus
-    table = [op.kernel(range(m), y, p, m) for y in range(m)]  # table[y][x] = G(x, y)
+    table = [[op.pair(x, y, p, m) for x in range(m)] for y in range(m)]  # table[y][x] = G(x, y)
     return {A for A in range(1, m) if A % p and all(
         A * table[y][x] % m == table[A * y % m][A * x % m] for y in range(m) for x in range(m))}
 

@@ -3,8 +3,9 @@
 A level of at most 256 residues reads rows of bytes from ``_op_table``, a
 larger one lists built by ``_rows``: MUL rows from stride slices of a ramp,
 G1, G3, G4 and LinearG rows from a row of ADD or MUL through their split,
-the rest from ``op.rows``.  Every row must equal the list of ``op.pair``
-values, and no scan of an operation with a split may call a kernel.
+G2 and SeriesG from their ``op.rows``.  Every row must equal the list of
+``op.pair`` values, and no scan of an operation with a split may call its
+``pair``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from padic_ciphers import analysis
 from padic_ciphers.analysis import MUL, homomorphism_test
 from padic_ciphers.ciphers import (
     G1,
+    G2,
     G3,
     G4,
     GLIN,
@@ -108,14 +110,14 @@ def test_errors_match_the_reference_at_byte_and_list_levels(K):
 
 def test_scans_of_split_operations_call_no_kernel(monkeypatch):
     """MUL builds its rows from a ramp, and G1, G3, G4 and LinearG from a row
-    of ADD or MUL: with every kernel raising, full scans still pass."""
-    def kernel(*args):
-        raise AssertionError("a row was built by a kernel")
+    of ADD or MUL: with each one's ``pair`` raising, full scans still pass."""
+    def pair(*args):
+        raise AssertionError("a row was built by pair")
 
     for ctx in (PadicContext(3, 5), PadicContext(7, 3)):  # 243 and 343 residues
         ops = [MUL, G1(), G3(), G4(), LinearG(ctx.integer(3), ctx.integer(7 * ctx.p))]
-        for cls in {Operation, *map(type, ops)}:
-            monkeypatch.setattr(cls, "kernel", kernel)
+        for cls in set(map(type, ops)):
+            monkeypatch.setattr(cls, "pair", pair)
         analysis._op_table.cache_clear()
         identity = ValueTable(ctx, tuple(range(ctx.modulus)))
         for op in ops:
@@ -123,6 +125,26 @@ def test_scans_of_split_operations_call_no_kernel(monkeypatch):
                 rep = homomorphism_test(identity, op, exhaustive_k=k)
                 assert rep.verdict == "pass" and rep.trials == ctx.p ** (2 * k), (op, k)
     analysis._op_table.cache_clear()
+
+
+# The two operations that state ``rows`` are checked above at levels of up to
+# 4096 residues; at precision 64 their rows must still equal the pair form,
+# on random x and y and on 0, 1 and -1.
+@pytest.mark.parametrize("p", (3, 7, 13))
+def test_stated_rows_equal_the_pair_form_at_full_precision(p):
+    ctx = PadicContext(p, 64)
+    m, rng = ctx.modulus, Random(p)
+
+    def draw():
+        return ctx.integer(rng.randrange(m))
+
+    terms = (((1, 1), draw()), ((3, 0), draw()), ((0, 2), draw()), ((2, 5), draw()))
+    ops = [G2(), SeriesG(ctx.integer(0), draw(), draw(), terms),
+           SeriesG(draw(), draw(), draw(), ())]
+    xs = [0, 1, m - 1, *(rng.randrange(m) for _ in range(200))]
+    for op in ops:
+        for y in (0, 1, m - 1, rng.randrange(m)):
+            assert op.rows(xs, p, m)(y) == [op.pair(x, y, p, m) for x in xs], (op, y)
 
 
 # A ramp of ceil(sqrt(m)) copies of range(m) is 64 * m list entries, 2 MiB at

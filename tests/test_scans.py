@@ -1,5 +1,5 @@
-"""Differential test of the row scans and the operation kernels against the
-per-pair code they replaced.
+"""Differential test of the row scans and the operations' integer kernels
+against the per-pair code they replaced.
 
 The reference functions below are the plain formula of each operation on
 integers, the former ``g_eval`` body (one PadicInt per intermediate value),
@@ -272,8 +272,8 @@ def test_random_scans_match_reference(p, K):
 
 
 # Every level of at most 256 residues, and the first level above, at each p:
-# the rows the scans read (bytes up to 256 residues, lists above), each
-# operation's kernel and its pair form all equal the per-pair reference.
+# the rows the scans read (bytes up to 256 residues, lists above) and each
+# operation's integer kernel, its pair form, all equal the per-pair reference.
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_rows_match_the_per_pair_reference(p):
     ops = [op for op in OP_NAMES.values()
@@ -288,7 +288,6 @@ def test_rows_match_the_per_pair_reference(p):
             for y in ys:
                 want = [_op_int(op, ctx, x, y) for x in range(m)]
                 assert rows(y) == (bytes(want) if m <= 256 else want), (op, ctx, y)
-                assert op.kernel(range(m), y, p, m) == want, (op, ctx, y)
                 assert [op.pair(x, y, p, m) for x in range(m)] == want, (op, ctx, y)
         if m > 256:
             break
@@ -304,7 +303,7 @@ def test_coefficients_of_another_prime_are_refused():
         assert got == (DomainError, "operation coefficients use a different prime")
 
 
-# -- the G kernels ------------------------------------------------------------------------
+# -- the G pair kernels, through g_eval ---------------------------------------------------
 
 
 @st.composite
