@@ -133,7 +133,11 @@ def _row_builder(op: Operation, ctx: PadicContext):
     if op is not XOR and op is not AND:
         split = op.split(p, m)
         if split is None:
-            return op.rows(range(m), p, m)
+            rows = getattr(op, "rows", None)
+            if rows is None:  # GLIN, or a G stating pair alone
+                raise DomainError(f"operation {op!r} states neither split nor rows, "
+                                  "so an exhaustive level has no row form for it")
+            return rows(range(m), p, m)
         # op(x, y) = base(u(x), w(y)): row y is the base row of w(y) read at
         # each u(x), by one translate or itemgetter call through a vector.
         base, u, w = split

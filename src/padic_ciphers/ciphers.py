@@ -266,11 +266,17 @@ class SeriesG(GOperation):
 
     def rows(self, xs, p: int, m: int):
         c, a, b = self.c.value, self.a.value, self.b.value
+        linear = [c + a * x for x in xs]
+        powers = {i: [pow(x, i, m) for x in xs] for (i, _), _ in self.terms}  # once per level
+        terms = [(powers[i], j, coeff.value) for (i, j), coeff in self.terms]
 
         def row(y: int) -> list[int]:
-            base = c + b * y
-            terms = [(i, coeff.value * pow(y, j, m)) for (i, j), coeff in self.terms]
-            return [(base + a * x + sum(cy * pow(x, i, m) for i, cy in terms)) % m for x in xs]
+            by = b * y
+            out = [t + by for t in linear]
+            for xi, j, coeff in terms:  # one term over the whole row at a time
+                cy = coeff * pow(y, j, m)
+                out = [t + cy * v for t, v in zip(out, xi)]
+            return [t % m for t in out]
         return row
 
 
@@ -302,7 +308,7 @@ def _check_g(op: Operation) -> None:
 
 
 def g_eval(op: GOperation, x: PadicInt, y: PadicInt) -> PadicInt:
-    if x.ctx != y.ctx:
+    if x.ctx is not y.ctx and x.ctx != y.ctx:
         raise DomainError("operands live in different contexts")
     _check_g(op)
     ctx = x.ctx
@@ -501,7 +507,7 @@ class AdditiveKey(Record):
     def draw(cls, ctx: PadicContext, rng: Random, g=None) -> "AdditiveKey":
         return cls(_random_unit(ctx, rng))
 
-    @property
+    @cached_property  # read on every encrypt: one instance-dict lookup once cached
     def ctx(self) -> PadicContext:
         return self.A.ctx
 
@@ -954,13 +960,13 @@ def keygen(
 
 
 def encrypt(key: CipherKey, x: PadicInt) -> PadicInt:
-    if x.ctx != key.ctx:
+    if x.ctx is not key.ctx and x.ctx != key.ctx:  # same object first: no Record.__eq__
         raise DomainError("plaintext context does not match the key")
     return PadicInt(x.ctx, key.enc_int(x.value))
 
 
 def decrypt(key: CipherKey, y: PadicInt) -> PadicInt:
-    if y.ctx != key.ctx:
+    if y.ctx is not key.ctx and y.ctx != key.ctx:
         raise DomainError("ciphertext context does not match the key")
     return PadicInt(y.ctx, key.dec_int(y.value))
 

@@ -209,8 +209,8 @@ class PadicInt(Record):
     value: int
 
     def __init__(self, ctx: PadicContext, value: int) -> None:  # one per encrypt
-        _set(self, "ctx", ctx)
-        _set(self, "value", value)
+        _set_ctx(self, ctx)  # the slot descriptors: no lookup of the name
+        _set_value(self, value)
         self.__post_init__()
 
     def __reduce__(self):  # copy and pickle build a PadicInt again, as its slots are frozen
@@ -234,7 +234,7 @@ class PadicInt(Record):
     # -- ring structure ----------------------------------------------------
 
     def _check_ctx(self, other: "PadicInt") -> None:
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(f"mixed contexts {self.ctx} and {other.ctx}")
 
     def __add__(self, other: "PadicInt") -> "PadicInt":
@@ -265,6 +265,9 @@ class PadicInt(Record):
 
     def __str__(self) -> str:
         return to_text(self)
+
+
+_set_ctx, _set_value = PadicInt.ctx.__set__, PadicInt.value.__set__
 
 
 # -- construction / text form ----------------------------------------------

@@ -150,7 +150,7 @@ def chi(m: int, x: PadicInt) -> int:
 def vdp_eval(series: VdpSeries, x: PadicInt) -> PadicInt:
     """The van der Put series sum of B_m chi(m, x) at x: B summed over the
     distinct digit prefixes of x, the indices with chi = 1."""
-    if series.ctx != x.ctx:
+    if series.ctx is not x.ctx and series.ctx != x.ctx:
         raise DomainError("series and argument contexts differ")
     ctx = series.ctx
     p = ctx.p

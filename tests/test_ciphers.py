@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import sys
 from itertools import product
 from random import Random
 
@@ -658,6 +659,67 @@ def test_encrypt_and_decrypt_refuse_a_value_in_another_context():
         "plaintext context does not match the key")
     assert _refusal(DomainError, lambda: decrypt(key, x)) == (
         "ciphertext context does not match the key")
+
+
+# The call path compares contexts by identity first: an equal context that is
+# another object must still encrypt and decrypt, and an unequal one be refused.
+@pytest.mark.parametrize("family", FAMILIES)
+def test_an_equal_context_of_another_object_encrypts_and_decrypts_alike(family):
+    ctx, twin = PadicContext(7, 64), PadicContext(7, 64)
+    assert twin == ctx and twin is not ctx
+    key = keygen(ctx, family, Random(30))
+    for v in (0, 1, 7, 12345, ctx.modulus - 1):
+        x, x_twin = PadicInt(ctx, v), PadicInt(twin, v)
+        y, y_twin = encrypt(key, x), encrypt(key, x_twin)
+        assert y_twin == y and y_twin.ctx is twin and y.ctx is ctx
+        assert decrypt(key, y_twin) == x_twin == decrypt(key, y)
+    for other in (PadicContext(7, 63), PadicContext(5, 64)):
+        z = PadicInt(other, 12345)
+        assert _refusal(DomainError, lambda: encrypt(key, z)) == (
+            "plaintext context does not match the key")
+        assert _refusal(DomainError, lambda: decrypt(key, z)) == (
+            "ciphertext context does not match the key")
+
+
+@pytest.mark.parametrize("family", ["additive", "multiplicative", "fhe"])
+def test_a_key_ctx_is_its_multiplier_ctx_and_reading_it_changes_no_view(family):
+    key = keygen(PadicContext(5, 16), family, Random(31))
+    twin = type(key)(*(getattr(key, name) for name in key.__match_args__))
+    views = (repr(twin), hash(twin))
+    assert twin.ctx is twin.A.ctx and vars(twin)["ctx"] is twin.A.ctx  # read once, then kept
+    assert (repr(twin), hash(twin)) == views == (repr(key), hash(key))
+    assert twin == key and key_to_json(twin) == key_to_json(key)
+    back = key_from_json(key_to_json(twin))
+    assert back == twin and hash(back) == hash(twin) and back.ctx == twin.ctx
+
+
+def test_encrypt_and_decrypt_make_at_most_four_python_calls_and_keep_the_range_check():
+    """On the key's own context object, after a warm-up call: the function,
+    the kernel, PadicInt.__init__ and its __post_init__.  No context is
+    compared through Record.__eq__ and no key property runs; __post_init__
+    still refuses a residue out of range."""
+    ctx = PadicContext(7, 64)
+    key = keygen(ctx, "additive", Random(32))
+    x = ctx.integer(12345)
+    y = encrypt(key, x)
+    assert decrypt(key, y) == x
+    for call, arg in ((encrypt, x), (decrypt, y)):
+        codes = []
+
+        def profile(frame, event, _):
+            if event == "call":
+                codes.append(frame.f_code)
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            call(key, arg)
+        finally:
+            sys.setprofile(previous)
+        assert len(codes) <= 4, [code.co_qualname for code in codes]
+        assert PadicContext.__eq__.__code__ not in codes
+    for v in (-1, ctx.modulus):
+        assert _refusal(DomainError, lambda: PadicInt(ctx, v)) == (
+            f"residue {v} out of range [0, {ctx.modulus})")
 
 
 @pytest.mark.parametrize("s", (0, 2, 4, 5))

@@ -348,3 +348,22 @@ def test_g_eval_errors_match_reference():
     for op, a, b in cases:
         got = outcome(g_eval, op, a, b)
         assert isinstance(got, tuple) and got == outcome(reference_g_eval, op, a, b), op
+
+
+def test_an_operation_with_no_row_form_is_refused_by_name():
+    """A G stating ``pair`` alone passes random trials; an exhaustive level,
+    which reads whole rows, refuses it with a DomainError naming it, and
+    ``_rows`` refuses GLIN the same way."""
+
+    class PairOnly(GOperation):
+        def pair(self, x: int, y: int, p: int, m: int) -> int:
+            return (x + y) % m
+
+    ctx = PadicContext(5, 2)
+    key = keygen(ctx, "additive", Random(1))
+    assert homomorphism_test(key, PairOnly(), trials=50, seed=1).verdict == "pass"
+    refusal = r"operation {} states neither split nor rows, so an exhaustive level "
+    with pytest.raises(DomainError, match="^" + refusal.format(r".*PairOnly\(\)")):
+        homomorphism_test(key, PairOnly(), exhaustive_k=1)
+    with pytest.raises(DomainError, match="^" + refusal.format("GLIN")):
+        analysis._rows(GLIN, ctx)
