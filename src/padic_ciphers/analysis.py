@@ -15,10 +15,13 @@ Scans run on plain residues.  An exhaustive level k compares one row per y:
 row y of an operation holds op(x, y) for every x, so f(op(x, y)) over all x
 is a gather of row y through the encryption values, op(f(x), f(y)) a gather
 of the encryption values through row f(y), and the first differing x is
-looked up only on a mismatch.  Levels of at most 256 residues read their
-rows from a cached table of bytes, and each gather there is one
-``bytes.translate``; larger levels build each row when it is needed, and
-each gather there is one ``operator.itemgetter`` call.  Random pairs come
+looked up only on a mismatch.  ADD, MUL, XOR and AND are monoids, so a map
+respects one once it does at every x for each y in a generating set and the
+identity (induction on words): those rows decide a pass, and a mismatch
+among them reruns the scan from y = 0 for the first witness.  No table is
+kept: each row is built when read, as bytes up to 256 residues, where each
+gather is one ``bytes.translate``, and as a list above, where each gather
+is one ``operator.itemgetter`` call.  Random pairs come
 from ``op.pair``, each operation's one integer kernel (``ciphers.Operation``).
 Rows are built from structure, with no Python arithmetic per entry where
 the operation allows it: ADD rows are slices of a doubled ramp, MUL rows
@@ -44,7 +47,6 @@ map itself.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from itertools import chain
 from operator import itemgetter
 from random import Random
@@ -105,7 +107,7 @@ class SearchReport(Record):
 
 # -- evaluating operations at reduced precision -------------------------------
 
-TABLE_RESIDUES = 256  # levels this small keep their operation table
+TABLE_RESIDUES = 256  # rows of levels this small are bytes; sets the escalation depth
 
 
 def check_pair_budget(ctx: PadicContext, k: int) -> None:
@@ -124,7 +126,7 @@ def check_trial_budget(trials: int) -> None:
         raise DomainError(f"{trials} random pairs are over the budget of {core.PAIR_BUDGET}")
 
 
-def _row_builder(op: Operation, ctx: PadicContext):
+def _rows(op: Operation, ctx: PadicContext):
     """The function y -> [op(x, y) for x in range(p^k)] at level ctx = (p, k),
     as bytes up to TABLE_RESIDUES residues and as a list above."""
     p, m = ctx.p, ctx.modulus
@@ -137,7 +139,8 @@ def _row_builder(op: Operation, ctx: PadicContext):
             if rows is None:  # GLIN, or a G stating pair alone
                 raise DomainError(f"operation {op!r} states neither split nor rows, "
                                   "so an exhaustive level has no row form for it")
-            return rows(range(m), p, m)
+            row = rows(range(m), p, m)
+            return row if m > TABLE_RESIDUES else lambda y: bytes(row(y))
         # op(x, y) = base(u(x), w(y)): row y is the base row of w(y) read at
         # each u(x), by one translate or itemgetter call through a vector.
         base, u, w = split
@@ -192,28 +195,20 @@ def _ramp_rows(op: Operation, m: int):
     return mul_row
 
 
-def _rows(op: Operation, ctx: PadicContext):
-    """Row function of an operation at a level: read from the cached table
-    when the level has at most TABLE_RESIDUES residues, else built per call."""
-    if ctx.modulus <= TABLE_RESIDUES:
-        return _op_table(op, ctx).__getitem__
-    return _row_builder(op, ctx)
-
-
-@lru_cache(maxsize=128)
-def _op_table(op: Operation, ctx: PadicContext) -> tuple[bytes, ...]:
-    """Row y of op at a level of at most 256 residues, one byte per entry.
-
-    A table takes at most 256 * (256 + 33) + 2088 bytes (76 KB), a G1 table
-    only its 2088-byte tuple, as its rows are those of the MUL table, and
-    the cache at most 128 tables (9.7 MB).  A build frees what else it holds
-    (a MUL ramp of at most 16 * 256 bytes, a split's vectors).  A split G
-    builds its base table first, yet certifying keys at (3,5), (5,3), (7,3)
-    and refuting at (3,3), (3,4), (5,2), (7,2) still use 74 distinct tables
-    (over 40 seeds of the benchmark's inputs): each base table is among them.
-    """
-    build = _row_builder(op, ctx)
-    return tuple(bytes(build(y)) for y in range(ctx.modulus))
+def _generators(op: Operation, ctx: PadicContext) -> set[int]:
+    """A generating set and the identity of ADD, MUL, XOR or AND on Z/p^k."""
+    p, m = ctx.p, ctx.modulus
+    powers = [p**i for i in range(ctx.precision)]
+    if op is ADD:
+        return {0, 1}
+    if op is XOR:
+        return {0, *powers}
+    r = core._primitive_root(p)
+    if op is MUL:  # units: a primitive root mod p^2 at odd p, -1 and 5 at p = 2
+        units = (m - 1, 5) if p == 2 else (r if pow(r, p - 1, p * p) != 1 else r + p,)
+        return {1, p % m, *(u % m for u in units)}
+    e = (m - 1) // (p - 1)  # the all-ones digits; AND sets one digit to 0 or r
+    return {e, *(e - q for q in powers), *(e + (r - 1) * q for q in powers)}
 
 
 def _subject(subject):
@@ -263,12 +258,16 @@ def homomorphism_test(
         if m <= TABLE_RESIDUES:  # byte rows: each gather is one translate
             enc_bytes, pad = bytes(enc), bytes(256 - m)
             enc_tab = enc_bytes + pad
-            y = next((y for y in range(m) if row(y).translate(enc_tab)
-                      != enc_bytes.translate(row(enc[y]) + pad)), None)
+
+            def differs(y):
+                return row(y).translate(enc_tab) != enc_bytes.translate(row(enc[y]) + pad)
         else:  # rows of ints: each gather is one itemgetter call
             gather = itemgetter(*enc)
-            y = next((y for y in range(m) if itemgetter(*row(y))(enc)
-                      != gather(row(enc[y]))), None)
+
+            def differs(y):
+                return itemgetter(*row(y))(enc) != gather(row(enc[y]))
+        decided = op in (ADD, MUL, XOR, AND) and not any(map(differs, _generators(op, sub)))
+        y = None if decided else next(filter(differs, range(m)), None)
         if y is None:
             return SearchReport("pass", None, m * m, mode)
         # Only the first mismatching row is gathered entry by entry, for x.

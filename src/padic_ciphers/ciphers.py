@@ -53,7 +53,7 @@ from .core import (
     PadicError,
     PadicInt,
     Record,
-    _is_prime,
+    _primitive_root,
     check_table_size,
     digitwise,
     from_text,
@@ -380,12 +380,6 @@ def roots_of_unity(ctx: PadicContext, d: int) -> frozenset[PadicInt]:
 def _powers(b: int, n: int, m: int) -> list[int]:
     """[1, b, ..., b^(n-1)] mod m, by running products."""
     return list(accumulate(repeat(b, n - 1), lambda x, y: x * y % m, initial=1))
-
-
-def _primitive_root(p: int) -> int:
-    """The least r with r^((p-1)/q) != 1 mod p for every prime q dividing p-1."""
-    qs = [q for q in range(2, p) if (p - 1) % q == 0 and _is_prime(q)]
-    return next(r for r in range(2, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
 
 
 # -- key fields in JSON -------------------------------------------------------------

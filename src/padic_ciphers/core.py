@@ -100,6 +100,12 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _primitive_root(p: int) -> int:
+    """The least r >= 1 of order p - 1 mod p, a generator of (Z/p)^x: 1 at p = 2."""
+    qs = [q for q in range(2, p) if (p - 1) % q == 0 and _is_prime(q)]
+    return next(r for r in range(1, p) if all(pow(r, (p - 1) // q, p) != 1 for q in qs))
+
+
 class Record:
     """A frozen record of the fields its classes annotate, compared and shown by field."""
 

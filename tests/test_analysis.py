@@ -278,9 +278,9 @@ def test_negative_trial_and_key_counts_are_refused(monkeypatch):
             intersection_scan(ADD, MUL, C33, **counts)
 
 
-def test_operation_tables_hold_a_check_and_search_working_set():
-    """The certify and refute work of the laws benchmark, done twice: the
-    second pass finds every operation table it needs in the cache."""
+def test_rows_a_check_and_search_working_set_reads_equal_the_pair_form(monkeypatch):
+    """The certify and refute work of the laws benchmark: every row its scans
+    read, each base and lower-level row included, equals the pair form."""
     rng = Random(0)
     keys = [keygen(PadicContext(p, K), family, rng)
             for p, K in ((3, 5), (5, 3), (7, 3)) for family in FAMILIES]
@@ -297,11 +297,24 @@ def test_operation_tables_hold_a_check_and_search_working_set():
         for first, second, ctx in scans:
             intersection_scan(first, second, ctx, n_keys=2, seed=1)
 
-    analysis._op_table.cache_clear()
+    read = {}
+    build = analysis._rows
+
+    def recording(op, ctx):
+        row = build(op, ctx)
+
+        def recorded(y):
+            read[op, ctx, y] = out = row(y)
+            return out
+        return recorded
+
+    monkeypatch.setattr(analysis, "_rows", recording)
     work()
-    built = analysis._op_table.cache_info().misses
-    work()
-    assert analysis._op_table.cache_info().misses == built
+    assert len({(op, ctx) for op, ctx, _ in read}) > 40
+    for (op, ctx, y), row in read.items():
+        p, m = ctx.p, ctx.modulus
+        want = [op.pair(x, y, p, m) for x in range(m)]
+        assert row == (bytes(want) if m <= 256 else want), (op, ctx, y)
 
 
 def test_report_json():

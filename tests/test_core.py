@@ -27,6 +27,7 @@ from padic_ciphers.core import (
     valuation,
     xor_p,
     _is_prime,
+    _primitive_root,
 )
 from test_kernels import unit_decompose
 
@@ -63,6 +64,22 @@ def test_primality_agrees_with_trial_division():
         n for n in range(10**5) if _trial_division(n)
     ]
     assert _is_prime(10**12 + 39)
+
+
+def _order(r: int, p: int) -> int:
+    """The multiplicative order of r mod p, by repeated multiplication."""
+    n, v = 1, r % p
+    while v != 1:
+        n, v = n + 1, v * r % p
+    return n
+
+
+def test_primitive_root_is_the_least_residue_of_order_p_minus_1():
+    for p in filter(_trial_division, range(200)):
+        r = _primitive_root(p)
+        assert _order(r, p) == p - 1, p
+        assert all(_order(s, p) < p - 1 for s in range(1, r)), p
+    assert _primitive_root(2) == 1
 
 
 def test_primality_rejects_carmichael_numbers_and_strong_pseudoprimes():

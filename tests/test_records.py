@@ -1,8 +1,7 @@
 """The package's record classes: the keys, operations, contexts, residues,
 formula nodes, tables, reports and machines.  Each is frozen, compares and
-hashes by its fields, and has a repr that names them; contexts and operations
-are lru_cache keys, and keys survive a JSON round trip as equal, hashable
-values.  No module of the package imports ``dataclasses``, so a command does
+hashes by its fields, and has a repr that names them; contexts are cache
+keys, and keys survive a JSON round trip as equal, hashable values.  No module of the package imports ``dataclasses``, so a command does
 not pay for it at start-up."""
 
 import copy
@@ -235,20 +234,16 @@ def test_keys_survive_a_json_round_trip_equal_and_with_the_same_hash(ctx):
         assert len({key, back}) == 1
 
 
-def test_op_table_hits_its_cache_for_equal_contexts_and_operations():
+def test_equal_operations_at_equal_contexts_build_the_rows_of_their_pair_form():
     ctx = PadicContext(3, 2)
     lin = LinearG(ctx.integer(2), ctx.one)
     lin_back = key_from_json(key_to_json(FheKey(ctx.one, lin))).g
     assert lin_back == lin and lin_back is not lin
-    analysis._op_table.cache_clear()
-    try:
-        for op, twin in ((ADD, ADD), (G1(), G1()), (lin, lin_back)):
-            first = analysis._op_table(op, ctx)
-            hits = analysis._op_table.cache_info().hits
-            assert analysis._op_table(twin, PadicContext(3, 2)) is first
-            assert analysis._op_table.cache_info().hits == hits + 1
-    finally:
-        analysis._op_table.cache_clear()
+    for op, twin in ((ADD, ADD), (G1(), G1()), (lin, lin_back)):
+        assert hash(twin) == hash(op)
+        rows, twin_rows = analysis._rows(op, ctx), analysis._rows(twin, PadicContext(3, 2))
+        for y in range(9):
+            assert rows(y) == twin_rows(y) == bytes(op.pair(x, y, 3, 9) for x in range(9))
 
 
 @pytest.mark.parametrize("family", FAMILIES)

@@ -1,7 +1,7 @@
 """The rows an exhaustive scan reads, against the pair form of each operation.
 
-A level of at most 256 residues reads rows of bytes from ``_op_table``, a
-larger one lists built by ``_rows``: MUL rows from stride slices of a ramp,
+``_rows`` builds each row a scan reads, as bytes up to 256 residues and as
+a list above, and keeps no table: MUL rows from stride slices of a ramp,
 G1, G3, G4 and LinearG rows from a row of ADD or MUL through their split,
 G2 and SeriesG from their ``op.rows``.  Every row must equal the list of
 ``op.pair`` values, and no scan of an operation with a split may call its
@@ -51,19 +51,14 @@ def _assert_rows(ctx: PadicContext, ys, rng: Random) -> None:
     p, m = ctx.p, ctx.modulus
     for op in _operations(ctx, rng):
         rows = analysis._rows(op, ctx)
-        table = analysis._op_table(op, ctx) if m <= 256 else None
         for y in ys:
             want = [op.pair(x, y, p, m) for x in range(m)]
-            if table is None:
-                assert rows(y) == want, (op, ctx, y)
-            else:
-                assert rows(y) == table[y] == bytes(want), (op, ctx, y)
+            assert rows(y) == (bytes(want) if m <= 256 else want), (op, ctx, y)
 
 
 @pytest.mark.parametrize("p", (2, 3, 5, 7, 11, 13))
 def test_byte_rows_equal_the_pair_form_at_every_y(p):
     rng = Random(p)
-    analysis._op_table.cache_clear()
     k = 1
     while p**k <= 256:
         ctx = PadicContext(p, k)
@@ -118,13 +113,11 @@ def test_scans_of_split_operations_call_no_kernel(monkeypatch):
         ops = [MUL, G1(), G3(), G4(), LinearG(ctx.integer(3), ctx.integer(7 * ctx.p))]
         for cls in set(map(type, ops)):
             monkeypatch.setattr(cls, "pair", pair)
-        analysis._op_table.cache_clear()
         identity = ValueTable(ctx, tuple(range(ctx.modulus)))
         for op in ops:
             for k in range(1, ctx.precision + 1):
                 rep = homomorphism_test(identity, op, exhaustive_k=k)
                 assert rep.verdict == "pass" and rep.trials == ctx.p ** (2 * k), (op, k)
-    analysis._op_table.cache_clear()
 
 
 # The two operations that state ``rows`` are checked above at levels of up to

@@ -219,7 +219,7 @@ def operations(ctx: PadicContext, rng: Random) -> list[Operation]:
 
 
 # Levels 1-3 at p = 2, 3, 5, 7.  The level 7^3 = 343 has more than 256
-# residues, so its rows are built on demand rather than tabulated.  There a
+# residues, so its rows are lists rather than bytes.  There a
 # passing per-pair reference scan of a G takes about a second, so a key meets
 # G operations only if they are among its own laws; at levels 1 and 2 it
 # meets every one.
