@@ -26,12 +26,14 @@ from ``op.pair``, each operation's one integer kernel (``ciphers.Operation``).
 Rows are built from structure, with no Python arithmetic per entry where
 the operation allows it: ADD rows are slices of a doubled ramp, MUL rows
 join about sqrt(m) stride slices of a ramp of ceil(sqrt(m)) copies of
-range(m) (m = p^k), and XOR/AND rows join per-digit chunks in the order of
-the level k-1 row.  An operation that states a split op(x, y) =
-base(u(x), w(y)) with base ADD or MUL (``Operation.split``: G1, G3, G4 and
-LinearG) reads row y as the base row of w(y) through a per-level vector of
-u(x); G2 and SeriesG state ``rows`` instead.  So a level holds
-O(m^1.5) entries besides its rows, never the m^2 of a whole table of lists.
+range(m) (m = p^k), and an XOR/AND row sums k per-digit terms, each m byte
+slots of one integer (p gathers of the level k-1 row above 256 residues).
+An operation that states a split op(x, y) = base(u(x), w(y)) with base ADD
+or MUL (``Operation.split``: G1, G3, G4 and LinearG) reads row y as the
+base row of w(y) through a vector of u(x), so a scan compares only the
+least y of each distinct (w(y), w(f(y))); G2 and SeriesG state ``rows``
+instead.  So a level holds O(m^1.5) entries besides its rows, never the
+m^2 of a whole table of lists.
 A level of more than core.PAIR_BUDGET pairs is refused with DomainError
 before any of it is built.
 
@@ -47,8 +49,8 @@ map itself.
 from __future__ import annotations
 
 import math
-from itertools import chain
-from operator import itemgetter
+from itertools import chain, compress
+from operator import eq, itemgetter
 from random import Random
 
 from .ciphers import (  # ADD, MUL, XOR and AND are re-exported
@@ -145,27 +147,35 @@ def _rows(op: Operation, ctx: PadicContext):
         # each u(x), by one translate or itemgetter call through a vector.
         base, u, w = split
         rows, ws = _rows(base, ctx), [*map(w, range(m))]
+        us = ws if u is w or u is None else [*map(u, range(m))]
         if u is None:
-            return lambda y: rows(ws[y])
-        us = ws if u is w else [*map(u, range(m))]
-        if m <= TABLE_RESIDUES:
+            row = lambda y: rows(ws[y])
+        elif m <= TABLE_RESIDUES:
             us, pad = bytes(us), bytes(256 - m)
-            return lambda y: us.translate(rows(ws[y]) + pad)
-        gather = itemgetter(*us)
-        return lambda y: [*gather(rows(ws[y]))]
-    # Digitwise: x = x0 + p*x' takes digit 0 from the level-1 ADD or MUL row
-    # and the rest from the level k-1 row, in the order of x.
-    digit = _rows(ADD if op is XOR else MUL, PadicContext(p, 1))
-    if ctx.precision == 1:
+            row = lambda y: us.translate(rows(ws[y]) + pad)
+        else:
+            gather = itemgetter(*us)
+            row = lambda y: [*gather(rows(ws[y]))]
+        row.classes = ws if len(set(ws)) < m else None  # row y depends on y only via ws[y]
+        return row
+    # Digitwise: entry x of row y is the sum over i of p^i digit(y_i)[x_i],
+    # digit the level-1 ADD or MUL row and x_i, y_i digit i of x and y.  Up to
+    # 256 residues each term is m byte slots of one integer: no slot carries.
+    digit, k = _rows(ADD if op is XOR else MUL, PadicContext(p, 1)), ctx.precision
+    if k == 1:
         return digit
-    lower = _rows(op, PadicContext(p, ctx.precision - 1))
-    # Row y is the level k-1 row with each entry t replaced by the chunk
-    # d + p*t of the digit row: bytes joined in one call up to 256 residues.
     if m <= TABLE_RESIDUES:
-        chunks = [[bytes(d + p * t for d in digit(a)) for t in range(m // p)] for a in range(p)]
-        return lambda y: b"".join(map(chunks[y % p].__getitem__, lower(y // p)))
-    chunks = [[[d + p * t for d in digit(a)] for t in range(m // p)] for a in range(p)]
-    return lambda y: [*chain.from_iterable(map(chunks[y % p].__getitem__, lower(y // p)))]
+        tables, terms = [digit(a).ljust(256) for a in range(p)], []
+        for q in (p**i for i in range(k)):
+            x_i = b"".join([bytes([d]) * q for d in range(p)]) * (m // (p * q))
+            terms.append((q, [int.from_bytes(x_i.translate(t), "little") * q for t in tables]))
+        return lambda y: sum(t[y // q % p] for q, t in terms).to_bytes(m, "little")
+    # Above, entry x0 + p*x' is entry x' of the level k-1 row read through
+    # t -> d + p*t, d = digit(y mod p)[x0]: p gathers through stride-p slices
+    # of range(m), interleaved.
+    lower, offsets = _rows(op, PadicContext(p, k - 1)), [[*range(d, m, p)] for d in range(p)]
+    return lambda y: [*chain.from_iterable(zip(*map(
+        itemgetter(*lower(y // p)), map(offsets.__getitem__, digit(y % p)))))]
 
 
 def _ramp_rows(op: Operation, m: int):
@@ -266,8 +276,13 @@ def homomorphism_test(
 
             def differs(y):
                 return itemgetter(*row(y))(enc) != gather(row(enc[y]))
-        decided = op in (ADD, MUL, XOR, AND) and not any(map(differs, _generators(op, sub)))
-        y = None if decided else next(filter(differs, range(m)), None)
+        ys, ws = range(m), getattr(row, "classes", None)
+        if ws:  # differs(y) depends on (ws[y], ws[enc[y]]) alone: scan the least y of each
+            first, pairs = {}, zip(ws, map(ws.__getitem__, enc))
+            ys = compress(ys, map(eq, map(first.setdefault, pairs, ys), ys))
+        monoid = op is ADD or op is MUL or op is XOR or op is AND  # no Record.__eq__ calls
+        decided = monoid and not any(map(differs, _generators(op, sub)))
+        y = None if decided else next(filter(differs, ys), None)
         if y is None:
             return SearchReport("pass", None, m * m, mode)
         # Only the first mismatching row is gathered entry by entry, for x.

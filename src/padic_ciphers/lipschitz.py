@@ -30,20 +30,19 @@ time only to name the first bad one or, in the series criterion, to keep
 the order in which it raises or returns False.
 
 The table text writes each canonical entry line from the digit texts of the
-residue's low and high halves, built once per call, and reads p^K lines in
-that exact spelling back in one pass through the same halves.  For p <= 10
-every digit is one character, so every canonical line has one width and the
-body is read as fixed-width ``struct`` records, a chunk of lines encoded at
-a time; for p >= 11 a digit may take two characters, and a regular
-expression finds each line's halves.  Any other text goes to
-``core.from_text`` line by line.
+residue's low and high halves, built once per call.  For p <= 10 every digit
+is one character, so canonical lines have one width and are read back by
+digit columns: a chunk of lines is checked with one ``translate`` against a
+template line, and its columns are summed as packed byte and 32-bit slots
+of one integer.  For p >= 11 a digit may take two characters, and a regular
+expression finds each line's halves among the same digit texts.  Any other
+text goes to ``core.from_text`` line by line.
 """
 
 from __future__ import annotations
 
 import re
-import struct
-from itertools import chain
+import sys
 from operator import add
 from random import Random
 from typing import Callable
@@ -366,21 +365,15 @@ def random_one_lipschitz_table(
 # -- text serialization --------------------------------------------------------------
 
 
-def _digit_texts(p: int, n: int) -> list[str]:
-    """The text "d0,d1,...,d(n-1)," of every residue mod p**n, in residue order."""
-    texts = [""]
-    for _ in range(n):
-        texts = [f"{d},{t}" for t in texts for d in range(p)]
-    return texts
-
-
 def _half_texts(p: int, K: int) -> tuple[int, list[str], list[str]]:
-    """h = K // 2 and the digit texts of the two halves of a canonical entry:
-    "d0,...,d(h-1)," for each residue mod p**h and "dh,...,d(K-1)" for each
-    residue mod p**(K-h).  A table's text costs p**h + p**(K-h) strings of
-    these, not one per residue."""
-    h = K // 2
-    return h, _digit_texts(p, h), [t[:-1] for t in _digit_texts(p, K - h)]
+    """h = K // 2 and the digit texts of the two halves of a canonical entry,
+    in residue order: "d0,...,d(h-1)," for each residue mod p**h and
+    "dh,...,d(K-1)" for each residue mod p**(K-h).  A table's text costs
+    p**h + p**(K-h) strings of these, not one per residue."""
+    h, texts = K // 2, [[""]]
+    while len(texts) <= K - h:  # texts[n]: "d0,...,d(n-1)," of each residue mod p**n
+        texts.append([f"{d},{t}" for t in texts[-1] for d in range(p)])
+    return h, texts[h], [t[:-1] for t in texts[-1]]
 
 
 def serialize_table_text(obj: ValueTable | VdpSeries) -> str:
@@ -402,37 +395,44 @@ def serialize_table_text(obj: ValueTable | VdpSeries) -> str:
 
 def _canonical_entries(body: str, ctx: PadicContext) -> list[int] | None:
     """The values of a body of exactly p**K canonical lines, each ending in a
-    newline, read in one pass through ``_half_texts``; None for any other body.
-
-    For p <= 10 every digit is one character, so every canonical line has the
-    same width: the body is read as fixed-width records of a low and a high
-    half, encoded p**(K-h) lines at a time.  For p >= 11 a regular
-    expression finds the halves of each line."""
+    newline, read by digit columns for p <= 10 and through ``_half_texts``
+    above; None for any other body."""
     p, K, n = ctx.p, ctx.precision, ctx.modulus
-    if body.count("\n") != n or not body.endswith("\n"):
-        return None
-    h, low, high = _half_texts(p, K)
-    prefix, ph = f"{p}:{K}:", p**h
-    if p > 10:
-        low = {t: v for v, t in enumerate(low)}
-        high = {t: v * ph for v, t in enumerate(high)}
-        # A match spans one whole line, so n matches cover all n lines.
-        halves = map(re.Match.groups, re.finditer(
-            rf"^{prefix}((?:[^,\n]*,){{{h}}})([^\n]*)\n", body, re.M))
-    else:
-        # A record is one line when its halves are canonical, for the high
-        # half ends in the line's only newline: n records cover all n lines.
+    prefix = f"{p}:{K}:"
+    if p <= 10 and sys.byteorder == "little":  # the packed slots are read little-endian
+        # n lines of one width that match the template (digits below p read as
+        # 0) and hold the prefix, which fits only at a line's start, are canonical.
         width = len(prefix) + 2 * K
         if len(body) != n * width or not body.isascii():
             return None
-        low = {(prefix + t).encode(): v for v, t in enumerate(low)}
-        high = {(t + "\n").encode(): v * ph for v, t in enumerate(high)}
-        records = struct.Struct(f"{len(prefix) + 2 * h}s{2 * (K - h)}s").iter_unpack
-        step = width * len(high)
-        halves = chain.from_iterable(records(body[i:i + step].encode())
-                                     for i in range(0, len(body), step))
+        zero, lines = bytes.maketrans(b"0123456789"[:p], b"0" * p), (1 << 16) // width + 1
+        template = ((prefix + "0," * K)[:-1] + "\n").encode().translate(zero) * lines
+        g, entries = next(g for g in range(8, 0, -1) if p**g <= 256), []  # g digits sum < p**g
+        for i in range(0, n * width, lines * width):
+            chunk = body[i:i + lines * width].encode()
+            c = len(chunk) // width
+            if chunk.translate(zero) != template[:len(chunk)] or chunk.count(prefix.encode()) != c:
+                return None
+            # Digit j of each line is the byte 48 + d of column len(prefix) + 2j:
+            # g columns at a time sum in byte slots, which spread to 32-bit ones.
+            ones, slots, total = int.from_bytes(b"\1" * c, "little"), bytearray(4 * c), 0
+            for j0 in range(0, K, g):
+                col, weights = len(prefix) + 2 * j0, [p**j for j in range(min(g, K - j0))]
+                group = sum(int.from_bytes(chunk[col + 2 * j::width], "little") * w
+                            for j, w in enumerate(weights)) - 48 * sum(weights) * ones
+                slots[::4] = group.to_bytes(c, "little")
+                total += int.from_bytes(slots, "little") * p**j0
+            entries += memoryview(total.to_bytes(4 * c, "little")).cast("I")
+        return entries
+    if body.count("\n") != n or not body.endswith("\n"):
+        return None
+    h, low, high = _half_texts(p, K)
+    low = {t: v for v, t in enumerate(low)}
+    high = {t: v * p**h for v, t in enumerate(high)}
+    # A match spans one whole line, so n matches cover all n lines.
+    halves = re.finditer(rf"^{prefix}((?:[^,\n]*,){{{h}}})([^\n]*)\n", body, re.M)
     try:
-        entries = [low[a] + high[b] for a, b in halves]
+        entries = [low[a] + high[b] for a, b in map(re.Match.groups, halves)]
     except KeyError:
         return None
     return entries if len(entries) == n else None

@@ -372,7 +372,27 @@ def near_canonical(text: str, p: int, K: int) -> list[tuple[str, str]]:
             [prefix + ",".join([str(p)] + ["0"] * (K - 1))] + lines[1:]) + "\n"),
         # One character, as wide as the digit it replaces, but two UTF-8 bytes.
         ("non-ascii digit", text[:-2] + "٠١٢٣٤٥٦٧٨٩"[int(text[-2])] + "\n"),
-    ]
+    ] + [(what, head + "\n" + "\n".join(off) + "\n") for what, off in one_line_off(lines, p, K)]
+
+
+def one_line_off(lines: list[str], p: int, K: int) -> list[tuple[str, list[str]]]:
+    """The entry lines with one of them, as wide as a canonical one, given
+    another prefix (digits below p where the prefix's were, where there are
+    such, so only the column check sees it), a digit p, a comma moved, or a
+    carriage return for its newline."""
+    prefix, i = f"{p}:{K}:", (len(lines) - 1) // 2
+    digits = lines[i][len(prefix):]
+    other_k = min(range(1, 10), key=lambda k: (k == K, k >= p)) if K < 10 else K + 1
+    off = {"prefix of another K": f"{p}:{other_k}:{digits}",
+           "prefix of another p": f"{3 if p == 2 else p - 2}:{K}:{digits}",
+           "digit p at a line's end": lines[i][:-1] + str(p),
+           "carriage return line end": lines[i] + "\r" + lines[i + 1]}
+    if K > 1 and p <= 10:  # one-character digits: d0,d1 -> d0d1, and d0 0 d1
+        c = len(prefix) + 1
+        off["comma moved"] = lines[i][:c] + lines[i][c + 1] + "," + lines[i][c + 2:]
+        off["digit in a comma's place"] = lines[i][:c] + "0" + lines[i][c + 1:]
+    return [(what, lines[:i] + [line] + lines[i + (2 if what.startswith("carriage") else 1):])
+            for what, line in off.items()]
 
 
 # The contexts with p >= 11 write two-character digits.
@@ -396,6 +416,17 @@ def test_one_pass_reading_matches_the_per_line_path(p, K):
                           text.replace("\n", "\x0c", 1), "  " + text,
                           "\n \n" + text, "\x0c" + text, head + "\x0c" + text[len(head):]):
                 assert outcome(parse_table_text, other) == outcome(ref_parse_table_text, other)
+
+
+def test_a_line_of_another_precision_is_read_as_the_reference_reads_it():
+    """In a 7 5 table the digits 3 and 5 both read as 0 in the template check,
+    so only the prefix check refuses a line that starts 7:3:."""
+    ctx = PadicContext(7, 5)
+    lines = serialize_table_text(random_one_lipschitz_table(ctx, Random(75), 0.5)).split("\n")
+    for i in (1, 2401, len(lines) - 2):
+        text = "\n".join(lines[:i] + ["7:3:" + lines[i][4:]] + lines[i + 1:])
+        assert _canonical_entries(text.partition("\n")[2], ctx) is None
+        assert outcome(parse_table_text, text) == outcome(ref_parse_table_text, text)
 
 
 def test_reading_canonical_text_encodes_it_a_chunk_at_a_time():

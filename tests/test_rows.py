@@ -2,6 +2,7 @@
 
 ``_rows`` builds each row a scan reads, as bytes up to 256 residues and as
 a list above, and keeps no table: MUL rows from stride slices of a ramp,
+XOR and AND rows from per-digit terms or the level below,
 G1, G3, G4 and LinearG rows from a row of ADD or MUL through their split,
 G2 and SeriesG from their ``op.rows``.  Every row must equal the list of
 ``op.pair`` values, and no scan of an operation with a split may call its
@@ -16,7 +17,7 @@ from random import Random
 import pytest
 
 from padic_ciphers import analysis
-from padic_ciphers.analysis import MUL, homomorphism_test
+from padic_ciphers.analysis import AND, MUL, XOR, homomorphism_test
 from padic_ciphers.ciphers import (
     G1,
     G2,
@@ -76,6 +77,20 @@ def test_list_rows_equal_the_pair_form(p, k):
     rng = Random(m)
     ys = {0, 1, p % m, p ** (k - 1), m - 1, *rng.sample(range(m), 4)}
     _assert_rows(ctx, sorted(ys), rng)
+
+
+# XOR and AND rows sum per-digit terms packed in one integer up to 256
+# residues (every y at those levels is checked above) and interleave p
+# gathers of the level below above it: every y where that level is bytes
+# (7^2, 2^8), and 64 of them at 2^10, where it is a list.
+@pytest.mark.parametrize("p,k", [(7, 3), (2, 9), (2, 10)])
+def test_digitwise_list_rows_equal_the_pair_form_at_every_y(p, k):
+    ctx = PadicContext(p, k)
+    m = ctx.modulus
+    for op in (XOR, AND):
+        rows = analysis._rows(op, ctx)
+        for y in range(m) if m < 1000 else Random(m).sample(range(m), 64):
+            assert rows(y) == [op.pair(x, y, p, m) for x in range(m)], (op, y)
 
 
 # The split of G3 raises at p = 2 when the rows are set up, not at the first
