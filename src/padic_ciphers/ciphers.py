@@ -457,8 +457,8 @@ _OPERATION = (_dump_operation, _load_operation)
 # costs nothing extra.  FheKey is an AdditiveKey with the further constraint
 # A^d = 1.  Only the xor, and and multiplicative kernels fill tables over
 # digit values, and only for p <= 7, where a block table has at most 64
-# entries; from p = 11 on they read one digit at a time or lift the first
-# digit by Newton's step, so no key does work that grows with p.
+# entries; from p = 11 on they read one digit at a time or take two powers
+# with exponents below p, so no key does work that grows with p.
 
 
 def _check_draw_budget(p: int) -> None:
@@ -574,19 +574,21 @@ class MultiplicativeKey(Record):
 #   g^(-x p^(i-1)) clears them, and the answer gains the factor
 #   g^(b x p^(i-1)).  It stops once v = 1 mod p^j with 4j >= K-k, after
 #   ceil((ceil((K-k)/4) - 1)/h) such steps of two lookups and two products
-#   mod M.  From p = 11 on, where a table would grow with p, it reads no
-#   block: j = 1.
+#   mod M.
+# * From p = 11 on, where a table would grow with p, no block and no lift: as
+#   Z_p^x = mu_(p-1) x (1 + pZ_p) (Serre, A Course in Arithmetic, ch. II 3),
+#   <u>^(p-1) = u^(p-1) and p - 1 is a unit, w(t)^sigma <u>^b = u^sigma v^b'
+#   with v = u^(p-1), b' = (b - sigma)(p - 1)^-1 mod p^(K-1), and j = 1.
 # * A binomial tail finishes exactly: with z = v - 1, p^j divides z, so
 #   (1 + z)^b = 1 + C(b,1) z + ... + C(b,r) z^r mod M for any integer b >= 0,
 #   r the least with (r+1) j >= K-k: at most 3 (``_TAIL_ORDER``) after the
-#   log, K-k-1 from p = 11 on.  Horner's rule takes one product and one
-#   reduction per term past z^3 and writes the last three out, so the short
-#   tail runs no loop.  A modular power squares once per bit of
+#   log, K-k-1 (of b') from p = 11 on.  Horner's rule takes one product and
+#   one reduction per term past z^3 and writes the last three out, so the
+#   short tail runs no loop.  A modular power squares once per bit of
 #   e = b mod p^(K-k-1) instead, thousands of bits at a large p.
 #
-# The lifts w(t) come from ``core.teichmuller_residue``: listed by first digit
-# where block tables exist, else lifted at each call, so a key at a large
-# prime holds no lift.
+# The lifts w(t) come from ``core.teichmuller_residue``, listed by first
+# digit beside the block tables; from p = 11 on a key holds and a call makes none.
 
 
 @cache
@@ -612,16 +614,6 @@ def _log_tables(p: int, K: int, h: int) -> tuple[list, list[int]]:
     return blocks, [teichmuller_residue(t, p, K) for t in range(p)]
 
 
-class _Lifts:
-    """lifts[t] = w(t^n mod p) mod p^e, by Newton's step at each read."""
-
-    def __init__(self, n: int, p: int, e: int) -> None:
-        self.n, self.p, self.e = n, p, e
-
-    def __getitem__(self, t: int) -> int:
-        return teichmuller_residue(pow(t, self.n, self.p), self.p, self.e)
-
-
 class _UnitKernel:
     """x = p^k u -> p^k lead^k w(t)^sigma <v>^b with v = shift^k u mod p^(K-k)
     and t = v mod p, at every p (see above).
@@ -629,18 +621,18 @@ class _UnitKernel:
     Where ``_BLOCK_DIGITS`` lists p, beside the shared ``_log_tables`` it holds
     its own row per block, row[d] = g^(b x p^(i-1)) mod p^K for x = logs[d],
     built by running products, and two lists over the first digit: w(t)^-1 =
-    w(t^(p-2)) and w(t)^sigma = w(t^sigma); elsewhere ``_Lifts`` lifts those
-    two at each call.  Per level it keeps lead_k and the tail's terms
-    lead_k C(b, n) mod p^(K-k-nj), as p^(nj) divides z^n, and reads the first
-    ceil((ceil((K-k)/4) - 1)/h) blocks.  The first product is left unreduced:
-    the blocks read only digits below K-k.
+    w(t^(p-2)) and w(t)^sigma = w(t^sigma).  Per level it keeps lead_k and the
+    tail's terms lead_k C(b, n) mod p^(K-k-nj), as p^(nj) divides z^n, and
+    reads the first ceil((ceil((K-k)/4) - 1)/h) blocks.  The first product is
+    left unreduced: the blocks read only digits below K-k.  From p = 11 on
+    every level reads C(b', n) mod p^K, and lead_k sits in place of the lifts.
     """
 
     def __init__(self, ctx: PadicContext, b: int, sigma: int, shift: int, lead: int) -> None:
         p, K, m = ctx.p, ctx.precision, ctx.modulus
         h = _BLOCK_DIGITS.get(p)
-        self.p, self.modulus, self.q = p, m, p ** (h or 1)
-        steps, unlift, first = [], None, None
+        self.p, self.modulus, self.q, self.sigma = p, m, p ** (h or 1), sigma
+        steps = []
         if h:
             blocks, lifts = _log_tables(p, K, h)
             power = pow(1 + p, b, m)  # power = g^(b p^(i-1))
@@ -650,24 +642,27 @@ class _UnitKernel:
                 power = row[-1]
             unlift = [lifts[pow(t, p - 2, p)] for t in range(p)]
             first = [lifts[pow(t, sigma, p)] for t in range(p)]
+        else:  # b'
+            b = (b - sigma) * pow(p - 1, -1, p ** (K - 1)) % p ** (K - 1)
         # C(b, n) mod p^K for n up to the longest tail r: the falling factorial
         # b(b-1)...(b-n+1), kept mod r! p^K, a multiple of n! p^K, stays a multiple of n!
-        r = _TAIL_ORDER if h else K - 1
+        r = _TAIL_ORDER if h else max(K - 1, _TAIL_ORDER)
         bound, falling, coefficients = m * math.factorial(r), 1, [1]
         for n in range(1, r + 1):
             falling = falling * (b - n + 1) % bound
             coefficients.append(falling // math.factorial(n) % m)
         pw = _powers(p, K + 1, m * p)
-        self.levels = {}  # p^k -> (M, shift_k, lead_k, lifts, c_1, c_2, c_r, c_(r-1)..c_3, blocks)
+        self.levels = {}  # p^k -> (M, shift_k, lead, lifts, c_1, c_2, c_r, c_(r-1)..c_3, blocks)
         for k, shift_k, lead_k in zip(range(K), _powers(shift, K, m), _powers(lead, K, m)):
             e = K - k
             n = (-(-e // (_TAIL_ORDER + 1)) + h - 2) // h if h else 0  # blocks read
             j = 1 + n * (h or 1)  # p^j divides z after them
             r = -(-e // j) - 1  # the least with (r+1) j >= e
-            c = [0, *(lead_k * coefficients[i] % pw[e - i * j] for i in range(1, r + 1)), 0, 0, 0]
-            top = max(r, 3)  # c[n] = lead_k c_n, 0 past r; apply writes out the terms to z^3
-            lifts = (unlift, first) if h else (_Lifts(p - 2, p, e), _Lifts(sigma, p, e))
-            self.levels[pw[k]] = (pw[e], shift_k, lead_k % pw[e], *lifts,
+            c = ([0, *(lead_k * coefficients[i] % pw[e - i * j] for i in range(1, r + 1)), 0, 0, 0]
+                 if h else coefficients)  # lead_k c_n, 0 past r; else c_n: p^e divides z^n past r
+            top = max(r, 3)  # apply writes out the terms to z^3
+            head = (lead_k % pw[e], unlift, first) if h else (1, None, lead_k % pw[e])
+            self.levels[pw[k]] = (pw[e], shift_k, *head,
                                   c[1], c[2], c[top], tuple(c[top - 1:2:-1]), steps[:n])
 
     def apply(self, x: int) -> int:
@@ -676,12 +671,15 @@ class _UnitKernel:
         q = math.gcd(x, self.modulus)
         M, shift, lead, unlift, first, c1, c2, s, high, steps = self.levels[q]
         u = x // q * shift % M
-        t, Q = u % self.p, self.q
-        v, acc = u * unlift[t], first[t]
-        for pi, clears, row in steps:
-            d = v // pi % Q
-            v = v * clears[d] % M
-            acc = acc * row[d] % M
+        if unlift is None:  # from p = 11 on: v = u^(p-1), and first is lead_k
+            v, acc = pow(u, self.p - 1, M), pow(u, self.sigma, M) * first % M
+        else:
+            t, Q = u % self.p, self.q
+            v, acc = u * unlift[t], first[t]
+            for pi, clears, row in steps:
+                d = v // pi % Q
+                v = v * clears[d] % M
+                acc = acc * row[d] % M
         z = v - 1  # lead (1 + z)^b = lead (1 + c_1 z + ... + c_r z^r) mod M
         for c in high:  # lead c_n for n = r-1, ..., 3, after s = lead c_r: none after the log
             s = s * z % M + c

@@ -441,7 +441,8 @@ LOG_DIGITS = {p: h for p, h in ciphers._BLOCK_DIGITS.items() if p > 2}  # p -> h
 # The block log at K = 1, 2, h, h + 1, 16 and 64; the full tail from p = 11 on.
 MULTIPLICATIVE_CASES = [
     PadicContext(p, K) for p, h in LOG_DIGITS.items() for K in sorted({1, 2, h, h + 1, 16, 64})
-] + [PadicContext(p, K) for p, K in ((11, 1), (11, 2), (11, 16), (13, 64), (41, 5))]
+] + [PadicContext(p, K) for p, K in ((11, 1), (11, 2), (11, 4), (11, 16), (13, 64), (41, 5),
+                                     (65537, 3))]
 
 
 @pytest.mark.parametrize(
@@ -579,3 +580,44 @@ def test_a_key_at_a_61_bit_prime_keeps_a_bounded_number_of_lifts():
     finally:
         tracemalloc.stop()
     assert grown < 16 * 1024  # 1000 kept lifts take about 150 KiB
+
+
+def _large_prime_key(ctx: PadicContext, rng: Random) -> MultiplicativeKey:
+    return MultiplicativeKey(ciphers._random_unit(ctx, rng), _digit_exponent(ctx.p, rng),
+                             ciphers._random_unit(ctx, rng))
+
+
+def test_from_p_11_on_no_call_lifts_a_digit(monkeypatch):
+    """From p = 11 on the kernel maps w(t)^sigma <u>^b through u^sigma and
+    u^(p-1), so neither building it nor calling it lifts a digit."""
+    def no_lift(*args):
+        raise AssertionError("a Teichmuller lift from p = 11 on")
+
+    monkeypatch.setattr(ciphers, "teichmuller_residue", no_lift)
+    monkeypatch.setattr(core, "teichmuller_residue", no_lift)
+    for p, K in ((11, 4), (101, 16), (2**61 - 1, 4), (BIG_PRIME, 9)):
+        ctx = PadicContext(p, K)
+        rng = Random(p)
+        for key in (_large_prime_key(ctx, rng),
+                    MultiplicativeKey(A=PadicInt(ctx, 2), s=1, a=PadicInt(ctx, 3))):
+            for x in plaintexts(ctx, rng) + [1, ctx.modulus - 1]:
+                assert key.dec_int(key.enc_int(x)) == x
+
+
+def test_a_key_at_the_largest_prime_keeps_its_tail_coefficients_once():
+    """From p = 11 on the tail's exponent (b - sigma)/(p - 1) is full size
+    even where a is small, so each direction keeps its K coefficients mod
+    p^K once, for every level to read."""
+    ctx = PadicContext(BIG_PRIME, 64)
+    rng = Random(64)
+    for key in (_large_prime_key(ctx, rng),
+                MultiplicativeKey(A=PadicInt(ctx, 2), s=1, a=PadicInt(ctx, 3))):
+        tracemalloc.start()
+        try:
+            key.enc_int, key.dec_int
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 400 * 1024  # a copy reduced per level holds about 1.2 MiB and 680 KiB
+        x = rng.randrange(1, ctx.modulus)
+        assert key.dec_int(key.enc_int(x)) == x
