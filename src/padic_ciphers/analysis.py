@@ -32,8 +32,8 @@ An operation that states a split op(x, y) = base(u(x), w(y)) with base ADD
 or MUL (``Operation.split``: G1, G3, G4 and LinearG) reads row y as the
 base row of w(y) through a vector of u(x), so a scan compares only the
 least y of each distinct (w(y), w(f(y))); G2 and SeriesG state ``rows``
-instead.  So a level holds O(m^1.5) entries besides its rows, never the
-m^2 of a whole table of lists.
+instead (SeriesG's calls ``pair``; no command scans one).  So a level holds
+O(m^1.5) entries besides its rows, never the m^2 of a whole table of lists.
 A level of more than core.PAIR_BUDGET pairs is refused with DomainError
 before any of it is built.
 

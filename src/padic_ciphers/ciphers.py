@@ -82,8 +82,8 @@ class InvalidKeyError(PadicError):
 # ``split(p, m)``, op(x, y) = base(u(x), w(y)) mod m with base ADD or MUL
 # (G1, G3, G4, LinearG), so its rows are rows of ADD or MUL; or else
 # ``rows(xs, p, m)``, the row function y -> [op(x, y) for x in xs], which
-# computes x^(p-1) once per level (G2) or the factors of y once per row
-# (SeriesG).  The scans build ADD, MUL, XOR and AND rows from structure.
+# computes x^(p-1) once per level (G2) or calls ``pair`` (SeriesG, which no
+# command scans).  The scans build ADD, MUL, XOR and AND rows from structure.
 
 
 class Operation:
@@ -265,19 +265,7 @@ class SeriesG(GOperation):
         return total % m
 
     def rows(self, xs, p: int, m: int):
-        c, a, b = self.c.value, self.a.value, self.b.value
-        linear = [c + a * x for x in xs]
-        powers = {i: [pow(x, i, m) for x in xs] for (i, _), _ in self.terms}  # once per level
-        terms = [(powers[i], j, coeff.value) for (i, j), coeff in self.terms]
-
-        def row(y: int) -> list[int]:
-            by = b * y
-            out = [t + by for t in linear]
-            for xi, j, coeff in terms:  # one term over the whole row at a time
-                cy = coeff * pow(y, j, m)
-                out = [t + cy * v for t, v in zip(out, xi)]
-            return [t % m for t in out]
-        return row
+        return lambda y: [self.pair(x, y, p, m) for x in xs]
 
 
 # Every operation by the name the CLI and formulas use for it, the G names last.

@@ -22,6 +22,8 @@ use an operation the key does not respect.
 
 from __future__ import annotations
 
+import re
+
 from .ciphers import (
     ADD,
     GLIN,
@@ -119,33 +121,26 @@ _CALL_NAMES["STAR"] = OP_NAMES["G1"]
 
 # -- lexing / parsing ------------------------------------------------------------
 
+# Every character starts a token: \s is str.isspace, \d str.isdecimal (the
+# digits int() reads), and a NAME run ends only at whitespace or one of +*(),
+# as a name does, since every decimal digit continues one.
+_TOKEN = re.compile(r"(?P<SPACE>\s+)|(?P<INT>\d+)|(?P<PLUS>\+)|(?P<TIMES>\*)|(?P<LPAREN>\()"
+                    r"|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<NAME>[^\s\d+*(),][^\s+*(),]*)")
+
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-        elif c.isdecimal():  # the digits int() reads
-            j = i
-            while j < n and text[j].isdecimal():
-                j += 1
-            tokens.append(("INT", text[i:j], i))
-            i = j
-        elif c.isidentifier():  # a NAME is what str.isidentifier accepts, as for --env names
-            j = i + 1
-            while j < n and ("_" + text[j]).isidentifier():
-                j += 1
-            tokens.append(("NAME", text[i:j], i))
-            i = j
-        elif c in "+*(),":
-            kind = {"+": "PLUS", "*": "TIMES", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}[c]
-            tokens.append((kind, c, i))
-            i += 1
-        else:
-            raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("END", "", n))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "SPACE":
+            continue
+        word, at = m[0], m.start()
+        if kind == "NAME" and not word.isidentifier():  # a name is an identifier, as for --env
+            # at the first character no name takes: c starts a name, "_" + c continues one
+            at += next(i for i, c in enumerate(word) if not ("_"[:i] + c).isidentifier())
+            raise FormulaSyntaxError(f"unexpected character {text[at]!r}", at)
+        tokens.append((kind, word, at))
+    tokens.append(("END", "", len(text)))
     return tokens
 
 
@@ -156,83 +151,72 @@ class _Parser:
         self.ctx = ctx
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self, kind: str) -> tuple[str, str, int]:
+    def expect(self, kind: str) -> None:
         tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise FormulaSyntaxError(
                 f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2]
             )
         self.pos += 1
-        return tok
-
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok[0] != "END":
-            raise FormulaSyntaxError(f"unexpected {tok[1]!r} after formula", tok[2])
-        return node
 
     def expr(self) -> Node:
         # Each parenthesis or call argument is one more level of expr.
         if self.depth > core.MAX_NESTING:
-            raise FormulaSyntaxError(
-                f"nesting deeper than {core.MAX_NESTING} levels", self.peek()[2]
-            )
+            raise FormulaSyntaxError(f"nesting deeper than {core.MAX_NESTING} levels",
+                                     self.tokens[self.pos][2])
         self.depth += 1
         node = self.term()
-        while self.peek()[0] == "PLUS":
-            self.take("PLUS")
+        while self.tokens[self.pos][0] == "PLUS":
+            self.pos += 1
             node = App(ADD, node, self.term())
         self.depth -= 1
         return node
 
     def term(self) -> Node:
         node = self.factor()
-        while self.peek()[0] == "TIMES":
-            self.take("TIMES")
+        while self.tokens[self.pos][0] == "TIMES":
+            self.pos += 1
             node = App(MUL, node, self.factor())
         return node
 
     def factor(self) -> Node:
-        kind, text, at = self.peek()
+        kind, text, at = self.tokens[self.pos]
+        self.pos += 1
         if kind == "INT":
-            self.take("INT")
             try:
                 return Lit(PadicInt(self.ctx, int(text) % self.ctx.modulus))
             except ValueError:  # more digits than int() converts
                 raise FormulaSyntaxError(f"{len(text)}-digit literal is too long", at) from None
         if kind == "LPAREN":
-            self.take("LPAREN")
             node = self.expr()
-            self.take("RPAREN")
+            self.expect("RPAREN")
             return node
-        if kind == "NAME":
-            self.take("NAME")
-            if self.peek()[0] != "LPAREN":
-                return Var(text)
-            if text not in _CALL_NAMES:
-                raise UnknownOperationError(
-                    f"unknown operation {text!r}; expected one of "
-                    f"{', '.join(sorted(_CALL_NAMES))}"
-                )
-            self.take("LPAREN")
-            left = self.expr()
-            if self.peek()[0] == "RPAREN":
-                raise ArityError(f"{text} takes two arguments, got one")
-            self.take("COMMA")
-            right = self.expr()
-            if self.peek()[0] == "COMMA":
-                raise ArityError(f"{text} takes two arguments, got more")
-            self.take("RPAREN")
-            return App(_CALL_NAMES[text], left, right)
-        raise FormulaSyntaxError(f"expected a value, found {text or 'end of input'!r}", at)
+        if kind != "NAME":
+            raise FormulaSyntaxError(f"expected a value, found {text or 'end of input'!r}", at)
+        if self.tokens[self.pos][0] != "LPAREN":
+            return Var(text)
+        if text not in _CALL_NAMES:
+            raise UnknownOperationError(f"unknown operation {text!r}; expected one of "
+                                        f"{', '.join(sorted(_CALL_NAMES))}")
+        self.pos += 1
+        left = self.expr()
+        if self.tokens[self.pos][0] == "RPAREN":
+            raise ArityError(f"{text} takes two arguments, got one")
+        self.expect("COMMA")
+        right = self.expr()
+        if self.tokens[self.pos][0] == "COMMA":
+            raise ArityError(f"{text} takes two arguments, got more")
+        self.expect("RPAREN")
+        return App(_CALL_NAMES[text], left, right)
 
 
 def parse(text: str, ctx: PadicContext) -> Node:
-    return _Parser(text, ctx).parse()
+    parser = _Parser(text, ctx)
+    node = parser.expr()
+    kind, word, at = parser.tokens[parser.pos]
+    if kind != "END":
+        raise FormulaSyntaxError(f"unexpected {word!r} after formula", at)
+    return node
 
 
 # -- walking a tree -----------------------------------------------------------------

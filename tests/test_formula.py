@@ -1,9 +1,10 @@
 import re
 import string
+import sys
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from padic_ciphers.analysis import ADD, AND, MUL, XOR, homomorphism_test
@@ -23,7 +24,8 @@ from padic_ciphers.ciphers import (
     keygen,
     op_apply,
 )
-from padic_ciphers.core import MAX_NESTING, ContextMismatchError, DomainError, PadicContext, PadicInt
+from padic_ciphers.core import (MAX_NESTING, ContextMismatchError, DomainError, FormatError,
+                                PadicContext, PadicInt)
 from padic_ciphers.formula import (
     App,
     ArityError,
@@ -34,6 +36,7 @@ from padic_ciphers.formula import (
     UnboundVariableError,
     UnknownOperationError,
     Var,
+    _CALL_NAMES,
     _bind,
     _tape,
     _tokenize,
@@ -45,6 +48,7 @@ from padic_ciphers.formula import (
     to_text,
     vars_used,
 )
+from test_fuzz import formula_texts
 
 C32 = PadicContext(3, 2)
 C33 = PadicContext(3, 3)
@@ -119,6 +123,189 @@ def test_ascii_tokens_are_the_former_names(text):
     former = [(m.lastgroup, m.group(), m.start()) for m in _FORMER_TOKEN.finditer(text)
               if m.lastgroup != "SPACE"]
     assert _tokenize(text) == former + [("END", "", len(text))]
+
+
+# -- the former reader: the reference for the token pattern and the descent -------
+
+
+def _former_tokenize(text: str) -> list[tuple[str, str, int]]:
+    """The per-character loop that read formula text before the token pattern."""
+    tokens = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+        elif c.isdecimal():
+            j = i
+            while j < n and text[j].isdecimal():
+                j += 1
+            tokens.append(("INT", text[i:j], i))
+            i = j
+        elif c.isidentifier():
+            j = i + 1
+            while j < n and ("_" + text[j]).isidentifier():
+                j += 1
+            tokens.append(("NAME", text[i:j], i))
+            i = j
+        elif c in "+*(),":
+            kind = {"+": "PLUS", "*": "TIMES", "(": "LPAREN", ")": "RPAREN", ",": "COMMA"}[c]
+            tokens.append((kind, c, i))
+            i += 1
+        else:
+            raise FormulaSyntaxError(f"unexpected character {c!r}", i)
+    tokens.append(("END", "", n))
+    return tokens
+
+
+class _FormerParser:
+    """The descent as it was, every token read through ``peek`` and ``take``."""
+
+    def __init__(self, text: str, ctx: PadicContext) -> None:
+        self.tokens = _former_tokenize(text)
+        self.pos = 0
+        self.ctx = ctx
+        self.depth = 0
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def take(self, kind: str) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        if tok[0] != kind:
+            raise FormulaSyntaxError(
+                f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2]
+            )
+        self.pos += 1
+        return tok
+
+    def parse(self):
+        node = self.expr()
+        tok = self.peek()
+        if tok[0] != "END":
+            raise FormulaSyntaxError(f"unexpected {tok[1]!r} after formula", tok[2])
+        return node
+
+    def expr(self):
+        if self.depth > MAX_NESTING:
+            raise FormulaSyntaxError(f"nesting deeper than {MAX_NESTING} levels", self.peek()[2])
+        self.depth += 1
+        node = self.term()
+        while self.peek()[0] == "PLUS":
+            self.take("PLUS")
+            node = App(ADD, node, self.term())
+        self.depth -= 1
+        return node
+
+    def term(self):
+        node = self.factor()
+        while self.peek()[0] == "TIMES":
+            self.take("TIMES")
+            node = App(MUL, node, self.factor())
+        return node
+
+    def factor(self):
+        kind, text, at = self.peek()
+        if kind == "INT":
+            self.take("INT")
+            try:
+                return Lit(PadicInt(self.ctx, int(text) % self.ctx.modulus))
+            except ValueError:
+                raise FormulaSyntaxError(f"{len(text)}-digit literal is too long", at) from None
+        if kind == "LPAREN":
+            self.take("LPAREN")
+            node = self.expr()
+            self.take("RPAREN")
+            return node
+        if kind == "NAME":
+            self.take("NAME")
+            if self.peek()[0] != "LPAREN":
+                return Var(text)
+            if text not in _CALL_NAMES:
+                raise UnknownOperationError(
+                    f"unknown operation {text!r}; expected one of "
+                    f"{', '.join(sorted(_CALL_NAMES))}"
+                )
+            self.take("LPAREN")
+            left = self.expr()
+            if self.peek()[0] == "RPAREN":
+                raise ArityError(f"{text} takes two arguments, got one")
+            self.take("COMMA")
+            right = self.expr()
+            if self.peek()[0] == "COMMA":
+                raise ArityError(f"{text} takes two arguments, got more")
+            self.take("RPAREN")
+            return App(_CALL_NAMES[text], left, right)
+        raise FormulaSyntaxError(f"expected a value, found {text or 'end of input'!r}", at)
+
+
+def _outcome(read, *args):
+    """What ``read`` returns, or the class, message and position of what it raises."""
+    try:
+        return read(*args)
+    except FormatError as error:
+        return type(error), str(error), getattr(error, "position", None)
+
+
+def test_the_token_pattern_classes_every_code_point_as_the_former_loop():
+    """The facts that make one finditer pass read as the per-character loop,
+    over every code point: \\s is str.isspace and \\d is str.isdecimal; a
+    character that starts a name or is a decimal digit continues one; and no
+    character that continues a name is whitespace or one of +*(),.  So a NAME
+    run of the pattern is a former NAME token, or fails at the character
+    where the loop raised."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    space, digits = set(re.findall(r"\s", chars)), set(re.findall(r"\d", chars))
+    assert space == {c for c in chars if c.isspace()}
+    assert digits == {c for c in chars if c.isdecimal()}
+    continues = {c for c in chars if ("_" + c).isidentifier()}
+    assert {c for c in chars if c.isidentifier()} <= continues
+    assert digits <= continues
+    assert not continues & (space | set("+*(),"))
+
+
+def test_tokens_of_each_code_point_in_context_are_the_former_ones():
+    rng = Random(7)
+    points = [*range(0x300), *rng.sample(range(0x300, sys.maxunicode + 1), 3000)]
+    for c in map(chr, points):
+        for text in (c, f"x{c}y", f"{c}1", f"1{c}", f"_{c}", f"{c} +", f"X{c}(1,2)"):
+            assert _outcome(_tokenize, text) == _outcome(_former_tokenize, text), text
+
+
+@settings(max_examples=300, deadline=None)
+@given(formula_texts)
+def test_tokens_are_the_former_loops(text):
+    assert _outcome(_tokenize, text) == _outcome(_former_tokenize, text)
+
+
+# Texts of whole tokens, which reach the call and arity errors more often.
+token_texts = st.lists(st.sampled_from(["x", "7", " + ", "*", "(", ")", ", ", "XOR", "G1", "FOO"]),
+                       max_size=20).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@example("x²+1", C52)
+@example("x\u0301 + ℘", C52)
+@example("1" * 5000, C52)
+@example("x" + " + x" * 3000, C52)
+@example("(" * MAX_NESTING + "x" + ")" * MAX_NESTING, C52)
+@example("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1), C52)
+@example("XOR(x, " * MAX_NESTING + "y" + ")" * MAX_NESTING, C52)
+@example("XOR(x, " * (MAX_NESTING + 1) + "y" + ")" * (MAX_NESTING + 1), C52)
+@example("XOR(x)", C52)
+@example("XOR(x, y, z)", C52)
+@example("XOR(x y)", C52)
+@example("XOR(x, y", C52)
+@example("FOO(x, y)", C52)
+@example("(x + y", C52)
+@example("x ) y", C52)
+@example("x +", C52)
+@example("", C52)
+@given(formula_texts | token_texts,
+       st.sampled_from([C52, PadicContext(5, 16), PadicContext(2, 1)]))
+def test_parse_reads_as_the_former_descent(text, ctx):
+    former = _outcome(lambda: _FormerParser(text, ctx).parse())
+    assert _outcome(parse, text, ctx) == former
 
 
 def test_nesting_limit():
