@@ -34,14 +34,12 @@ residue's low and high halves, built once per call.  For p <= 10 every digit
 is one character, so canonical lines have one width and are read back by
 digit columns: a chunk of lines is checked with one ``translate`` against a
 template line, and its columns are summed as packed byte and 32-bit slots
-of one integer.  For p >= 11 a digit may take two characters, and a regular
-expression finds each line's halves among the same digit texts.  Any other
-text goes to ``core.from_text`` line by line.
+of one integer.  Every other text, canonical text at p >= 11 included, goes
+to ``core.from_text`` line by line.
 """
 
 from __future__ import annotations
 
-import re
 import sys
 from operator import add
 from random import Random
@@ -395,55 +393,43 @@ def serialize_table_text(obj: ValueTable | VdpSeries) -> str:
 
 def _canonical_entries(body: str, ctx: PadicContext) -> list[int] | None:
     """The values of a body of exactly p**K canonical lines, each ending in a
-    newline, read by digit columns for p <= 10 and through ``_half_texts``
-    above; None for any other body."""
+    newline, read by digit columns for p <= 10; None for any other body."""
+    if ctx.p > 10 or sys.byteorder != "little":  # the packed slots are read little-endian
+        return None
     p, K, n = ctx.p, ctx.precision, ctx.modulus
     prefix = f"{p}:{K}:"
-    if p <= 10 and sys.byteorder == "little":  # the packed slots are read little-endian
-        # n lines of one width that match the template (digits below p read as
-        # 0) and hold the prefix, which fits only at a line's start, are canonical.
-        width = len(prefix) + 2 * K
-        if len(body) != n * width or not body.isascii():
+    # n lines of one width that match the template (digits below p read as
+    # 0) and hold the prefix, which fits only at a line's start, are canonical.
+    width = len(prefix) + 2 * K
+    if len(body) != n * width or not body.isascii():
+        return None
+    zero, lines = bytes.maketrans(b"0123456789"[:p], b"0" * p), (1 << 16) // width + 1
+    template = ((prefix + "0," * K)[:-1] + "\n").encode().translate(zero) * lines
+    g, entries = next(g for g in range(8, 0, -1) if p**g <= 256), []  # g digits sum < p**g
+    for i in range(0, n * width, lines * width):
+        chunk = body[i:i + lines * width].encode()
+        c = len(chunk) // width
+        if chunk.translate(zero) != template[:len(chunk)] or chunk.count(prefix.encode()) != c:
             return None
-        zero, lines = bytes.maketrans(b"0123456789"[:p], b"0" * p), (1 << 16) // width + 1
-        template = ((prefix + "0," * K)[:-1] + "\n").encode().translate(zero) * lines
-        g, entries = next(g for g in range(8, 0, -1) if p**g <= 256), []  # g digits sum < p**g
-        for i in range(0, n * width, lines * width):
-            chunk = body[i:i + lines * width].encode()
-            c = len(chunk) // width
-            if chunk.translate(zero) != template[:len(chunk)] or chunk.count(prefix.encode()) != c:
-                return None
-            # Digit j of each line is the byte 48 + d of column len(prefix) + 2j:
-            # g columns at a time sum in byte slots, which spread to 32-bit ones.
-            ones, slots, total = int.from_bytes(b"\1" * c, "little"), bytearray(4 * c), 0
-            for j0 in range(0, K, g):
-                col, weights = len(prefix) + 2 * j0, [p**j for j in range(min(g, K - j0))]
-                group = sum(int.from_bytes(chunk[col + 2 * j::width], "little") * w
-                            for j, w in enumerate(weights)) - 48 * sum(weights) * ones
-                slots[::4] = group.to_bytes(c, "little")
-                total += int.from_bytes(slots, "little") * p**j0
-            entries += memoryview(total.to_bytes(4 * c, "little")).cast("I")
-        return entries
-    if body.count("\n") != n or not body.endswith("\n"):
-        return None
-    h, low, high = _half_texts(p, K)
-    low = {t: v for v, t in enumerate(low)}
-    high = {t: v * p**h for v, t in enumerate(high)}
-    # A match spans one whole line, so n matches cover all n lines.
-    halves = re.finditer(rf"^{prefix}((?:[^,\n]*,){{{h}}})([^\n]*)\n", body, re.M)
-    try:
-        entries = [low[a] + high[b] for a, b in map(re.Match.groups, halves)]
-    except KeyError:
-        return None
-    return entries if len(entries) == n else None
+        # Digit j of each line is the byte 48 + d of column len(prefix) + 2j:
+        # g columns at a time sum in byte slots, which spread to 32-bit ones.
+        ones, slots, total = int.from_bytes(b"\1" * c, "little"), bytearray(4 * c), 0
+        for j0 in range(0, K, g):
+            col, weights = len(prefix) + 2 * j0, [p**j for j in range(min(g, K - j0))]
+            group = sum(int.from_bytes(chunk[col + 2 * j::width], "little") * w
+                        for j, w in enumerate(weights)) - 48 * sum(weights) * ones
+            slots[::4] = group.to_bytes(c, "little")
+            total += int.from_bytes(slots, "little") * p**j0
+        entries += memoryview(total.to_bytes(4 * c, "little")).cast("I")
+    return entries
 
 
 def parse_table_text(text: str) -> ValueTable | VdpSeries:
     """Inverse of ``serialize_table_text``.  An entry may be any text that
     ``core.from_text`` reads in the header's context.  A size over the table
-    limit is refused right after the header.  Canonical entry lines, as they
-    stand or stripped, are read by ``_canonical_entries``; a line in any
-    other form sends every line to ``from_text``."""
+    limit is refused right after the header.  At p <= 10 canonical entry
+    lines, as they stand or stripped, are read by ``_canonical_entries``;
+    any other text sends every line to ``from_text``."""
     text = text.lstrip()  # blank lines before the header; line breaks are spaces
     if not text:
         raise FormatError("empty table file")

@@ -45,6 +45,7 @@ from padic_ciphers.core import (
     and_p,
     xor_p,
 )
+from padic_ciphers.lipschitz import ValueTable
 
 C33 = PadicContext(3, 3)
 C52 = PadicContext(5, 2)
@@ -236,6 +237,17 @@ def test_search_exhausts_when_no_counterexample():
     assert rep.verdict == "exhausted"
     assert rep.witness is None
     assert rep.trials == 9 + 81 + 729 + 64
+
+
+def test_search_finds_in_the_random_phase_what_its_levels_miss():
+    # f(x) = x + 9(x mod 3)^2 agrees with x mod 9, so levels 1 and 2 pass;
+    # Random(0) finds f(13 + 1) = 23 against f(13) + f(1) = 5 on its second draw.
+    table = ValueTable.from_callable(C33, lambda x: (x + 9 * (x % 3) ** 2) % 27)
+    assert all(v % 9 == x % 9 for x, v in enumerate(table.values))
+    rep = counterexample_search(table, ADD, max_k=2)
+    assert (rep.verdict, rep.witness, rep.mode) == ("counterexample", (13, 1), "random:K=3")
+    assert rep.trials == 9 + 81 + 2
+    assert rep.detail == {"lhs": 23, "rhs": 5}
 
 
 def test_level_over_the_pair_budget_is_refused_before_any_work():

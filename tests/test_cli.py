@@ -319,6 +319,15 @@ def test_eval_syntax_error_exits_3(capsys):
     assert code == 3
 
 
+def test_negative_literals_exit_3(tmp_path, capsys):
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", "additive", "--p", "5", "--precision", "2",
+        "--seed", "1", "--out", str(path))
+    for argv in (("encrypt", "--key", str(path), "-3"),
+                 ("eval", "--formula", "x+1", "--env", "x=-3")):
+        assert run(capsys, *argv) == (3, "", "error: negative literals are not accepted\n")
+
+
 @pytest.mark.parametrize("formula, at", [("x + ²", 4), ("1" * 5000, 0), ("x * ٣" + "1" * 4300, 4)],
                          ids=["superscript", "5000-digits", "4301-digits-from-arabic-indic"])
 def test_eval_literal_int_cannot_read_exits_3(capsys, formula, at):
@@ -514,15 +523,25 @@ def test_search_refuses_a_space_whose_only_key_is_the_identity_before_any_draw(
 
 
 def test_check_exports_table(tmp_path, capsys):
+    # (61, 2) is a two-character-digit table at the export limit: 3721 entries.
+    assert 61**2 <= core.MEASURE_LIMIT
     key_path, table_path = tmp_path / "k.json", tmp_path / "t.txt"
-    run(capsys, "keygen", "--family", "xor", "--p", "3", "--precision", "2",
-        "--seed", "8", "--out", str(key_path))
-    code, out, err = run(capsys, "check", "--key", str(key_path), "--measure",
-                         "--out", str(table_path))
-    assert code == 0
-    key = key_from_json(json.loads(key_path.read_text()))
-    table = parse_table_text(table_path.read_text())
-    assert table == encryption_table(key)
+    for p, K in ((3, 2), (61, 2)):
+        run(capsys, "keygen", "--family", "xor", "--p", str(p), "--precision", str(K),
+            "--seed", "8", "--out", str(key_path))
+        code, out, err = run(capsys, "check", "--key", str(key_path), "--measure",
+                             "--out", str(table_path))
+        assert code == 0
+        key = key_from_json(json.loads(key_path.read_text()))
+        table = parse_table_text(table_path.read_text())
+        assert table == encryption_table(key)
+        # check --table reads the file back with the same three verdicts.
+        code, back, err = run(capsys, "check", "--table", str(table_path))
+        assert (code, err) == (0, "")
+        assert f"table: p={p} K={K} ({p**K} entries)\n" in back
+        verdicts = [ln for ln in out.splitlines() if ln.startswith("measure:")]
+        assert verdicts == ["measure: bruteforce=yes vdp=yes coordinate=yes"]
+        assert verdicts == [ln for ln in back.splitlines() if ln.startswith("measure:")]
 
 
 def test_check_table_file(tmp_path, capsys):

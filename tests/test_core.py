@@ -283,6 +283,16 @@ def test_pow_nat():
         pow_nat(C52.integer(7), -1)
 
 
+def test_power_and_digitwise_and_operators_are_pow_nat_and_and_p():
+    for x in map(C32.integer, C32.residues()):
+        for n in range(5):
+            assert x**n == pow_nat(x, n)
+        for y in map(C32.integer, C32.residues()):
+            assert x & y == and_p(x, y)
+    with pytest.raises(DomainError, match="natural exponent required"):
+        C32.integer(2) ** -1
+
+
 def test_pow_unit_examples():
     # exponents act through their residue mod p^(K-1)
     assert pow_unit(C33.integer(4), C33.integer(13)).value == 13  # 4^(13 mod 9) = 4^4
@@ -557,7 +567,8 @@ def test_domain_refusals(call, message):
     ("3:2:1,3", None, "digit 3 at position 1 out of range [0, 3)"),
     ("3:2:1,3", C32, "digit 3 at position 1 out of range [0, 3)"),
     ("3:2:1,0,0", C32, "expected 2 digits, got 3"),
-], ids=range(8))
+    ("-3", C32, "negative literals are not accepted"),
+], ids=range(9))
 def test_from_text_refusals(text, ctx, message):
     with pytest.raises(FormatError) as info:
         from_text(text, ctx)

@@ -254,7 +254,11 @@ def test_serialization_roundtrip():
     (lambda: CoordRep(C32, ((0, 1, 2),)), "need 2 digit functions, got 1"),
     (lambda: CoordRep(C32, ((0, 1, 2), (0,) * 8)), "phi_1 needs 9 entries"),
     (lambda: CoordRep(C32, ((0, 3, 2), (0,) * 9)), "phi_0 value 3 is not a digit"),
-], ids=range(10))
+    (lambda: digit_length(-1, 3), "index must be non-negative"),
+    (lambda: chi(9, C32.integer(1)), "index 9 out of range [0, 9)"),
+    (lambda: vdp_eval(vdp_interpolate(identity_table(C32)), C33.integer(1)),
+     "series and argument contexts differ"),
+], ids=range(13))
 def test_representations_refuse_a_wrong_shape_or_range(build, message):
     with pytest.raises(DomainError) as info:
         build()

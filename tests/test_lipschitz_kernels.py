@@ -395,7 +395,7 @@ def one_line_off(lines: list[str], p: int, K: int) -> list[tuple[str, list[str]]
             for what, line in off.items()]
 
 
-# The contexts with p >= 11 write two-character digits.
+# The contexts with p >= 11 write two-character digits, which only from_text reads.
 @pytest.mark.parametrize("p,K", CONTEXTS)
 def test_one_pass_reading_matches_the_per_line_path(p, K):
     for what, table in tables(p, K)[:3]:
@@ -403,7 +403,7 @@ def test_one_pass_reading_matches_the_per_line_path(p, K):
             text = serialize_table_text(obj)
             body = text.partition("\n")[2]
             values = obj.values if isinstance(obj, ValueTable) else obj.B
-            assert _canonical_entries(body, obj.ctx) == list(values)
+            assert _canonical_entries(body, obj.ctx) == (list(values) if p <= 10 else None)
             assert outcome(parse_table_text, text) == outcome(ref_parse_table_text, text)
             for variant, other in near_canonical(text, p, K):
                 other_body = other.partition("\n")[2]
