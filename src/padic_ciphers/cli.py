@@ -106,9 +106,12 @@ def _write_atomic(path: str, text: str) -> None:
 def _read_text(path: str) -> str:
     with open(path) as fh:
         try:
-            return fh.read()
+            text = fh.read(core.FILE_LIMIT + 1)  # bounded: /dev/zero reports size 0
         except UnicodeDecodeError as exc:
             raise FormatError(f"{path} is not readable text: {exc}") from None
+    if len(text) > core.FILE_LIMIT:
+        raise FormatError(f"{path} holds more than {core.FILE_LIMIT} characters")
+    return text
 
 
 def _load_key(path: str):
@@ -281,8 +284,9 @@ def _cmd_check(args) -> tuple[int, dict]:
         check_trial_budget(args.trials)
     results = {"family": key.family, "p": ctx.p, "precision": ctx.precision,
                "measure": "skipped"}
+    subject = key
     if small:
-        table = encryption_table(key)
+        subject = table = encryption_table(key)  # the law scans read it, not the key
         results["measure"] = _measure_block(table)
         if args.out:
             _write_atomic(args.out, serialize_table_text(table))
@@ -290,8 +294,8 @@ def _cmd_check(args) -> tuple[int, dict]:
     if not args.measure:
         laws = []
         for law in laws_for_key(key):
-            reports = [homomorphism_test(key, law, exhaustive_k=k) for k in range(1, top + 1)]
-            reports.append(homomorphism_test(key, law, seed=args.seed, trials=args.trials))
+            reports = [homomorphism_test(subject, law, exhaustive_k=k) for k in range(1, top + 1)]
+            reports.append(homomorphism_test(subject, law, seed=args.seed, trials=args.trials))
             laws += [{"law": law.name} | rep.to_json() for rep in reports]
         results["laws"] = laws
         if key.family == "multiplicative" and small:

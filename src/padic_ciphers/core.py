@@ -27,6 +27,7 @@ _set = object.__setattr__  # how a frozen record sets its fields
 MAX_PRECISION = 64  # most digits a context keeps
 MEASURE_LIMIT = 4096  # largest p^K whose whole map check --key measures and a scan's draw tests
 TABLE_LIMIT = 1 << 20  # largest p^K of a value table, series or coordinate form
+FILE_LIMIT = 1 << 26  # most characters read from a key or table file; (2,20) table text: 45 MiB
 PROBE_LIMIT = 1 << 16  # largest p^K whose table the coefficient probe builds
 PAIR_BUDGET = 1 << 24  # most pairs an exhaustive level (p^(2k)), a random phase or a scan tests
 DRAW_BUDGET = 1 << 16  # most digits below p a key draw may enumerate: p - 1 <= this

@@ -8,9 +8,11 @@ Grammar (whitespace insensitive)::
 
 Call names: XOR, AND, G1, G2, G3, G4, GLIN, and STAR as an alias for G1.
 GLIN stands for a linear two-variable map whose coefficients are supplied
-at evaluation time (normally by the key).  Parentheses and calls nest at
-most core.MAX_NESTING deep; every walk over a parsed tree is iterative, so a
-long flat sum costs no recursion.
+at evaluation time (normally by the key).  The text is split into words by
+one regular-expression pass, and one loop per expr folds its "+" and "*"
+runs (operator precedence, as in Pratt's parser), so only a parenthesis or
+a call recurses: they nest at most core.MAX_NESTING deep.  Every walk over a
+parsed tree is iterative, so a long flat sum costs no recursion.
 
 A formula built from operations a key respects can be evaluated on
 ciphertexts: encrypt the environment, run the same formula with each
@@ -121,101 +123,105 @@ _CALL_NAMES["STAR"] = OP_NAMES["G1"]
 
 # -- lexing / parsing ------------------------------------------------------------
 
-# Every character starts a token: \s is str.isspace, \d str.isdecimal (the
-# digits int() reads), and a NAME run ends only at whitespace or one of +*(),
-# as a name does, since every decimal digit continues one.
-_TOKEN = re.compile(r"(?P<SPACE>\s+)|(?P<INT>\d+)|(?P<PLUS>\+)|(?P<TIMES>\*)|(?P<LPAREN>\()"
-                    r"|(?P<RPAREN>\))|(?P<COMMA>,)|(?P<NAME>[^\s\d+*(),][^\s+*(),]*)")
+# Each match is a token and the whitespace before it, or the empty word at the end
+# and any whitespace before that.  Every other character starts a token: \s is
+# str.isspace, \d str.isdecimal (the digits int() reads), and a NAME run ends only
+# at whitespace or one of +*(), as a name does, since every decimal digit continues one.
+_TOKEN = re.compile(r"\s*(\d+|[+*(),]|[^\s\d+*(),][^\s+*(),]*|\Z)")
+_KINDS = {"+": "PLUS", "*": "TIMES", "(": "LPAREN", ")": "RPAREN", ",": "COMMA", "": "END"}
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "SPACE":
-            continue
-        word, at = m[0], m.start()
+        word, at = m[1], m.start(1)
+        kind = _KINDS.get(word) or ("INT" if word[0].isdecimal() else "NAME")
         if kind == "NAME" and not word.isidentifier():  # a name is an identifier, as for --env
             # at the first character no name takes: c starts a name, "_" + c continues one
             at += next(i for i, c in enumerate(word) if not ("_"[:i] + c).isidentifier())
             raise FormulaSyntaxError(f"unexpected character {text[at]!r}", at)
         tokens.append((kind, word, at))
-    tokens.append(("END", "", len(text)))
-    return tokens
+        if kind == "END":  # at len(text), past any trailing whitespace
+            return tokens
 
 
-class _Parser:
+class _Reader:
+    """A descent over the words of one findall pass.  Each expr folds its +
+    and * runs in one loop, and only a parenthesis or a call recurses, one
+    level of expr each.  Positions are found by _tokenize, on an error only."""
+
     def __init__(self, text: str, ctx: PadicContext) -> None:
-        self.tokens = _tokenize(text)
+        self.text, self.ctx = text, ctx
+        self.words = _TOKEN.findall(text)
         self.pos = 0
-        self.ctx = ctx
         self.depth = 0
 
-    def expect(self, kind: str) -> None:
-        tok = self.tokens[self.pos]
-        if tok[0] != kind:
-            raise FormulaSyntaxError(
-                f"expected {kind}, found {tok[1] or 'end of input'!r}", tok[2]
-            )
+    def fail(self, message: str, pos: int | None, error: type = FormulaSyntaxError):
+        """Raise ``error``, at word ``pos`` unless None, once _tokenize has
+        raised at any character no token takes: the error that reading every
+        token first would give."""
+        tokens = _tokenize(self.text)
+        raise error(message) if pos is None else error(message, tokens[pos][2])
+
+    def expect(self, word: str) -> None:
+        found = self.words[self.pos]
+        if found != word:
+            self.fail(f"expected {_KINDS[word]}, found {found or 'end of input'!r}", self.pos)
         self.pos += 1
 
     def expr(self) -> Node:
-        # Each parenthesis or call argument is one more level of expr.
         if self.depth > core.MAX_NESTING:
-            raise FormulaSyntaxError(f"nesting deeper than {core.MAX_NESTING} levels",
-                                     self.tokens[self.pos][2])
+            self.fail(f"nesting deeper than {core.MAX_NESTING} levels", self.pos)
         self.depth += 1
-        node = self.term()
-        while self.tokens[self.pos][0] == "PLUS":
+        words, total, node = self.words, None, self.operand()
+        while (word := words[self.pos]) == "*" or word == "+":
             self.pos += 1
-            node = App(ADD, node, self.term())
+            if word == "*":
+                node = App(MUL, node, self.operand())
+            else:
+                total = node if total is None else App(ADD, total, node)
+                node = self.operand()
         self.depth -= 1
-        return node
+        return node if total is None else App(ADD, total, node)
 
-    def term(self) -> Node:
-        node = self.factor()
-        while self.tokens[self.pos][0] == "TIMES":
+    def operand(self) -> Node:
+        pos = self.pos
+        word = self.words[pos]
+        self.pos = pos + 1
+        if word.isidentifier():
+            if self.words[pos + 1] != "(":
+                return Var(word)
+            if word not in _CALL_NAMES:
+                self.fail(f"unknown operation {word!r}; expected one of "
+                          f"{', '.join(sorted(_CALL_NAMES))}", None, UnknownOperationError)
             self.pos += 1
-            node = App(MUL, node, self.factor())
-        return node
-
-    def factor(self) -> Node:
-        kind, text, at = self.tokens[self.pos]
-        self.pos += 1
-        if kind == "INT":
-            try:
-                return Lit(PadicInt(self.ctx, int(text) % self.ctx.modulus))
-            except ValueError:  # more digits than int() converts
-                raise FormulaSyntaxError(f"{len(text)}-digit literal is too long", at) from None
-        if kind == "LPAREN":
+            left = self.expr()
+            if self.words[self.pos] == ")":
+                self.fail(f"{word} takes two arguments, got one", None, ArityError)
+            self.expect(",")
+            right = self.expr()
+            if self.words[self.pos] == ",":
+                self.fail(f"{word} takes two arguments, got more", None, ArityError)
+            self.expect(")")
+            return App(_CALL_NAMES[word], left, right)
+        if word == "(":
             node = self.expr()
-            self.expect("RPAREN")
+            self.expect(")")
             return node
-        if kind != "NAME":
-            raise FormulaSyntaxError(f"expected a value, found {text or 'end of input'!r}", at)
-        if self.tokens[self.pos][0] != "LPAREN":
-            return Var(text)
-        if text not in _CALL_NAMES:
-            raise UnknownOperationError(f"unknown operation {text!r}; expected one of "
-                                        f"{', '.join(sorted(_CALL_NAMES))}")
-        self.pos += 1
-        left = self.expr()
-        if self.tokens[self.pos][0] == "RPAREN":
-            raise ArityError(f"{text} takes two arguments, got one")
-        self.expect("COMMA")
-        right = self.expr()
-        if self.tokens[self.pos][0] == "COMMA":
-            raise ArityError(f"{text} takes two arguments, got more")
-        self.expect("RPAREN")
-        return App(_CALL_NAMES[text], left, right)
+        if word[:1].isdecimal():
+            try:
+                return Lit(PadicInt(self.ctx, int(word) % self.ctx.modulus))
+            except ValueError:  # more digits than int() converts
+                pass
+            self.fail(f"{len(word)}-digit literal is too long", pos)
+        self.fail(f"expected a value, found {word or 'end of input'!r}", pos)
 
 
 def parse(text: str, ctx: PadicContext) -> Node:
-    parser = _Parser(text, ctx)
-    node = parser.expr()
-    kind, word, at = parser.tokens[parser.pos]
-    if kind != "END":
-        raise FormulaSyntaxError(f"unexpected {word!r} after formula", at)
+    reader = _Reader(text, ctx)
+    node = reader.expr()
+    if word := reader.words[reader.pos]:
+        reader.fail(f"unexpected {word!r} after formula", reader.pos)
     return node
 
 

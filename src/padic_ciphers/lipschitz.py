@@ -449,7 +449,7 @@ def parse_table_text(text: str) -> ValueTable | VdpSeries:
         lines = [ln.strip() for ln in body.splitlines() if ln.strip()]
         if len(lines) != ctx.modulus:
             raise FormatError(f"expected {ctx.modulus} entries, found {len(lines)}")
-        entries = (_canonical_entries("".join(ln + "\n" for ln in lines), ctx)
+        entries = (ctx.p <= 10 and _canonical_entries("".join(ln + "\n" for ln in lines), ctx)
                    or [from_text(ln, ctx).value for ln in lines])
     if head[2] == "table":
         return ValueTable(ctx, tuple(entries))

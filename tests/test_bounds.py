@@ -23,6 +23,7 @@ from padic_ciphers.ciphers import (
     MultiplicativeKey,
     encryption_table,
     is_identity_key,
+    key_to_json,
     keygen,
     roots_of_unity,
 )
@@ -169,6 +170,20 @@ def test_one_nesting_limit_moves_the_parser(capsys, monkeypatch):
     code, out, err = run(capsys, "eval", "--formula", "((((1))))")
     assert (code, out) == (3, "")
     assert "nesting deeper than 3 levels" in err
+
+
+def test_one_file_limit_moves_every_file_read(tmp_path, capsys, monkeypatch):
+    key, table = tmp_path / "k.json", tmp_path / "t.txt"
+    key.write_text(json.dumps(key_to_json(AdditiveKey(C32.integer(1)))))
+    table.write_text("3 2 table\n" + "".join(f"{x}\n" for x in range(9)))
+    for path, argv in ((key, ("encrypt", "--key", str(key), "1")),
+                       (key, ("check", "--key", str(key))),
+                       (table, ("check", "--table", str(table)))):
+        monkeypatch.setattr(core, "FILE_LIMIT", len(path.read_text()) - 1)
+        message = f"error: {path} holds more than {core.FILE_LIMIT} characters\n"
+        assert run(capsys, *argv) == (3, "", message)
+        monkeypatch.setattr(core, "FILE_LIMIT", len(path.read_text()))
+        assert run(capsys, *argv)[0] == 0
 
 
 def _counting(monkeypatch, name: str, calls: list, stand_in=None):

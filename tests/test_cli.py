@@ -11,6 +11,7 @@ import pytest
 from padic_ciphers import analysis, cli, core
 from padic_ciphers.cli import run_command
 from padic_ciphers.ciphers import (
+    FAMILIES,
     GLIN,
     AdditiveKey,
     key_from_json,
@@ -584,6 +585,51 @@ def test_table_over_the_size_limit_exits_5_before_its_lines_are_read(tmp_path, c
     assert time.perf_counter() - start < 1
     assert code == 5
     assert "exceeds the limit" in err
+
+
+@pytest.mark.parametrize("source", ("/dev/zero", "sparse"))
+@pytest.mark.parametrize("argv", (("check", "--table", "FILE"), ("encrypt", "--key", "FILE", "1"),
+                                  ("check", "--key", "FILE")))
+def test_a_file_past_the_file_limit_exits_3_at_once(tmp_path, argv, source):
+    if source == "sparse":  # one character past the limit, no disk written
+        source = tmp_path / "big.txt"
+        source.touch()
+        os.truncate(source, core.FILE_LIMIT + 1)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+    argv = [str(source) if a == "FILE" else a for a in argv]
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "padic_ciphers.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 1
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == f"error: {source} holds more than {core.FILE_LIMIT} characters\n"
+
+
+def test_a_file_of_the_largest_table_text_is_read(tmp_path):
+    path = tmp_path / "t.txt"  # as long as canonical (2,20) text: 2^20 lines of 45 characters
+    path.touch()
+    os.truncate(path, (1 << 20) * len("2:20:" + "0," * 19 + "0\n"))
+    assert len(cli._read_text(str(path))) == 45 << 20
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("p, K, top", ((3, 4, None), (7, 3, 3)))
+def test_check_key_reports_the_laws_of_the_key(tmp_path, capsys, family, p, K, top):
+    """check --key scans the table it builds; its reports are those of the key."""
+    path = tmp_path / "k.json"
+    run(capsys, "keygen", "--family", family, "--p", str(p), "--precision", str(K),
+        "--seed", "3", "--out", str(path))
+    flags = ("--exhaustive-k", str(top)) if top else ()
+    code, out, err = run(capsys, "check", "--key", str(path), "--json", *flags)
+    assert (code, err) == (0, "")
+    key = key_from_json(json.loads(path.read_text()))
+    laws = []
+    for law in analysis.laws_for_key(key):
+        reports = [analysis.homomorphism_test(key, law, exhaustive_k=k)
+                   for k in range(1, (top or 2) + 1)]
+        reports.append(analysis.homomorphism_test(key, law, seed=0, trials=512))
+        laws += [{"law": law.name} | rep.to_json() for rep in reports]
+    assert json.loads(out)["laws"] == json.loads(json.dumps(laws))
 
 
 @pytest.mark.parametrize("argv", (("check", "--key", "k.json", "--json"),

@@ -1,3 +1,4 @@
+import gc
 import re
 import string
 import sys
@@ -301,11 +302,36 @@ token_texts = st.lists(st.sampled_from(["x", "7", " + ", "*", "(", ")", ", ", "X
 @example("x ) y", C52)
 @example("x +", C52)
 @example("", C52)
+@example("x + ", C52)
+@example("x\u3000+\u3000y\u3000", C52)
+@example("x\n+\ty", C52)
+@example("x + y ) é", C52)
+@example("XOR(x, y, é)", C52)
+@example("FOO(x, é", C52)
 @given(formula_texts | token_texts,
        st.sampled_from([C52, PadicContext(5, 16), PadicContext(2, 1)]))
 def test_parse_reads_as_the_former_descent(text, ctx):
     former = _outcome(lambda: _FormerParser(text, ctx).parse())
     assert _outcome(parse, text, ctx) == former
+
+
+def test_parse_leaves_no_garbage_cycle():
+    """Each parse frees what it made by reference counting alone, whether it
+    returns a tree or raises."""
+    deep = "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1)
+    texts = ["x + y * (z + 1)", "XOR(x, G1(y, 2)) * 3", "x +", "x ) y", "XOR(x)", "FOO(x, y)",
+             "x²+1", "x + y ) é", "1" * 5000, deep]
+    gc.collect()
+    gc.disable()
+    try:
+        for text in texts:
+            try:
+                parse(text, C52)
+            except FormatError:
+                pass
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_nesting_limit():
