@@ -338,18 +338,12 @@ def counterexample_search(
     ctx, _ = _subject(subject)
     max_k = _escalation_depth(ctx, max_k)
     check_trial_budget(random_trials)
-    total = 0
-    for k in range(1, max_k + 1):
-        rep = homomorphism_test(subject, op, exhaustive_k=k)
+    rng, total = rng or Random(0), 0
+    for k in [*range(1, max_k + 1), None]:  # None: the random phase
+        rep = homomorphism_test(subject, op, exhaustive_k=k, trials=random_trials, rng=rng)
         total += rep.trials
         if rep.verdict == "counterexample":
             return SearchReport(rep.verdict, rep.witness, total, rep.mode, rep.detail)
-    rep = homomorphism_test(
-        subject, op, trials=random_trials, rng=rng if rng is not None else Random(0)
-    )
-    total += rep.trials
-    if rep.verdict == "counterexample":
-        return SearchReport(rep.verdict, rep.witness, total, rep.mode, rep.detail)
     return SearchReport("exhausted", None, total, f"escalation:k<={max_k}+random")
 
 

@@ -87,14 +87,17 @@ class InvalidKeyError(PadicError):
 
 
 class Operation:
-    """A named two-argument operation on residues mod p^k: a subclass states
-    ``pair`` and, if a G, one of ``split`` or ``rows``.  One stating no
-    ``pair`` is a name alone, GLIN, and refuses to compute."""
+    """A named two-argument operation on residues mod p^k.  ADD, MUL, XOR and
+    AND are values holding their kernel, passed as ``pair``; a G is a subclass
+    stating ``pair`` and one of ``split`` or ``rows`` as methods.  GLIN holds
+    no kernel: it is a name alone, and refuses to compute."""
 
     coefficients = ()
 
-    def __init__(self, name: str) -> None:
+    def __init__(self, name: str, pair: Callable[[int, int, int, int], int] | None = None) -> None:
         self.name = name
+        if pair is not None:
+            self.pair = pair
 
     def __repr__(self) -> str:
         return self.name
@@ -111,27 +114,10 @@ class Operation:
         return None
 
 
-class _Add(Operation):
-    def pair(self, x: int, y: int, p: int, m: int) -> int:
-        return (x + y) % m
-
-
-class _Mul(Operation):
-    def pair(self, x: int, y: int, p: int, m: int) -> int:
-        return x * y % m
-
-
-class _Xor(Operation):
-    def pair(self, x: int, y: int, p: int, m: int) -> int:
-        return digitwise(x, y, p, m)
-
-
-class _And(Operation):
-    def pair(self, x: int, y: int, p: int, m: int) -> int:
-        return digitwise(x, y, p, m, multiply=True)
-
-
-ADD, MUL, XOR, AND = _Add("ADD"), _Mul("MUL"), _Xor("XOR"), _And("AND")
+ADD = Operation("ADD", lambda x, y, p, m: (x + y) % m)
+MUL = Operation("MUL", lambda x, y, p, m: x * y % m)
+XOR = Operation("XOR", digitwise)
+AND = Operation("AND", lambda x, y, p, m: digitwise(x, y, p, m, True))
 GLIN = Operation("GLIN")  # a LinearG whose coefficients a key supplies at use
 
 
@@ -898,10 +884,10 @@ class FheKey(AdditiveKey):
         g = G1() if g is None else g
         if g is GLIN:
             g = LinearG(_random_unit(ctx, rng), _random_unit(ctx, rng))
-        count = multiplier_count(ctx, g)
-        if count is None:
+        multipliers = admissible_multipliers(ctx, g)
+        if multipliers is None:
             return cls(_random_unit(ctx, rng), g)
-        candidates = sorted(a.value for a in roots_of_unity(ctx, count) if a.value != 1)
+        candidates = sorted(a.value for a in multipliers if a.value != 1)
         if not candidates:
             raise InvalidKeyError(
                 "only the trivial multiplier A = 1 commutes with this operation "

@@ -104,7 +104,9 @@ def _write_atomic(path: str, text: str) -> None:
 
 
 def _read_text(path: str) -> str:
-    with open(path) as fh:
+    # Opened without blocking, so a FIFO with no writer reads as empty at once.
+    with open(path, opener=lambda name, flags: os.open(name, flags | os.O_NONBLOCK)) as fh:
+        os.set_blocking(fh.fileno(), True)
         try:
             text = fh.read(core.FILE_LIMIT + 1)  # bounded: /dev/zero reports size 0
         except UnicodeDecodeError as exc:

@@ -88,9 +88,6 @@ class ValueTable(Record):
         check_table_size(ctx)
         return cls(ctx, tuple(fn(x) % ctx.modulus for x in ctx.residues()))
 
-    def __getitem__(self, x: int) -> int:
-        return self.values[x]
-
 
 class VdpSeries(Record):
     """Interpolation coefficients B_m, m in [0, p**K)."""

@@ -587,29 +587,70 @@ def test_table_over_the_size_limit_exits_5_before_its_lines_are_read(tmp_path, c
     assert "exceeds the limit" in err
 
 
-@pytest.mark.parametrize("source", ("/dev/zero", "sparse"))
-@pytest.mark.parametrize("argv", (("check", "--table", "FILE"), ("encrypt", "--key", "FILE", "1"),
-                                  ("check", "--key", "FILE")))
-def test_a_file_past_the_file_limit_exits_3_at_once(tmp_path, argv, source):
-    if source == "sparse":  # one character past the limit, no disk written
-        source = tmp_path / "big.txt"
-        source.touch()
-        os.truncate(source, core.FILE_LIMIT + 1)
+# -- the boundary table ---------------------------------------------------------------
+#
+# One row per bound a CLI input reaches: the argv, in which the upper-case words name the
+# files below; the exit code; the most seconds the command may take, interpreter start-up
+# included; and a piece of its stderr, which names the bound that ended it.  Past each
+# bound a command is refused before any work, so it ends at once with exit 3 or 5.  The
+# file rows read a file one character past core.FILE_LIMIT and one of the canonical
+# (2,20) table text's size (45 MiB), which is read and refused only by its entry count.
+
+_FILE_LIMIT_MESSAGE = f"holds more than {core.FILE_LIMIT} characters"
+_SCAN_KEYS = core.PAIR_BUDGET // (3**2 + 3**4 + 256) + 1  # search at (3,2): two levels, 256 pairs
+
+BOUNDARY_ROWS = [
+    *(pytest.param((*argv[:2], source, *argv[2:]), 3, 1, _FILE_LIMIT_MESSAGE,
+                   id=f"file-limit-{argv[0]}-{argv[1][2:]}-{source.lower()}")
+      for source in ("/dev/zero", "SPARSE")
+      for argv in (("check", "--table"), ("encrypt", "--key", "1"), ("check", "--key"))),
+    pytest.param(("check", "--table", "LARGEST"), 3, 2, "expected 1048576 entries, found 1",
+                 id="largest-table-text-is-read"),
+    pytest.param(("check", "--table", "FIFO"), 3, 1, "empty table file", id="fifo-check-table"),
+    pytest.param(("check", "--key", "FIFO"), 3, 1, "Expecting value", id="fifo-check-key"),
+    pytest.param(("encrypt", "--key", "FIFO", "1"), 3, 1, "Expecting value",
+                 id="fifo-encrypt-key"),
+    pytest.param(("keygen", "--family", "additive", "--precision", str(core.MAX_PRECISION + 1)),
+                 5, 1, "precision must be in [1, 64], got 65", id="precision"),
+    pytest.param(("keygen", "--family", "additive", "--p", str(core.PRIME_BOUND),
+                  "--precision", "1"), 5, 1, "primality is decided exactly only below", id="p"),
+    pytest.param(("check", "--key", "KEY", "--trials", str(core.PAIR_BUDGET + 1)), 5, 1,
+                 "random pairs are over the budget", id="check-trials"),
+    pytest.param(("search", "ADD", "MUL", "--p", "3", "--precision", "2", "--keys",
+                  str(_SCAN_KEYS)), 5, 1, f"a scan of {_SCAN_KEYS} keys", id="search-keys"),
+    pytest.param(("check", "--key", "KEY", "--exhaustive-k", "8"), 5, 1,
+                 "level 8 has 3^16 = 43046721 pairs", id="check-exhaustive-k"),
+    pytest.param(("eval", "--formula", "(" * (core.MAX_NESTING + 1) + "1"
+                  + ")" * (core.MAX_NESTING + 1)), 3, 1,
+                 f"nesting deeper than {core.MAX_NESTING} levels", id="formula-nesting"),
+]
+
+
+@pytest.mark.parametrize("argv, code, seconds, message", BOUNDARY_ROWS)
+def test_each_cli_bound_ends_at_once_with_its_exit_code(tmp_path, capsys, argv, code, seconds,
+                                                        message):
+    files = {"KEY": tmp_path / "k.json", "FIFO": tmp_path / "f.fifo",
+             "SPARSE": tmp_path / "sparse.txt", "LARGEST": tmp_path / "largest.txt"}
+    if "KEY" in argv:  # p^(2k) passes PAIR_BUDGET first at k = 8 for p = 3
+        run(capsys, "keygen", "--family", "xor", "--p", "3", "--precision", "8",
+            "--out", str(files["KEY"]))
+    if "FIFO" in argv:  # no writer ever opens it
+        os.mkfifo(files["FIFO"])
+    for name, size in (("SPARSE", core.FILE_LIMIT + 1), ("LARGEST", (1 << 20) * 45)):
+        if name in argv:  # no disk written past the header
+            files[name].write_text("2 20 table\n")
+            os.truncate(files[name], size)
+    argv = [str(files.get(a, a)) for a in argv]
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
-    argv = [str(source) if a == "FILE" else a for a in argv]
     start = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "padic_ciphers.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=30)
-    assert time.perf_counter() - start < 1
-    assert (proc.returncode, proc.stdout) == (3, "")
-    assert proc.stderr == f"error: {source} holds more than {core.FILE_LIMIT} characters\n"
-
-
-def test_a_file_of_the_largest_table_text_is_read(tmp_path):
-    path = tmp_path / "t.txt"  # as long as canonical (2,20) text: 2^20 lines of 45 characters
-    path.touch()
-    os.truncate(path, (1 << 20) * len("2:20:" + "0," * 19 + "0\n"))
-    assert len(cli._read_text(str(path))) == 45 << 20
+                          capture_output=True, text=True, timeout=10)
+    assert time.perf_counter() - start < seconds
+    assert (proc.returncode, proc.stdout) == (code, "")
+    [line] = proc.stderr.splitlines()
+    assert message in line
+    if message == _FILE_LIMIT_MESSAGE:
+        assert line == f"error: {argv[2]} {message}"
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))

@@ -156,8 +156,10 @@ def test_records_copy_and_pickle(build):
 
 def test_the_named_operations_keep_their_identity_through_copy_and_pickle():
     for op in (ADD, MUL, XOR, AND, GLIN):
+        assert type(op) is ciphers.Operation  # values holding their kernel, no subclasses
         assert copy.copy(op) is op and copy.deepcopy(op) is op
         assert pickle.loads(pickle.dumps(op)) is op
+    assert XOR.pair is core.digitwise
     tree = App(XOR, Var("x"), App(GLIN, Var("y"), Lit(C52.one)))
     key = FheKey(C52.integer(24), LinearG(C52.one, C52.one))
     assert copy.deepcopy(key).laws == key.laws == pickle.loads(pickle.dumps(key)).laws
